@@ -65,59 +65,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionReport",
-    "DegeneratePolygonError",
-    "DegenerateSampleError",
-    "Face",
-    "LatticePolygon",
-    "OracleConfig",
-    "OracleError",
-    "PluckerReport",
-    "Point",
-    "RetriesExhaustedError",
-    "SparsePoly",
-    "ThinTriangleWitness",
-    "Verdict",
-    "WeightedFan",
-    "assumption2_holds",
-    "bitangent_count",
-    "check_assumption1",
-    "check_assumption3",
-    "contains_translate",
-    "convex_hull",
-    "count_torus_solutions",
-    "dilate",
-    "doubled_area",
-    "dual_area_closed",
-    "dual_fan",
-    "dual_polygon",
-    "edge_fan",
-    "euler_characteristic",
-    "find_Qd_subdiagram",
-    "full_assumption_report",
-    "hessian_curve",
-    "hessian_polytope",
-    "implicitize_dual",
-    "inflection_count",
-    "inflection_oracle",
-    "interior_lattice_points",
-    "is_class_Qd",
-    "is_thin",
-    "lattice_length",
-    "lattice_points",
-    "minkowski_sum",
-    "mixed_volume",
-    "negate",
-    "plucker_report",
-    "rectangle",
-    "rotate_r",
-    "sample_dual_points",
-    "sample_poly",
-    "standard_triangle",
-    "support_set",
-    "vertical_tangent_count",
-    "vertical_tangent_oracle",
-    "volume",
-]

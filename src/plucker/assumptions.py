@@ -18,12 +18,10 @@ from .lattice import (
     LOWER_ARROWS,
     UP,
     Diagram,
-    Face,
     LatticePolygon,
     Point,
     add,
     contains_translate,
-    cross,
     dilate,
     lattice_points,
     rotate_r,
@@ -130,17 +128,6 @@ def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
     return True
 
 
-def _point_on_face(p: Point, face: Face) -> bool:
-    if face.kind == "vertex":
-        return p == face.endpoints[0]
-    a, b = face.endpoints
-    if cross(a, b, p) != 0:
-        return False
-    lo = (min(a[0], b[0]), min(a[1], b[1]))
-    hi = (max(a[0], b[0]), max(a[1], b[1]))
-    return lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]
-
-
 def _face_ok(Q: Iterable[Point], P: LatticePolygon, g: Optional[Point]) -> bool:
     """Q's support set at g must lie on P's face at g (no-op when g is None)."""
     if g is None:
@@ -148,10 +135,8 @@ def _face_ok(Q: Iterable[Point], P: LatticePolygon, g: Optional[Point]) -> bool:
     pts = list(Q)
     u, v = g
     best = max(u * x + v * y for x, y in pts)
-    face = support_set(P, g)
-    return all(
-        _point_on_face(p, face) for p in pts if u * p[0] + v * p[1] == best
-    )
+    face = LatticePolygon(support_set(P, g).endpoints)
+    return all(p in face for p in pts if u * p[0] + v * p[1] == best)
 
 
 def _staircase_shapes(d: int) -> list[tuple[Point, ...]]:
@@ -195,8 +180,9 @@ def _find_Qd(
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
     pts = lattice_points(P)
     ptset = set(pts)
+    shapes = _staircase_shapes(d)
     for p in pts:
-        for shape in _staircase_shapes(d):
+        for shape in shapes:
             cand = [add(p, s) for s in shape]
             if not all(q in ptset for q in cand):
                 continue

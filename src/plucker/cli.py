@@ -24,8 +24,7 @@ from .assumptions import (
 )
 from .formulas import (
     PluckerReport,
-    dual_fan,
-    dual_polygon,
+    _dual_fan_and_polygon,
     inflection_count,
     plucker_report,
     vertical_tangent_count,
@@ -76,7 +75,7 @@ def parse_polygon(text: str) -> LatticePolygon:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(c, int) for c in item)
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
         ):
             raise CliError(f"bad vertex {item!r}: expected [x, y] integers", EXIT_PARSE)
         pts.append((item[0], item[1]))
@@ -96,6 +95,10 @@ def count_json(v):
 
 def fan_json(fan: WeightedFan) -> dict:
     return {f"{u},{v}": w for (u, v), w in fan.rays}
+
+
+def _fan_text(fan: WeightedFan) -> str:
+    return ", ".join(f"({u},{v}):{w}" for (u, v), w in fan.rays)
 
 
 def polygon_json(P: LatticePolygon) -> list:
@@ -136,14 +139,13 @@ def assumptions_json(rep: AssumptionReport) -> dict:
 
 
 def report_text(r: PluckerReport) -> str:
-    fan = ", ".join(f"({u},{v}):{w}" for (u, v), w in r.dual_fan.rays)
     return "\n".join(
         [
             f"polygon            {list(r.polygon.vertices)}",
             f"vol                {r.vol}",
             f"inflections        {r.inflections}",
             f"bitangents         {r.bitangents}",
-            f"dual fan           {fan}",
+            f"dual fan           {_fan_text(r.dual_fan)}",
             f"dual polygon       {list(r.dual_polygon.vertices)}",
             f"dual vol           {r.dual_vol}",
             f"euler char         {r.euler_char}",
@@ -197,15 +199,13 @@ def cmd_report(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_dual(P: LatticePolygon, args) -> tuple[object, str, int]:
-    fan = dual_fan(P)
-    dual = dual_polygon(P)
+    fan, dual = _dual_fan_and_polygon(P)
     payload = {
         "polygon": polygon_json(P),
         "dual_fan": fan_json(fan),
         "dual_polygon": polygon_json(dual),
     }
-    fan_line = ", ".join(f"({u},{v}):{w}" for (u, v), w in fan.rays)
-    text = f"dual fan      {fan_line}\ndual polygon  {list(dual.vertices)}"
+    text = f"dual fan      {_fan_text(fan)}\ndual polygon  {list(dual.vertices)}"
     return payload, text, EXIT_OK
 
 
@@ -262,17 +262,17 @@ def cmd_implicitize(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_render(P: LatticePolygon, args) -> tuple[object, str, int]:
-    svg = svg_report(P, dual_fan(P), dual_polygon(P))
+    svg = svg_report(P, *_dual_fan_and_polygon(P))
     return {"svg": svg}, svg, EXIT_OK
 
 
 _COMMANDS = {
-    "report": cmd_report,
-    "dual": cmd_dual,
-    "assumptions": cmd_assumptions,
-    "verify": cmd_verify,
-    "implicitize": cmd_implicitize,
-    "render": cmd_render,
+    "report": (cmd_report, "all invariants of the polygon"),
+    "dual": (cmd_dual, "dual tropical fan and dual Newton polygon"),
+    "assumptions": (cmd_assumptions, "tri-state genericity verdicts with evidence"),
+    "verify": (cmd_verify, "formula vs analytic oracle, side by side"),
+    "implicitize": (cmd_implicitize, "numerically recover the dual curve's equation"),
+    "render": (cmd_render, "SVG picture of the polygon, fan and dual"),
 }
 
 
@@ -285,14 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("report", "all invariants of the polygon"),
-        ("dual", "dual tropical fan and dual Newton polygon"),
-        ("assumptions", "tri-state genericity verdicts with evidence"),
-        ("verify", "formula vs analytic oracle, side by side"),
-        ("implicitize", "numerically recover the dual curve's equation"),
-        ("render", "SVG picture of the polygon, fan and dual"),
-    ]:
+    for name, (_, doc) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument(
             "--polygon",
@@ -332,19 +325,13 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_PARSE
     try:
         P = read_polygon(args.polygon)
-        payload, text, code = _COMMANDS[args.command](P, args)
-    except CliError as exc:
+        payload, text, code = _COMMANDS[args.command][0](P, args)
+    except (CliError, RetriesExhaustedError, ValueError) as exc:
         msg = str(exc)
         _emit(json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}", args.out)
-        return exc.code
-    except RetriesExhaustedError as exc:
-        msg = str(exc)
-        _emit(json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}", args.out)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        msg = str(exc)
-        _emit(json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}", args.out)
-        return EXIT_PARSE
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_DEGENERATE if isinstance(exc, RetriesExhaustedError) else EXIT_PARSE
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
@@ -354,3 +341,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

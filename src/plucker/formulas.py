@@ -13,6 +13,7 @@ from .lattice import (
     LOWER_ARROWS,
     UPPER_ARROWS,
     ARROWS,
+    DegeneratePolygonError,
     LatticePolygon,
     Point,
     WeightedFan,
@@ -81,6 +82,23 @@ def dual_fan(P: LatticePolygon) -> WeightedFan:
     return fan
 
 
+def _dual_fan_and_polygon(P: LatticePolygon) -> tuple[WeightedFan, LatticePolygon]:
+    """The dual fan and the dual polygon rebuilt from it, deriving the fan once."""
+    fan = dual_fan(P)
+    if not fan.rays:
+        raise DegeneratePolygonError(
+            f"the dual fan of {P.vertices} is empty: the curve is a line and its dual is a point"
+        )
+    weights = fan.as_dict()
+    verts: list[Point] = [(0, 0)]
+    for u, v in sort_rays_ccw(weights):
+        w = weights[(u, v)]
+        verts.append(add(verts[-1], (-v * w, u * w)))
+    if verts[-1] != verts[0]:
+        raise FormulaInternalError(f"dual polygon edge walk does not close for {P.vertices}")
+    return fan, LatticePolygon.hull(verts[:-1]).canonical()
+
+
 def dual_polygon(P: LatticePolygon) -> LatticePolygon:
     """Newton polygon of the dual curve, reconstructed from its normal fan.
 
@@ -88,15 +106,7 @@ def dual_polygon(P: LatticePolygon) -> LatticePolygon:
     length w; balancing guarantees the edge walk closes.  The result is
     anchored with its lexicographically minimal vertex at the origin.
     """
-    fan = dual_fan(P).as_dict()
-    order = sort_rays_ccw(fan.keys())
-    verts: list[Point] = [(0, 0)]
-    for u, v in order:
-        w = fan[(u, v)]
-        verts.append(add(verts[-1], (-v * w, u * w)))
-    if verts[-1] != verts[0]:
-        raise FormulaInternalError(f"dual polygon edge walk does not close for {P.vertices}")
-    return LatticePolygon.hull(verts[:-1]).canonical()
+    return _dual_fan_and_polygon(P)[1]
 
 
 # Edges of the standard triangle, keyed by their outer normals.
@@ -107,15 +117,8 @@ _DELTA_EDGES: dict[Point, LatticePolygon] = {
 }
 
 
-def dual_area_closed(P: LatticePolygon) -> Fraction:
-    """Area of the dual polygon from the closed formula.
-
-    Evaluates vol of the virtual polygon
-    2S*Delta + (-P) - l_down*E(down) - l_ne*E(ne) - l_left*E(left)
-    by bilinearity of the mixed volume, and cross-checks the result against
-    the shoelace area of the reconstructed dual polygon.
-    """
-    P.require_dim2()
+def _checked_dual_area(P: LatticePolygon, dual: LatticePolygon) -> Fraction:
+    """The closed dual area of P, checked against the reconstructed ``dual``."""
     da = doubled_area(P)  # = 2S
     terms: list[tuple[int, LatticePolygon]] = [
         (da, standard_triangle()),
@@ -130,12 +133,28 @@ def dual_area_closed(P: LatticePolygon) -> Fraction:
         for cj, Aj in terms:
             total += Fraction(ci * cj) * mixed_volume(Ai, Aj)
     area = total / 2
-    recon = volume(dual_polygon(P))
+    recon = volume(dual)
     if area != recon:
         raise FormulaInternalError(
             f"closed dual area {area} != reconstructed {recon} for {P.vertices}"
         )
     return area
+
+
+def dual_area_closed(P: LatticePolygon) -> Fraction:
+    """Area of the dual polygon from the closed formula.
+
+    Evaluates vol of the virtual polygon
+    2S*Delta + (-P) - l_down*E(down) - l_ne*E(ne) - l_left*E(left)
+    by bilinearity of the mixed volume, and cross-checks the result against
+    the shoelace area of the reconstructed dual polygon.
+    """
+    return _checked_dual_area(P, dual_polygon(P))
+
+
+def _bitangents(P: LatticePolygon, dual_area: Fraction) -> Fraction:
+    lower, upper = _arrow_sums(P)
+    return -5 * doubled_area(P) + dual_area + 3 * lower + upper
 
 
 def bitangent_count(P: LatticePolygon) -> Fraction:
@@ -144,9 +163,7 @@ def bitangent_count(P: LatticePolygon) -> Fraction:
     Returned as an exact rational; integrality is only guaranteed when the
     genericity assumptions are verified.
     """
-    P.require_dim2()
-    lower, upper = _arrow_sums(P)
-    return -5 * doubled_area(P) + dual_area_closed(P) + 3 * lower + upper
+    return _bitangents(P, dual_area_closed(P))
 
 
 def vertical_tangent_count(P: LatticePolygon) -> int:
@@ -180,15 +197,15 @@ class PluckerReport:
 
 
 def plucker_report(P: LatticePolygon) -> PluckerReport:
-    P.require_dim2()
-    dvol = dual_area_closed(P)  # also cross-checks the reconstruction
+    fan, dual = _dual_fan_and_polygon(P)
+    dvol = _checked_dual_area(P, dual)
     return PluckerReport(
         polygon=P,
         vol=volume(P),
         inflections=inflection_count(P),
-        bitangents=bitangent_count(P),
-        dual_fan=dual_fan(P),
-        dual_polygon=dual_polygon(P),
+        bitangents=_bitangents(P, dvol),
+        dual_fan=fan,
+        dual_polygon=dual,
         dual_vol=dvol,
         euler_char=euler_characteristic(P),
         genus=interior_lattice_points(P),

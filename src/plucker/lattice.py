@@ -78,11 +78,7 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    verts = tuple(lower[:-1] + upper[:-1])
-    if len(verts) == 2:
-        # all points collinear; keep the two extreme ones
-        return verts
-    return verts
+    return tuple(lower[:-1] + upper[:-1])
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,7 @@ class Face:
 
 def lattice_length(face: Face) -> int:
     """Number of lattice points on the face minus one; 0 for a vertex."""
-    if face.kind == "vertex":
-        return 0
-    (x0, y0), (x1, y1) = face.endpoints
-    return math.gcd(abs(x1 - x0), abs(y1 - y0))
+    return 0 if face.kind == "vertex" else segment_length(*face.endpoints)
 
 
 def segment_length(a: Point, b: Point) -> int:

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import mpmath
 import numpy as np
@@ -27,6 +27,7 @@ from .formulas import dual_polygon
 from .lattice import LatticePolygon, Point, lattice_points
 
 _x, _y = sympy.symbols("x y")
+_T = TypeVar("_T")
 
 
 class OracleError(RuntimeError):
@@ -383,32 +384,38 @@ def _with_attempt_seed(cfg: OracleConfig, attempt: int) -> OracleConfig:
     return replace(cfg, seed=cfg.seed + 0x9E3779B9 * attempt)
 
 
+def _retry_samples(
+    P: LatticePolygon,
+    cfg: OracleConfig,
+    what: str,
+    attempt: Callable[[SparsePoly, OracleConfig], _T],
+) -> _T:
+    """Run ``attempt`` on a curve sampled on P under each reseeded config in
+    turn, until one attempt meets no degenerate sample."""
+    last: Optional[Exception] = None
+    for i in range(cfg.retries):
+        acfg = _with_attempt_seed(cfg, i)
+        try:
+            return attempt(sample_poly(P, acfg), acfg)
+        except DegenerateSampleError as exc:
+            last = exc
+    raise RetriesExhaustedError(f"{what} retries exhausted: {last}")
+
+
 def inflection_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus intersections of a sampled curve with its Hessian curve."""
     P.require_dim2()
-    last: Optional[Exception] = None
-    for attempt in range(cfg.retries):
-        acfg = _with_attempt_seed(cfg, attempt)
-        f = sample_poly(P, acfg)
-        try:
-            return count_torus_solutions(f, hessian_curve(f), acfg)
-        except DegenerateSampleError as exc:
-            last = exc
-    raise RetriesExhaustedError(f"inflection oracle retries exhausted: {last}")
+    return _retry_samples(
+        P, cfg, "inflection oracle", lambda f, c: count_torus_solutions(f, hessian_curve(f), c)
+    )
 
 
 def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus solutions of f = df/dy = 0 for a sampled curve."""
     P.require_dim2()
-    last: Optional[Exception] = None
-    for attempt in range(cfg.retries):
-        acfg = _with_attempt_seed(cfg, attempt)
-        f = sample_poly(P, acfg)
-        try:
-            return count_torus_solutions(f, f.diff("y"), acfg)
-        except DegenerateSampleError as exc:
-            last = exc
-    raise RetriesExhaustedError(f"vertical tangent oracle retries exhausted: {last}")
+    return _retry_samples(
+        P, cfg, "vertical tangent oracle", lambda f, c: count_torus_solutions(f, f.diff("y"), c)
+    )
 
 
 @dataclass(frozen=True)
@@ -463,17 +470,12 @@ def implicitize_dual(
     support = lattice_points(predicted)
     if len(support) > 40:
         raise ValueError("dual support too large for implicitization")
-    last: Optional[Exception] = None
-    for attempt in range(cfg.retries):
-        acfg = _with_attempt_seed(cfg, attempt)
-        f = poly if poly is not None else sample_poly(P, acfg)
-        try:
-            return _implicitize_once(f, predicted, support, acfg)
-        except DegenerateSampleError as exc:
-            last = exc
-            if poly is not None:
-                raise
-    raise RetriesExhaustedError(f"implicitization retries exhausted: {last}")
+    if poly is not None:
+        # a given curve cannot be resampled: its first degeneracy is final
+        return _implicitize_once(poly, predicted, support, cfg)
+    return _retry_samples(
+        P, cfg, "implicitization", lambda f, c: _implicitize_once(f, predicted, support, c)
+    )
 
 
 def _implicitize_once(

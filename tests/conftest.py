@@ -1,5 +1,9 @@
 import random
+import sys
 
+import pytest
+
+from plucker import formulas
 from plucker.lattice import LatticePolygon
 
 # filled by the acceptance suite, echoed after the test run
@@ -23,3 +27,20 @@ def random_polygon(
         P = LatticePolygon.hull(pts)
         if P.dim == 2:
             return P
+
+
+@pytest.fixture
+def dual_fan_calls(monkeypatch):
+    """A list that grows by one entry per ``dual_fan`` call, counted through
+    every plucker module that holds the function."""
+    calls = []
+    original = formulas.dual_fan
+
+    def counted(P):
+        calls.append(P)
+        return original(P)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "plucker" and vars(module).get("dual_fan") is original:
+            monkeypatch.setattr(module, "dual_fan", counted)
+    return calls

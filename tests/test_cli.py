@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +52,11 @@ class TestParsing:
 
     def test_missing_file(self, capsys):
         assert run(["report", "--polygon", "/nonexistent.json"]) == EXIT_PARSE
+
+    def test_rejects_boolean(self, polygon_file, capsys):
+        path = polygon_file([[True, 0], [2, 0], [0, 2]])
+        assert run(["report", "--polygon", path]) == EXIT_PARSE
+        assert "bad vertex" in capsys.readouterr().out
 
 
 class TestReport:
@@ -152,3 +160,34 @@ class TestRender:
 class TestExitCodes:
     def test_constants(self):
         assert (EXIT_OK, EXIT_PARSE, EXIT_MISMATCH, EXIT_DEGENERATE) == (0, 2, 3, 4)
+
+
+class TestDualFanOnce:
+    @pytest.mark.parametrize("command", ["dual", "render"])
+    def test_one_dual_fan_call(self, command, polygon_file, dual_fan_calls, capsys):
+        path = polygon_file([[0, 0], [3, 0], [3, 4], [0, 4]])
+        assert run([command, "--polygon", path]) == EXIT_OK
+        assert len(dual_fan_calls) == 1
+
+
+class TestUnitTriangle:
+    @pytest.mark.parametrize("command", ["report", "dual", "render"])
+    def test_dual_is_a_point(self, command, polygon_file, capsys):
+        path = polygon_file([[4, -1], [5, -1], [4, 0]])
+        assert run([command, "--polygon", path]) == EXIT_PARSE
+        assert "dual is a point" in capsys.readouterr().out
+
+
+def test_module_entry_point():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "plucker.cli", "report", "--polygon", "-"],
+        input="[[0,0],[5,0],[0,5]]",
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "inflections        45" in proc.stdout

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polygon
+from plucker import formulas
 from plucker.formulas import (
+    FormulaInternalError,
     bitangent_count,
     dual_area_closed,
     dual_fan,
@@ -225,3 +227,30 @@ class TestPluckerReport:
         assert r.dual_fan.as_dict() == {(0, -1): 2, (1, 1): 1, (-1, 1): 1}
         assert r.euler_char == 2
         assert r.vertical_tangents == 0
+
+    def test_fields_match_standalone_functions(self):
+        rng = random.Random(2204)
+        for _ in range(30):
+            P = random_polygon(rng)
+            r = plucker_report(P)
+            assert r.dual_fan == dual_fan(P)
+            assert r.dual_polygon == dual_polygon(P)
+            assert r.dual_vol == dual_area_closed(P)
+            assert r.bitangents == bitangent_count(P)
+
+    def test_dual_fan_derived_once(self, dual_fan_calls):
+        plucker_report(rectangle(3, 4))
+        assert len(dual_fan_calls) == 1
+
+    def test_closed_area_mismatch_still_raises(self, monkeypatch):
+        mixed_volume = formulas.mixed_volume
+        monkeypatch.setattr(formulas, "mixed_volume", lambda A, B: mixed_volume(A, B) + 1)
+        with pytest.raises(FormulaInternalError, match="closed dual area"):
+            plucker_report(rectangle(3, 4))
+
+    @pytest.mark.parametrize(
+        "fn", [dual_polygon, dual_area_closed, bitangent_count, plucker_report]
+    )
+    def test_unit_triangle_dual_is_a_point(self, fn):
+        with pytest.raises(DegeneratePolygonError, match="dual is a point"):
+            fn(standard_triangle().translate((3, -2)))
