@@ -11,11 +11,12 @@ Exit codes: 0 success, 2 parse/usage error, 3 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .assumptions import (
     DEFAULT_SEARCH_BUDGET,
@@ -318,8 +319,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_from(builder: Callable[[], argparse.ArgumentParser]) -> argparse.ArgumentParser:
+    """The parser, built once per process (again only if build_parser is replaced)."""
+    return builder()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser_from(build_parser).parse_args(argv)
     if args.format == "svg" and args.command != "render":
         _emit(json.dumps({"error": "svg format is only available for render"}), args.out)
         return EXIT_PARSE

@@ -2,13 +2,14 @@
 
 Samples a random integer-coefficient curve supported on a polygon, counts
 its inflection points (via the bordered Hessian) and vertical tangents by
-exact resultant elimination followed by numeric root finding, and recovers
-the dual curve's equation at tiny scale by evaluating monomials of the
-predicted dual support on sampled tangency data.
+exact elimination, and recovers the dual curve's equation at tiny scale by
+evaluating monomials of the predicted dual support on sampled tangency data.
 
-Elimination and squarefree parts are exact over the rationals; floating
-point enters only for univariate root finding and is followed by Newton
-polishing against the exact polynomial.
+The torus count is exact: one subresultant pass over Z[x] gives the
+resultant and a linear element of the ideal that certifies every root of
+its squarefree part; a sample that cannot be certified is rejected as
+degenerate.  Floating point enters only dual sampling, implicitization and
+the standalone root finder ``roots_of_int_poly``.
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ class OracleError(RuntimeError):
 
 
 class DegenerateSampleError(OracleError):
-    """The sampled curve hit a degeneracy (zero resultant, ambiguous root
-    clusters, wrong kernel dimension); the caller should resample."""
+    """The sampled curve hit a degeneracy (zero resultant, a root of the
+    resultant the count cannot certify, ambiguous root clusters, wrong
+    kernel dimension); the caller should resample."""
 
 
 class RetriesExhaustedError(OracleError):
@@ -47,12 +49,11 @@ class RetriesExhaustedError(OracleError):
 class OracleConfig:
     seed: int
     coeff_bound: int = 1000
-    root_tol: float = 1e-6
     torus_tol: float = 1e-8
     retries: int = 5
 
     def __post_init__(self) -> None:
-        if self.coeff_bound <= 0 or self.root_tol <= 0 or self.torus_tol <= 0:
+        if self.coeff_bound <= 0 or self.torus_tol <= 0:
             raise ValueError("all oracle bounds must be positive")
 
 
@@ -145,14 +146,6 @@ class SparsePoly:
     def degree_y(self) -> int:
         return max(e[1] for e in self.terms)
 
-    def to_sympy(self) -> sympy.Expr:
-        return sympy.Add(
-            *[
-                sympy.Rational(c) * _x ** ex * _y ** ey
-                for (ex, ey), c in self.terms.items()
-            ]
-        )
-
 
 def sample_poly(P: LatticePolygon, cfg: OracleConfig) -> SparsePoly:
     """Random nonzero integer coefficient per lattice point of P, with the
@@ -189,31 +182,79 @@ def _clear_denominators(f: SparsePoly) -> SparsePoly:
     return f.scale(Fraction(den))
 
 
+def _y_poly(f: SparsePoly) -> sympy.Poly:
+    """f scaled integral, as a polynomial in y with coefficients in Z[x]."""
+    if not f:
+        raise ValueError("resultant of a zero polynomial")
+    if f.degree_y() == 0:
+        raise ValueError("resultant_y needs positive y-degree on both sides")
+    terms = _clear_denominators(f).terms
+    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in terms.items()}, _y, _x)
+
+
 def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """Resultant of f and g with respect to y: a univariate polynomial in x
     with exact integer coefficients (inputs are scaled integral first)."""
-    if not f or not g:
-        raise ValueError("resultant of a zero polynomial")
-    if f.degree_y() == 0 or g.degree_y() == 0:
-        raise ValueError("resultant_y needs positive y-degree on both sides")
-    fe = _clear_denominators(f).to_sympy()
-    ge = _clear_denominators(g).to_sympy()
-    res = sympy.resultant(fe, ge, _y)
-    poly = sympy.Poly(res, _x)
-    terms = {
-        (int(mono[0]), 0): Fraction(int(c))
-        for mono, c in poly.terms()
-    }
-    return SparsePoly(terms)
+    res = _y_poly(f).resultant(_y_poly(g))
+    return SparsePoly({(int(m[0]), 0): Fraction(int(c)) for m, c in res.terms()})
 
 
-def _int_coeffs_desc(R: SparsePoly) -> list[int]:
-    """Dense integer coefficient list of a univariate-in-x poly, highest
-    degree first, with the trailing power of x stripped."""
-    exps = {e[0]: int(c) for e, c in R.terms.items()}
-    low = min(exps)
-    high = max(exps)
-    return [exps.get(d, 0) for d in range(high, low - 1, -1)]
+def _y_coeff(p: sympy.Poly, k: int) -> sympy.Poly:
+    """The coefficient of y^k in p, a polynomial in x."""
+    row = {(ex,): c for (ey, ex), c in p.as_dict(native=True).items() if ey == k}
+    return sympy.Poly.from_dict(row, _x, domain=p.domain)
+
+
+def _y_reversed(p: sympy.Poly) -> sympy.Poly:
+    """y^deg p(x, 1/y): swaps the common zeroes at y = 0 and y = oo."""
+    d = p.degree(_y)
+    terms = {(d - ey, ex): c for (ey, ex), c in p.as_dict(native=True).items()}
+    return sympy.Poly.from_dict(terms, _y, _x, domain=p.domain)
+
+
+def _linear_coeff(prs: list[sympy.Poly]) -> sympy.Poly:
+    """a(x) of the first subresultant a(x) y + b(x): the last element of
+    positive y-degree in the subresultant sequence of a pair."""
+    last = [p for p in prs if p.degree(_y) > 0][-1]
+    if last.degree(_y) != 1:
+        raise DegenerateSampleError(
+            f"first subresultant has y-degree {last.degree(_y)}, not 1"
+        )
+    return _y_coeff(last, 1)
+
+
+def count_torus_solutions(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> int:
+    """Number of distinct common zeroes of f and g with both coordinates in
+    the torus, counted exactly (``cfg`` sets no tolerance here).
+
+    Each root x0 != 0 of the squarefree resultant carries a common zero at
+    finite y, or both y-leading coefficients vanish there (the roots of the
+    factor I, with a common zero at y = oo).  Z collects the roots with a
+    common zero at y = 0.  The first subresultant a y + b lies in the ideal
+    of f and g, so where a(x0) != 0 at most one common y exists: then each
+    root outside Z and I carries exactly one torus solution, and each root
+    of Z none.  The same test on the y-reversed pair shows the roots of I
+    carry none.  A sample that fails a test is degenerate.
+    """
+    F = _y_poly(f.strip_monomial())
+    G = _y_poly(g.strip_monomial())
+    R, prs = F.resultant(G, includePRS=True)
+    if R.is_zero:
+        raise DegenerateSampleError("identically-zero resultant (common factor)")
+    a = _linear_coeff(prs)
+    _, Rs = R.sqf_part().terms_gcd()
+    Z = Rs.gcd(_y_coeff(F, 0)).gcd(_y_coeff(G, 0))
+    I = Rs.gcd(_y_coeff(F, F.degree(_y))).gcd(_y_coeff(G, G.degree(_y)))
+    if Z.gcd(I).degree() > 0:
+        raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
+    torus = Rs.exquo(Z * I)
+    if (torus * Z).gcd(a).degree() > 0:
+        raise DegenerateSampleError("two common zeroes over one root of the resultant")
+    if I.degree() > 0:
+        a_rev = _linear_coeff(_y_reversed(F).subresultants(_y_reversed(G)))
+        if I.gcd(a_rev).degree() > 0:
+            raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
+    return torus.degree()
 
 
 def _scaled_float(c: int, shift: int) -> float:
@@ -257,11 +298,6 @@ def roots_of_int_poly(coeffs: list[int]) -> list[complex]:
     return polished
 
 
-def _squarefree_int_coeffs(coeffs: list[int]) -> list[int]:
-    p = sympy.Poly(coeffs, _x)
-    return [int(c) for c in p.sqf_part().all_coeffs()]
-
-
 def _polished_poly_roots(coeffs: list[complex]) -> list[complex]:
     """Roots of a complex-coefficient univariate poly with one Newton pass."""
     arr = np.array(coeffs, dtype=complex)
@@ -285,99 +321,6 @@ def _polished_poly_roots(coeffs: list[complex]) -> list[complex]:
                 break
         out.append(complex(z))
     return out
-
-
-_CONFIRM_PREC = 220  # bits; residual thresholds below assume this
-_ACCEPT_RESIDUAL = 1e-18
-_REJECT_RESIDUAL = 1e-10
-
-
-def _mp_y_coeffs(p: SparsePoly, x0: "mpmath.mpc") -> list["mpmath.mpc"]:
-    by_deg: dict[int, object] = {}
-    for (ex, ey), c in p.terms.items():
-        cc = mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpmathify(c)
-        by_deg[ey] = by_deg.get(ey, 0) + cc * x0 ** ex
-    top = max(by_deg)
-    return [by_deg.get(d, mpmath.mpc(0)) for d in range(top, -1, -1)]
-
-
-def _mp_newton(coeffs: list, z0: complex, steps: int = 100) -> "mpmath.mpc":
-    dcoeffs = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
-    z = mpmath.mpc(z0)
-    for _ in range(steps):
-        dv = mpmath.polyval(dcoeffs, z)
-        if dv == 0:
-            break
-        step = mpmath.polyval(coeffs, z) / dv
-        z = z - step
-        if abs(step) <= mpmath.mpf(2) ** (-mpmath.mp.prec + 10) * (1 + abs(z)):
-            break
-    return z
-
-
-def _relative_residual(p: SparsePoly, x0, y0) -> float:
-    val = mpmath.mpc(0)
-    scale = mpmath.mpf(0)
-    ax, ay = abs(x0), abs(y0)
-    for (ex, ey), c in p.terms.items():
-        cc = mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpmathify(c)
-        term = cc * x0 ** ex * y0 ** ey
-        val += term
-        scale += abs(cc) * ax ** ex * ay ** ey
-    if scale == 0:
-        return 0.0
-    return float(abs(val) / scale)
-
-
-def count_torus_solutions(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> int:
-    """Number of distinct common zeroes of f and g with both coordinates in
-    the torus (away from zero at the configured tolerance).
-
-    Candidate x come from the exact squarefree resultant; at each of them
-    every y-root of g is polished at high precision and accepted only when
-    the residual of f confirms a genuine common zero.  Residuals falling in
-    the ambiguous band between the accept and reject thresholds abort the
-    sample as degenerate.
-    """
-    f = f.strip_monomial()
-    g = g.strip_monomial()
-    R = resultant_y(f, g)
-    if not R:
-        raise DegenerateSampleError("identically-zero resultant (common factor)")
-    rcoeffs = _squarefree_int_coeffs(_int_coeffs_desc(R))
-    count = 0
-    # coordinates below torus_tol sit on the axes, those above 1/torus_tol
-    # are degree-drop artifacts escaping to infinity; neither is a torus point
-    hi = 1.0 / cfg.torus_tol
-    with mpmath.workprec(_CONFIRM_PREC):
-        for x0f in roots_of_int_poly(rcoeffs):
-            if not cfg.torus_tol < abs(x0f) < hi:
-                continue
-            x0 = _mp_newton([mpmath.mpf(c) for c in rcoeffs], x0f)
-            gcoeffs = _mp_y_coeffs(g, x0)
-            accepted: list[complex] = []
-            for y0f in _polished_poly_roots(g.y_coeffs_at(complex(x0))):
-                if not cfg.torus_tol < abs(y0f) < hi:
-                    continue
-                y0 = _mp_newton(gcoeffs, y0f)
-                if not cfg.torus_tol < abs(y0) < hi:
-                    continue
-                res = _relative_residual(f, x0, y0)
-                if res >= _REJECT_RESIDUAL:
-                    continue
-                if res > _ACCEPT_RESIDUAL:
-                    raise DegenerateSampleError(
-                        f"ambiguous residual {res:.2e} at a candidate solution"
-                    )
-                y0c = complex(y0)
-                if any(
-                    abs(y0c - prev) <= cfg.root_tol * (1 + abs(y0c))
-                    for prev in accepted
-                ):
-                    continue
-                accepted.append(y0c)
-            count += len(accepted)
-    return count
 
 
 def _with_attempt_seed(cfg: OracleConfig, attempt: int) -> OracleConfig:
@@ -490,7 +433,10 @@ def _implicitize_once(
         dtype=complex,
     )
     _, s, vh = np.linalg.svd(A)
-    if s[-1] > 1e-8 * s[0] or (len(s) > 1 and s[-2] < 1e-5 * s[0]):
+    # a one-dimensional kernel: a small last singular value, well separated
+    # from the next one (the gap is relative, since the monomial matrix can
+    # be ill-conditioned far above its kernel)
+    if s[-1] > 1e-8 * s[0] or (len(s) > 1 and s[-2] < 1e4 * s[-1]):
         raise DegenerateSampleError("kernel dimension != 1 in dual implicitization")
     kernel = vh[-1].conj()
     kernel = kernel / kernel[np.argmax(np.abs(kernel))]

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_polygon
+from plucker.assumptions import full_assumption_report
 from plucker.formulas import dual_polygon, inflection_count, vertical_tangent_count
 from plucker.lattice import (
     LatticePolygon,
@@ -25,6 +27,7 @@ from plucker.oracle import (
     sample_dual_points,
     sample_poly,
     vertical_tangent_oracle,
+    _implicitize_once,
 )
 
 CFG = OracleConfig(seed=12345)
@@ -158,6 +161,42 @@ class TestCountTorusSolutions:
             n = count_torus_solutions(f, g, CFG)
             assert n <= mixed_volume(f.newton_polygon(), g.newton_polygon())
 
+    def test_two_solutions_over_one_x_degenerate(self):
+        # y^2 - 3y + 2 and (x - 1)(y + 5) meet at (1, 1) and (1, 2): one root
+        # of the resultant carries two solutions, which no x-count certifies
+        f = poly({(0, 2): 1, (0, 1): -3, (0, 0): 2})
+        g = poly({(1, 1): 1, (0, 1): -1, (1, 0): 5, (0, 0): -5})
+        with pytest.raises(DegenerateSampleError):
+            count_torus_solutions(f, g, CFG)
+
+    def test_solution_where_both_leading_coefficients_vanish_degenerate(self):
+        # (x - 1) y^2 + y - 2 and (x - 1)(y^2 + 1) + 2y - 4 meet at (1, 2) and
+        # at y = oo over x = 1: the y-reversed certificate rejects the sample
+        f = poly({(1, 2): 1, (0, 2): -1, (0, 1): 1, (0, 0): -2})
+        g = poly({(1, 2): 1, (0, 2): -1, (0, 1): 2, (1, 0): 1, (0, 0): -5})
+        with pytest.raises(DegenerateSampleError, match="finite y and y = oo"):
+            count_torus_solutions(f, g, CFG)
+
+    def test_zeroes_at_both_ends_over_one_x_degenerate(self):
+        # (x - 1)(y^2 + 1) + y and (x - 1)(y^2 + 3) + 2y meet at y = 0 and
+        # at y = oo over x = 1
+        f = poly({(1, 2): 1, (0, 2): -1, (0, 1): 1, (1, 0): 1, (0, 0): -1})
+        g = poly({(1, 2): 1, (0, 2): -1, (0, 1): 2, (1, 0): 3, (0, 0): -3})
+        with pytest.raises(DegenerateSampleError, match="y = 0 and y = oo"):
+            count_torus_solutions(f, g, CFG)
+
+    def test_solution_on_x_axis_excluded(self):
+        f = poly({(0, 1): 1, (1, 0): -1, (0, 0): 1})  # y = x - 1
+        g = poly({(0, 1): 1, (1, 0): 1, (0, 0): -1})  # y = 1 - x
+        # the only intersection is (1, 0)
+        assert count_torus_solutions(f, g, CFG) == 0
+
+
+class TestOracleConfig:
+    def test_root_tol_is_gone(self):
+        with pytest.raises(TypeError):
+            OracleConfig(seed=1, root_tol=1e-6)
+
 
 class TestOracleCounts:
     def test_vertical_conic(self):
@@ -176,6 +215,23 @@ class TestOracleCounts:
     def test_inflection_cubic(self):
         P = dilate(standard_triangle(), 3)
         assert inflection_oracle(P, CFG) == inflection_count(P) == 9
+
+
+def test_formula_oracle_sweep():
+    """Formula against oracle on random all-Verified polygons in a 5x5 box."""
+    start = time.monotonic()
+    rng = random.Random(4)
+    polygons = []
+    while len(polygons) < 8:
+        P = random_polygon(rng, box=5)
+        if full_assumption_report(P).all_verified:
+            polygons.append(P)
+    for P in polygons:
+        for seed in (1, 2, 3):
+            cfg = OracleConfig(seed=seed)
+            assert inflection_oracle(P, cfg) == inflection_count(P), (P.vertices, seed)
+            assert vertical_tangent_oracle(P, cfg) == vertical_tangent_count(P), (P.vertices, seed)
+    assert time.monotonic() - start < 60.0
 
 
 class TestDualSampling:
@@ -222,3 +278,21 @@ class TestImplicitize:
         rec, observed = implicitize_dual(P, CFG)
         assert observed.canonical().vertices == dual_polygon(P).canonical().vertices
         assert len(lattice_points(observed)) >= len(rec.terms)
+
+    @pytest.mark.parametrize(
+        "vertices", [[(0, 0), (3, 0), (3, 2)], [(0, 0), (2, 0), (3, 1), (3, 2)]]
+    )
+    def test_ill_conditioned_kernel_accepted(self, vertices):
+        # the monomial matrices of these dual supports are ill-conditioned
+        # far above their one-dimensional kernel
+        P = LatticePolygon.hull(vertices)
+        _, observed = implicitize_dual(P, OracleConfig(seed=1))
+        assert observed.canonical().vertices == dual_polygon(P).canonical().vertices
+
+    def test_two_dimensional_kernel_degenerate(self):
+        # the support of a * (a^2 + 4ab - 2a + 1) also holds the dual
+        # equation itself, so both lie in the kernel
+        predicted = LatticePolygon.hull([(0, 0), (3, 0), (2, 1), (1, 1)])
+        support = lattice_points(predicted)
+        with pytest.raises(DegenerateSampleError):
+            _implicitize_once(GOLDEN_POLY, predicted, support, CFG)
