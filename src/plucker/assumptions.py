@@ -113,18 +113,36 @@ def delta_is_summand(M: LatticePolygon) -> bool:
 def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
     """Sufficient criterion for the no-line diagram class of size d:
     d points fitting in (d-1)*Delta such that no subset's hull has the
-    standard triangle as a Minkowski summand."""
+    standard triangle as a Minkowski summand.
+
+    A subset's hull has Delta as a summand iff the subset has at least two
+    points on each of its min-y row, min-x column and max-(x+y) diagonal.
+    Those lines bound a triangle T = (x0, y0) + k*Delta with k >= 1, so a
+    bad subset exists iff some T cut out by coordinates of Q holds at
+    least two points of Q on each of its three sides.
+    """
     if d < 3:
         raise ValueError("class only defined for d >= 3")
-    pts = sorted(set(Q))
+    pts = set(Q)
     if len(pts) != d:
         return False
-    if contains_translate(standard_triangle(d - 1), pts) is None:
+    xs = {x for x, _ in pts}
+    ys = {y for _, y in pts}
+    sums = {x + y for x, y in pts}
+    if max(sums) - min(xs) - min(ys) > d - 1:
         return False
-    for r in range(3, d + 1):
-        for subset in combinations(pts, r):
-            if delta_is_summand(LatticePolygon.hull(subset)):
-                return False
+    for x0 in xs:
+        for y0 in ys:
+            for s0 in sums:
+                if s0 <= x0 + y0:
+                    continue
+                T = [(x, y) for x, y in pts if x >= x0 and y >= y0 and x + y <= s0]
+                if (
+                    sum(y == y0 for _, y in T) >= 2
+                    and sum(x == x0 for x, _ in T) >= 2
+                    and sum(x + y == s0 for x, y in T) >= 2
+                ):
+                    return False
     return True
 
 
@@ -141,7 +159,8 @@ def _face_ok(Q: Iterable[Point], P: LatticePolygon, g: Optional[Point]) -> bool:
 
 def _staircase_shapes(d: int) -> list[tuple[Point, ...]]:
     """All monotone lattice paths of d points with steps right/up, plus the
-    diagonal segment.  Each is a diagram of the no-line class."""
+    diagonal segment.  Each is a diagram of the no-line class (checked for
+    d = 4, 5, 6 in the tests), and so is each of its translates."""
     shapes: list[tuple[Point, ...]] = []
     for mask in range(2 ** (d - 1)):
         path = [(0, 0)]
@@ -186,9 +205,7 @@ def _find_Qd(
             cand = [add(p, s) for s in shape]
             if not all(q in ptset for q in cand):
                 continue
-            if not _face_ok(cand, P, face_constraint):
-                continue
-            if is_class_Qd(cand, d):
+            if _face_ok(cand, P, face_constraint):
                 return frozenset(cand), False
     spent = 0
     for subset in combinations(pts, d):

@@ -263,14 +263,28 @@ def contains_translate(
 
 
 def lattice_points(P: LatticePolygon) -> list[Point]:
-    """All lattice points of P (boundary included), in lexicographic order."""
+    """All lattice points of P (boundary included), in lexicographic order.
+
+    A 2-dimensional P is listed column by column: at abscissa x the CCW
+    edges running right bound y from below, those running left from above.
+    """
     (xl, yl), (xh, yh) = P.bounding_box()
-    return [
-        (x, y)
-        for x in range(xl, xh + 1)
-        for y in range(yl, yh + 1)
-        if (x, y) in P
-    ]
+    if P.dim < 2:
+        return [
+            (x, y)
+            for x in range(xl, xh + 1)
+            for y in range(yl, yh + 1)
+            if (x, y) in P
+        ]
+    # Edge a -> b with dx = bx - ax: its line has height (ay*dx + dy*(x - ax)) / dx.
+    rising = [(a, sub(b, a)) for a, b in P.edges() if b[0] > a[0]]
+    falling = [(a, sub(b, a)) for a, b in P.edges() if b[0] < a[0]]
+    pts: list[Point] = []
+    for x in range(xl, xh + 1):
+        lo = max(-((-ay * dx - dy * (x - ax)) // dx) for (ax, ay), (dx, dy) in rising)
+        hi = min((ay * dx + dy * (x - ax)) // dx for (ax, ay), (dx, dy) in falling)
+        pts.extend((x, y) for y in range(lo, hi + 1))
+    return pts
 
 
 def boundary_lattice_points(P: LatticePolygon) -> int:

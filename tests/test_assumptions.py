@@ -2,10 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polygon
 from plucker.assumptions import (
+    DOWN,
     Verdict,
+    _face_ok,
+    _find_Qd,
+    _staircase_shapes,
     assumption2_holds,
     check_assumption3,
     delta_is_summand,
@@ -16,6 +22,7 @@ from plucker.assumptions import (
 )
 from plucker.lattice import (
     LatticePolygon,
+    add,
     contains_translate,
     dilate,
     lattice_points,
@@ -136,7 +143,96 @@ class TestClassQd:
         assert not is_class_Qd([(0, 0), (1, 0)], 5)
 
 
+def hull_class_Qd(Q, d):
+    """The class test by hulls: fit in (d-1)*Delta, then no subset of 3 or
+    more points whose hull has Delta as a Minkowski summand."""
+    pts = sorted(set(Q))
+    if len(pts) != d:
+        return False
+    if contains_translate(standard_triangle(d - 1), pts) is None:
+        return False
+    return not any(
+        delta_is_summand(LatticePolygon.hull(subset))
+        for r in range(3, d + 1)
+        for subset in combinations(pts, r)
+    )
+
+
+def hull_find_Qd(P, d, face_constraint, budget):
+    """The subdiagram search with every candidate put through the hull test."""
+    pts = lattice_points(P)
+    ptset = set(pts)
+    for p in pts:
+        for shape in _staircase_shapes(d):
+            cand = [add(p, s) for s in shape]
+            if not all(q in ptset for q in cand):
+                continue
+            if _face_ok(cand, P, face_constraint) and hull_class_Qd(cand, d):
+                return frozenset(cand), False
+    spent = 0
+    for subset in combinations(pts, d):
+        spent += 1
+        if spent > budget:
+            return None, True
+        if _face_ok(subset, P, face_constraint) and hull_class_Qd(subset, d):
+            return frozenset(subset), False
+    return None, False
+
+
+class TestClassQdAgainstHulls:
+    def test_every_subset_of_3delta(self):
+        pts = lattice_points(dilate(standard_triangle(), 3))
+        checked = 0
+        for d in range(3, 7):
+            for subset in combinations(pts, d):
+                assert is_class_Qd(subset, d) == hull_class_Qd(subset, d), subset
+                checked += 1
+        assert checked == 792
+
+    def test_random_point_sets(self):
+        rng = random.Random(61)
+        seen = {True: 0, False: 0}
+        for _ in range(1500):
+            d = rng.randint(3, 6)
+            box = rng.randint(1, 6)
+            Q = [(rng.randint(-box, box), rng.randint(-box, box)) for _ in range(d)]
+            got = is_class_Qd(Q, d)
+            assert got == hull_class_Qd(Q, d), (Q, d)
+            seen[got] += 1
+        assert min(seen.values()) > 50
+
+    @pytest.mark.parametrize("d", (4, 5, 6))
+    def test_staircase_shapes_are_in_class(self, d):
+        shapes = _staircase_shapes(d)
+        assert len(shapes) == 2 ** (d - 1) + 1
+        for shape in shapes:
+            assert is_class_Qd(shape, d) and hull_class_Qd(shape, d), shape
+            moved = [add(p, (7, -3)) for p in shape]
+            assert is_class_Qd(moved, d)
+
+
 class TestSubdiagramSearch:
+    @pytest.mark.parametrize("box", (2, 3, 4, 5, 6, 7, 8))
+    def test_same_result_as_hull_search(self, box):
+        # six draws per box reach every outcome: staircase, exhaustive hit,
+        # exhausted budget and a finished search with no subdiagram
+        rng = random.Random(100 + box)
+        for _ in range(6):
+            P = random_polygon(rng, box=box)
+            for d in (4, 5, 6):
+                for g in (None, DOWN):
+                    for budget in (0, 1, 17, 500, 200_000):
+                        expected = hull_find_Qd(P, d, g, budget)
+                        assert _find_Qd(P, d, g, budget) == expected, (P, d, g, budget)
+                        assert find_Qd_subdiagram(P, d, g, budget) == expected[0]
+
+    def test_exhaustive_search_on_4delta(self):
+        # no staircase fits; all C(15, 6) subsets are tried and none is in class
+        P = dilate(standard_triangle(), 4)
+        assert _find_Qd(P, 6, None, 200_000) == hull_find_Qd(P, 6, None, 200_000)
+        assert _find_Qd(P, 6, None, 5004) == (None, True)
+        assert _find_Qd(P, 6, None, 5005) == (None, False)
+
     def test_5delta_has_q6(self):
         Q = find_Qd_subdiagram(dilate(standard_triangle(), 5), 6)
         assert Q is not None and is_class_Qd(Q, 6)
@@ -195,3 +291,17 @@ class TestFullReport:
         assert rep.evidence
         names = {e[0] for e in rep.evidence}
         assert "no-tritangents" in names and "no-vertical-bitangents" in names
+
+
+class TestTranslationInvariance:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=7),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    )
+    def test_report_unchanged_by_translation(self, pts, t):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2)
+        a = full_assumption_report(P)
+        b = full_assumption_report(P.translate(t))
+        assert (a.a1, a.a2, a.a3, a.evidence) == (b.a1, b.a2, b.a3, b.evidence)

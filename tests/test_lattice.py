@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polygon
 from plucker.lattice import (
@@ -245,6 +248,41 @@ class TestLatticeCounting:
             total = len(lattice_points(P))
             b = sum(segment_length(a, c) for a, c in P.edges())
             assert interior_lattice_points(P) + b == total
+
+
+def bounding_box_scan(P):
+    (xl, yl), (xh, yh) = P.bounding_box()
+    return [
+        (x, y)
+        for x in range(xl, xh + 1)
+        for y in range(yl, yh + 1)
+        if (x, y) in P
+    ]
+
+
+class TestLatticePointsByColumns:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8)
+    )
+    def test_matches_pick_and_scan(self, pts):
+        # collinear draws cover the dim < 2 polygons, which are still scanned
+        P = convex_hull(pts)
+        listed = lattice_points(P)
+        assert listed == bounding_box_scan(P)
+        if P.dim == 2:
+            b = sum(segment_length(a, c) for a, c in P.edges())
+            assert len(listed) == interior_lattice_points(P) + b
+
+    def test_long_thin_triangle_is_fast(self):
+        # a 10^4 x 10^4 bounding box around 20,003 lattice points
+        P = rotate_r(rotate_r(convex_hull([(0, 0), (10000, 0), (0, 3)])))
+        start = time.perf_counter()
+        pts = lattice_points(P)
+        elapsed = time.perf_counter() - start
+        assert len(pts) == 20003
+        assert pts == sorted(pts)
+        assert elapsed < 1.0, elapsed
 
 
 class TestEdgeFan:
