@@ -265,24 +265,25 @@ def contains_translate(
 def lattice_points(P: LatticePolygon) -> list[Point]:
     """All lattice points of P (boundary included), in lexicographic order.
 
-    A 2-dimensional P is listed column by column: at abscissa x the CCW
-    edges running right bound y from below, those running left from above.
+    P is listed column by column: at abscissa x the CCW edges running right
+    bound y from below, those running left from above. A non-vertical
+    segment has one edge each way on the same line; a vertical segment or a
+    point has neither, and its column is the bounding box's.
     """
     (xl, yl), (xh, yh) = P.bounding_box()
-    if P.dim < 2:
-        return [
-            (x, y)
-            for x in range(xl, xh + 1)
-            for y in range(yl, yh + 1)
-            if (x, y) in P
-        ]
     # Edge a -> b with dx = bx - ax: its line has height (ay*dx + dy*(x - ax)) / dx.
     rising = [(a, sub(b, a)) for a, b in P.edges() if b[0] > a[0]]
     falling = [(a, sub(b, a)) for a, b in P.edges() if b[0] < a[0]]
     pts: list[Point] = []
     for x in range(xl, xh + 1):
-        lo = max(-((-ay * dx - dy * (x - ax)) // dx) for (ax, ay), (dx, dy) in rising)
-        hi = min((ay * dx + dy * (x - ax)) // dx for (ax, ay), (dx, dy) in falling)
+        lo = max(
+            (-((-ay * dx - dy * (x - ax)) // dx) for (ax, ay), (dx, dy) in rising),
+            default=yl,
+        )
+        hi = min(
+            ((ay * dx + dy * (x - ax)) // dx for (ax, ay), (dx, dy) in falling),
+            default=yh,
+        )
         pts.extend((x, y) for y in range(lo, hi + 1))
     return pts
 

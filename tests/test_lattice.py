@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -266,7 +265,7 @@ class TestLatticePointsByColumns:
         st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8)
     )
     def test_matches_pick_and_scan(self, pts):
-        # collinear draws cover the dim < 2 polygons, which are still scanned
+        # collinear draws cover segments and points
         P = convex_hull(pts)
         listed = lattice_points(P)
         assert listed == bounding_box_scan(P)
@@ -274,15 +273,29 @@ class TestLatticePointsByColumns:
             b = sum(segment_length(a, c) for a, c in P.edges())
             assert len(listed) == interior_lattice_points(P) + b
 
-    def test_long_thin_triangle_is_fast(self):
-        # a 10^4 x 10^4 bounding box around 20,003 lattice points
+    def test_long_thin_triangle_is_not_scanned(self, monkeypatch):
+        # a 10^4 x 10^4 bounding box around 20,003 lattice points: a scan
+        # would make 10^8 membership tests, the columns make none
         P = rotate_r(rotate_r(convex_hull([(0, 0), (10000, 0), (0, 3)])))
-        start = time.perf_counter()
+
+        def no_membership_test(self, p):
+            raise AssertionError("lattice_points tested a point for membership")
+
+        monkeypatch.setattr(LatticePolygon, "contains_point", no_membership_test)
         pts = lattice_points(P)
-        elapsed = time.perf_counter() - start
         assert len(pts) == 20003
         assert pts == sorted(pts)
-        assert elapsed < 1.0, elapsed
+
+    def test_long_diagonal_segment_is_not_scanned(self, monkeypatch):
+        P = convex_hull([(0, 0), (10**5, 10**5)])
+        Q = convex_hull([(0, 0), (10**5, 3 * 10**5 + 1)])
+
+        def no_membership_test(self, p):
+            raise AssertionError("lattice_points tested a point for membership")
+
+        monkeypatch.setattr(LatticePolygon, "contains_point", no_membership_test)
+        assert lattice_points(P) == [(i, i) for i in range(10**5 + 1)]
+        assert lattice_points(Q) == [(0, 0), (10**5, 3 * 10**5 + 1)]
 
 
 class TestEdgeFan:
