@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -172,6 +173,17 @@ def _staircase_shapes(d: int) -> list[tuple[Point, ...]]:
     return shapes
 
 
+@lru_cache(maxsize=64)
+def _shapes_by_reach(d: int, g: Point) -> dict[int, tuple[tuple[Point, ...], ...]]:
+    """The staircase shapes grouped by their maximum of <g, .>, each group
+    in ``_staircase_shapes`` order.  Cached, since a search asks for only
+    a few (d, g) pairs; callers must not modify the result."""
+    groups: dict[int, list[tuple[Point, ...]]] = {}
+    for shape in _staircase_shapes(d):
+        groups.setdefault(max(g[0] * x + g[1] * y for x, y in shape), []).append(shape)
+    return {reach: tuple(shapes) for reach, shapes in groups.items()}
+
+
 def find_Qd_subdiagram(
     P: LatticePolygon,
     d: int,
@@ -199,9 +211,14 @@ def _find_Qd(
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
     pts = lattice_points(P)
     ptset = set(pts)
-    shapes = _staircase_shapes(d)
+    # A candidate inside P meets P's face at g = (u, v) only if its maximum
+    # of <g, .> is P's, so anchor p tries just the shapes s with
+    # <g, p> + max <g, s> = max_P <g, .>.  Without g every shape reaches 0.
+    u, v = face_constraint or (0, 0)
+    top = max(u * x + v * y for x, y in P.vertices)
+    by_reach = _shapes_by_reach(d, (u, v))
     for p in pts:
-        for shape in shapes:
+        for shape in by_reach.get(top - u * p[0] - v * p[1], ()):
             cand = [add(p, s) for s in shape]
             if not all(q in ptset for q in cand):
                 continue

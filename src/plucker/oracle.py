@@ -10,6 +10,11 @@ resultant and a linear element of the ideal that certifies every root of
 its squarefree part; a sample that cannot be certified is rejected as
 degenerate.  Floating point enters only dual sampling, implicitization and
 the standalone root finder ``roots_of_int_poly``.
+
+The heavy libraries are imported inside the functions that use them, so
+importing this module (and the package) loads none of them: ``sympy`` in
+``_y_poly``, the one place that names the generators, ``numpy`` in the
+numeric root finders and the SVD, ``mpmath`` in ``_polish_root``.
 """
 from __future__ import annotations
 
@@ -18,16 +23,14 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
-
-import mpmath
-import numpy as np
-import sympy
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from .formulas import dual_polygon
 from .lattice import LatticePolygon, Point, lattice_points
 
-_x, _y = sympy.symbols("x y")
+if TYPE_CHECKING:
+    import sympy
+
 _T = TypeVar("_T")
 
 
@@ -42,7 +45,13 @@ class DegenerateSampleError(OracleError):
 
 
 class RetriesExhaustedError(OracleError):
-    pass
+    """Every attempt met a degenerate sample.  ``attempts`` holds the seed
+    and the degeneracy reason of each attempt, in order."""
+
+    def __init__(self, what: str, attempts: list[tuple[int, str]]):
+        self.attempts = tuple(attempts)
+        listed = "; ".join(f"seed {seed}: {reason}" for seed, reason in self.attempts)
+        super().__init__(f"{what} retries exhausted after {len(self.attempts)} attempts: {listed}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class OracleConfig:
     retries: int = 5
 
     def __post_init__(self) -> None:
-        if self.coeff_bound <= 0 or self.torus_tol <= 0:
+        if self.coeff_bound <= 0 or self.torus_tol <= 0 or self.retries <= 0:
             raise ValueError("all oracle bounds must be positive")
 
 
@@ -183,13 +192,17 @@ def _clear_denominators(f: SparsePoly) -> SparsePoly:
 
 
 def _y_poly(f: SparsePoly) -> sympy.Poly:
-    """f scaled integral, as a polynomial in y with coefficients in Z[x]."""
+    """f scaled integral, as a polynomial in y with coefficients in Z[x]:
+    generator 0 is y, generator 1 is x."""
+    import sympy
+
     if not f:
         raise ValueError("resultant of a zero polynomial")
     if f.degree_y() == 0:
         raise ValueError("resultant_y needs positive y-degree on both sides")
     terms = _clear_denominators(f).terms
-    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in terms.items()}, _y, _x)
+    y, x = sympy.symbols("y x")
+    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in terms.items()}, y, x)
 
 
 def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -202,23 +215,23 @@ def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 def _y_coeff(p: sympy.Poly, k: int) -> sympy.Poly:
     """The coefficient of y^k in p, a polynomial in x."""
     row = {(ex,): c for (ey, ex), c in p.as_dict(native=True).items() if ey == k}
-    return sympy.Poly.from_dict(row, _x, domain=p.domain)
+    return p.from_dict(row, p.gens[1], domain=p.domain)
 
 
 def _y_reversed(p: sympy.Poly) -> sympy.Poly:
     """y^deg p(x, 1/y): swaps the common zeroes at y = 0 and y = oo."""
-    d = p.degree(_y)
+    d = p.degree(0)
     terms = {(d - ey, ex): c for (ey, ex), c in p.as_dict(native=True).items()}
-    return sympy.Poly.from_dict(terms, _y, _x, domain=p.domain)
+    return p.from_dict(terms, *p.gens, domain=p.domain)
 
 
 def _linear_coeff(prs: list[sympy.Poly]) -> sympy.Poly:
     """a(x) of the first subresultant a(x) y + b(x): the last element of
     positive y-degree in the subresultant sequence of a pair."""
-    last = [p for p in prs if p.degree(_y) > 0][-1]
-    if last.degree(_y) != 1:
+    last = [p for p in prs if p.degree(0) > 0][-1]
+    if last.degree(0) != 1:
         raise DegenerateSampleError(
-            f"first subresultant has y-degree {last.degree(_y)}, not 1"
+            f"first subresultant has y-degree {last.degree(0)}, not 1"
         )
     return _y_coeff(last, 1)
 
@@ -244,7 +257,7 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> in
     a = _linear_coeff(prs)
     _, Rs = R.sqf_part().terms_gcd()
     Z = Rs.gcd(_y_coeff(F, 0)).gcd(_y_coeff(G, 0))
-    I = Rs.gcd(_y_coeff(F, F.degree(_y))).gcd(_y_coeff(G, G.degree(_y)))
+    I = Rs.gcd(_y_coeff(F, F.degree(0))).gcd(_y_coeff(G, G.degree(0)))
     if Z.gcd(I).degree() > 0:
         raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
     torus = Rs.exquo(Z * I)
@@ -264,6 +277,8 @@ def _scaled_float(c: int, shift: int) -> float:
 
 
 def _polish_root(coeffs: list[int], dcoeffs: list[int], z0: complex, prec: int) -> complex:
+    import mpmath
+
     with mpmath.workprec(prec):
         z = mpmath.mpc(z0)
         for _ in range(60):
@@ -281,6 +296,8 @@ def _polish_root(coeffs: list[int], dcoeffs: list[int], z0: complex, prec: int) 
 def roots_of_int_poly(coeffs: list[int]) -> list[complex]:
     """Roots of a squarefree integer polynomial: companion-matrix start on
     scaled coefficients, then Newton polishing at sufficient precision."""
+    import numpy as np
+
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
@@ -300,6 +317,8 @@ def roots_of_int_poly(coeffs: list[int]) -> list[complex]:
 
 def _polished_poly_roots(coeffs: list[complex]) -> list[complex]:
     """Roots of a complex-coefficient univariate poly with one Newton pass."""
+    import numpy as np
+
     arr = np.array(coeffs, dtype=complex)
     nz = np.nonzero(np.abs(arr) > 1e-300)[0]
     if len(nz) == 0:
@@ -335,14 +354,14 @@ def _retry_samples(
 ) -> _T:
     """Run ``attempt`` on a curve sampled on P under each reseeded config in
     turn, until one attempt meets no degenerate sample."""
-    last: Optional[Exception] = None
+    failed: list[tuple[int, str]] = []
     for i in range(cfg.retries):
         acfg = _with_attempt_seed(cfg, i)
         try:
             return attempt(sample_poly(P, acfg), acfg)
         except DegenerateSampleError as exc:
-            last = exc
-    raise RetriesExhaustedError(f"{what} retries exhausted: {last}")
+            failed.append((acfg.seed, str(exc)))
+    raise RetriesExhaustedError(what, failed)
 
 
 def inflection_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
@@ -427,6 +446,8 @@ def _implicitize_once(
     support: list[Point],
     cfg: OracleConfig,
 ) -> tuple[SparsePoly, LatticePolygon]:
+    import numpy as np
+
     sample = sample_dual_points(f, 2 * len(support) + 4, cfg)
     A = np.array(
         [[a ** u * b ** v for (u, v) in support] for a, b in sample.points],

@@ -12,11 +12,16 @@ _PAD = 24
 _STYLE = (
     "fill:#4a7fb5;fill-opacity:0.35;stroke:#1f4e79;stroke-width:2"
 )
+# a panel whose box holds more lattice points gets no grid: drawing one is
+# quadratic in the polygon's size (a 20*Delta dual alone has 146,689 points)
+_GRID_MAX_POINTS = 10_000
 
 
 def _grid_and_dots(
     xl: int, yl: int, xh: int, yh: int, tx, ty
 ) -> list[str]:
+    if (xh - xl + 1) * (yh - yl + 1) > _GRID_MAX_POINTS:
+        return []
     out = []
     for x in range(xl, xh + 1):
         out.append(

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polygon
+from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
     Verdict,
@@ -20,7 +21,11 @@ from plucker.assumptions import (
     is_class_Qd,
     is_thin,
 )
+from plucker.formulas import bitangent_count
 from plucker.lattice import (
+    LEFT,
+    NE,
+    UP,
     LatticePolygon,
     add,
     contains_translate,
@@ -226,6 +231,32 @@ class TestSubdiagramSearch:
                         assert _find_Qd(P, d, g, budget) == expected, (P, d, g, budget)
                         assert find_Qd_subdiagram(P, d, g, budget) == expected[0]
 
+    def test_other_face_constraints_match_hull_search(self):
+        rng = random.Random(7)
+        for _ in range(8):
+            P = random_polygon(rng, box=5)
+            for g in (NE, LEFT, UP, (2, -1)):
+                for budget in (0, 500):
+                    assert _find_Qd(P, 5, g, budget) == hull_find_Qd(P, 5, g, budget), (P, g)
+
+    def test_face_staircase_tries_only_anchors_on_the_face(self, monkeypatch):
+        # the bottom face of r^2 of a long thin triangle is its long edge, and
+        # the one staircase on it is the diagonal segment at the end of the
+        # point order; a search that checks the face of every staircase that
+        # fits calls _face_ok about once per lattice point before reaching it
+        P = rotate_r(rotate_r(LatticePolygon.hull([(0, 0), (300, 0), (0, 3)])))
+        expected = hull_find_Qd(P, 4, DOWN, 0)
+        assert expected[0] is not None
+        calls = []
+
+        def counted(Q, P, g):
+            calls.append(Q)
+            return _face_ok(Q, P, g)
+
+        monkeypatch.setattr(assumptions, "_face_ok", counted)
+        assert _find_Qd(P, 4, DOWN, 0) == expected
+        assert len(calls) == 1
+
     def test_exhaustive_search_on_4delta(self):
         # no staircase fits; all C(15, 6) subsets are tried and none is in class
         P = dilate(standard_triangle(), 4)
@@ -305,3 +336,23 @@ class TestTranslationInvariance:
         a = full_assumption_report(P)
         b = full_assumption_report(P.translate(t))
         assert (a.a1, a.a2, a.a3, a.evidence) == (b.a1, b.a2, b.a3, b.evidence)
+
+
+class TestRotationInvariance:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=7))
+    def test_verdicts_unchanged_by_rotation(self, pts):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2)
+        a = full_assumption_report(P)
+        b = full_assumption_report(rotate_r(P))
+        assert (a.a1, a.a2, a.a3, a.all_verified) == (b.a1, b.a2, b.a3, b.all_verified)
+
+
+class TestBitangentIntegrality:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=7))
+    def test_integer_when_all_verified(self, pts):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2 and full_assumption_report(P).all_verified)
+        assert bitangent_count(P).denominator == 1

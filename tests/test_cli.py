@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -13,6 +14,7 @@ from plucker.cli import (
     parse_polygon,
     run,
 )
+from plucker.render import _GRID_MAX_POINTS, _grid_and_dots
 
 
 @pytest.fixture
@@ -138,6 +140,15 @@ class TestVerify:
         assert payload["match"] is True
         assert payload["checks"]["inflections"]["formula"] == 0
 
+    def test_degenerate_lists_every_attempt(self, polygon_file, capsys):
+        # every sample of this support pairs two torus solutions over one x
+        path = polygon_file([[0, 0], [3, 0], [0, 2]])
+        code, payload = run_json(capsys, ["verify", "--polygon", path, "--advisory", "--format", "json"])
+        assert code == EXIT_DEGENERATE
+        msg = payload["error"]
+        assert msg.startswith("inflection oracle retries exhausted after 5 attempts: seed 1: ")
+        assert msg.count("two common zeroes over one root of the resultant") == 5
+
     def test_refuses_without_advisory(self, polygon_file, capsys):
         path = polygon_file([[0, 0], [0, 1], [1, 1]])
         assert run(["verify", "--polygon", path]) == EXIT_PARSE
@@ -151,6 +162,20 @@ class TestRender:
         assert code == EXIT_OK
         svg = out.read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
+
+    def test_large_polygon_renders_without_grid(self, polygon_file, tmp_path):
+        # the boxes of 400*Delta and of its dual hold about 1.6e5 and 2.5e10
+        # lattice points, one <circle> each if the grid were drawn
+        path = polygon_file([[0, 0], [400, 0], [0, 400]])
+        out = tmp_path / "big.svg"
+        assert run(["render", "--polygon", path, "--out", str(out)]) == EXIT_OK
+        root = ET.parse(out).getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}g")) == 3
+        assert 'fill="#999"' not in out.read_text()
+
+    def test_grid_cap(self):
+        assert len(_grid_and_dots(0, 0, 99, 99, int, int)) == 200 + _GRID_MAX_POINTS
+        assert _grid_and_dots(0, 0, 100, 99, int, int) == []
 
     def test_svg_only_for_render(self, polygon_file, capsys):
         path = polygon_file([[0, 0], [2, 0], [0, 2]])
@@ -191,3 +216,36 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "inflections        45" in proc.stdout
+
+
+_HEAVY_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import plucker, plucker.cli as cli
+
+loaded = {}
+for command in ("report", "dual", "assumptions", "render", "implicitize", "verify"):
+    sys.stdin = io.StringIO("[[0,0],[3,0],[3,2]]")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run([command, "--polygon", "-", "--format", "json", "--advisory"])
+    loaded[command] = [code, sorted(m for m in ("sympy", "numpy", "mpmath") if m in sys.modules)]
+print(json.dumps(loaded))
+"""
+
+
+def test_oracle_libraries_load_only_where_used():
+    # the combinatorial subcommands never touch the oracle, so a process that
+    # runs only them pays nothing for sympy, numpy or mpmath
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAVY_MODULES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    for command in ("report", "dual", "assumptions", "render"):
+        assert loaded[command] == [EXIT_OK, []], command
+    assert loaded["implicitize"] == [EXIT_OK, ["numpy"]]
+    assert loaded["verify"][0] == EXIT_OK and "sympy" in loaded["verify"][1]

@@ -18,6 +18,7 @@ from plucker.lattice import (
 from plucker.oracle import (
     DegenerateSampleError,
     OracleConfig,
+    RetriesExhaustedError,
     SparsePoly,
     count_torus_solutions,
     hessian_curve,
@@ -197,6 +198,11 @@ class TestOracleConfig:
         with pytest.raises(TypeError):
             OracleConfig(seed=1, root_tol=1e-6)
 
+    @pytest.mark.parametrize("retries", (0, -2))
+    def test_at_least_one_attempt(self, retries):
+        with pytest.raises(ValueError):
+            OracleConfig(seed=1, retries=retries)
+
 
 class TestOracleCounts:
     def test_vertical_conic(self):
@@ -215,6 +221,17 @@ class TestOracleCounts:
     def test_inflection_cubic(self):
         P = dilate(standard_triangle(), 3)
         assert inflection_oracle(P, CFG) == inflection_count(P) == 9
+
+
+def test_exhausted_retries_keep_every_attempt():
+    # every sample on this support pairs two torus solutions over one x
+    P = LatticePolygon.hull([(0, 0), (3, 0), (0, 2)])
+    with pytest.raises(RetriesExhaustedError) as info:
+        inflection_oracle(P, OracleConfig(seed=7, retries=3))
+    assert info.value.attempts == tuple(
+        (7 + 0x9E3779B9 * i, "two common zeroes over one root of the resultant") for i in range(3)
+    )
+    assert str(info.value).count("; seed ") == 2
 
 
 def test_formula_oracle_sweep():
