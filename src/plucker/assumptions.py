@@ -199,8 +199,10 @@ def _find_Qd(
     d: int,
     face_constraint: Optional[Point],
     budget: int,
+    pts: Optional[list[Point]] = None,
 ) -> tuple[Optional[Diagram], bool]:
-    """Search for a d-point no-line-class subdiagram of P.
+    """Search for a d-point no-line-class subdiagram of P, whose lattice
+    points are ``pts`` when the caller has listed them.
 
     Staircase and segment candidates are tried first; a budget-capped
     exhaustive search over lattice-point subsets is the fallback.  The
@@ -209,7 +211,8 @@ def _find_Qd(
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
-    pts = lattice_points(P)
+    if pts is None:
+        pts = lattice_points(P)
     ptset = set(pts)
     # A candidate inside P meets P's face at g = (u, v) only if its maximum
     # of <g, .> is P's, so anchor p tries just the shapes s with
@@ -264,16 +267,34 @@ def _contains_5R(P: LatticePolygon) -> bool:
     return False
 
 
+_Rotations = list[tuple[LatticePolygon, list[Point]]]
+
+
+def _rotations_of(P: LatticePolygon) -> _Rotations:
+    """P, r(P) and r^2(P), each with its lattice points."""
+    rotations = []
+    for _ in range(3):
+        rotations.append((P, lattice_points(P)))
+        P = rotate_r(P)
+    return rotations
+
+
 def check_assumption1(
-    P: LatticePolygon, budget: int = DEFAULT_SEARCH_BUDGET
+    P: LatticePolygon,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+    *,
+    _rotations: Optional[_Rotations] = None,
 ) -> tuple[Verdict, Evidence]:
     """Nodes-and-cusps-only battery: subdiagram classes of size 6, 5, 4,
-    per-direction boundary-tangency exclusions, and the thin classification."""
+    per-direction boundary-tangency exclusions, and the thin classification.
+    ``full_assumption_report`` passes the rotations it has listed."""
     P.require_dim2()
+    rotations = _rotations or _rotations_of(P)
+    pts = rotations[0][1]
     ev: Evidence = []
     ok = True
 
-    q6, exhausted6 = _find_Qd(P, 6, None, budget)
+    q6, exhausted6 = _find_Qd(P, 6, None, budget, pts)
     if q6 is not None:
         ev.append(("no-tritangents", 0, "Q6-generalized subdiagram found"))
     elif _contains_5R(P):
@@ -284,7 +305,7 @@ def check_assumption1(
         ev.append(("no-tritangents", 0, note))
 
     for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
-        qd, exhausted = _find_Qd(P, d, None, budget)
+        qd, exhausted = _find_Qd(P, d, None, budget, pts)
         if qd is not None:
             ev.append((name, 0, f"Q{d} subdiagram found"))
         else:
@@ -292,9 +313,8 @@ def check_assumption1(
             note = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
             ev.append((name, 0, note))
 
-    Pk = P
-    for k in range(3):
-        cond = _boundary_bitangent_excluded(Pk, budget)
+    for k, (Pk, pts_k) in enumerate(rotations):
+        cond = _boundary_bitangent_excluded(Pk, pts_k, budget)
         if cond is not None:
             ev.append(("no-boundary-bitangents", k, cond))
         else:
@@ -305,7 +325,6 @@ def check_assumption1(
         else:
             ok = False
             ev.append(("no-inflections-at-infinity", k, "thin triangle"))
-        Pk = rotate_r(Pk)
 
     if P.dim == 2 and P.canonical().vertices != standard_triangle().vertices:
         ev.append(("no-corner-bitangents", 0, "2-dimensional and not the unit triangle"))
@@ -317,34 +336,36 @@ def check_assumption1(
 
 
 def _boundary_bitangent_excluded(
-    Pk: LatticePolygon, budget: int
+    Pk: LatticePolygon, pts: list[Point], budget: int
 ) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
     escaping to the bottom boundary orbit."""
     bottom = support_set(Pk, DOWN)
     if bottom.kind == "vertex":
         return "bottom face is a vertex"
-    q4 = find_Qd_subdiagram(Pk, 4, face_constraint=DOWN, budget=budget)
+    q4, _ = _find_Qd(Pk, 4, DOWN, budget, pts)
     if q4 is not None:
         return "Q4 subdiagram aligned with the bottom edge"
     y0 = bottom.endpoints[0][1]
     rows: dict[int, int] = {}
-    for _, y in lattice_points(Pk):
+    for _, y in pts:
         rows[y] = rows.get(y, 0) + 1
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
         return "two lattice points on a row at height >= 2 above the bottom edge"
     return None
 
 
-def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
+def check_assumption3(
+    P: LatticePolygon, *, _rotations: Optional[_Rotations] = None
+) -> tuple[Verdict, Evidence]:
     """No degenerate tangent is a bitangent, an inflection tangent, or an
-    asymptote, checked in each of the three directions via the rotation."""
+    asymptote, checked in each of the three directions via the rotation.
+    ``full_assumption_report`` passes the rotations it has listed."""
     P.require_dim2()
     ev: Evidence = []
     ok = True
-    Pk = P
-    for k in range(3):
-        ys = sorted({y for _, y in lattice_points(Pk)})
+    for k, (Pk, pts) in enumerate(_rotations or _rotations_of(P)):
+        ys = sorted({y for _, y in pts})
         consecutive4 = any(
             all(y + i in ys for i in range(4)) for y in ys
         )
@@ -366,7 +387,6 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
         else:
             ok = False
             ev.append(("no-tangent-asymptotes", k, "no condition fired"))
-        Pk = rotate_r(Pk)
     return (Verdict.VERIFIED if ok else Verdict.UNKNOWN), ev
 
 
@@ -389,7 +409,8 @@ def full_assumption_report(
             a3=Verdict.VERIFIED,
             evidence=[("contains-5-delta", 0, "contains a translate of 5*Delta")],
         )
-    a1, ev1 = check_assumption1(P, budget)
+    rotations = _rotations_of(P)
+    a1, ev1 = check_assumption1(P, budget, _rotations=rotations)
     a2, witness = assumption2_holds(P)
     ev2: Evidence = [
         (
@@ -398,7 +419,7 @@ def full_assumption_report(
             "thin triangle" if witness else "not in the thin orbit",
         )
     ]
-    a3, ev3 = check_assumption3(P)
+    a3, ev3 = check_assumption3(P, _rotations=rotations)
     return AssumptionReport(
         a1=a1, a2=a2, a3=a3, evidence=ev1 + ev2 + ev3, thin_witness=witness
     )

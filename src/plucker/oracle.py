@@ -5,16 +5,30 @@ its inflection points (via the bordered Hessian) and vertical tangents by
 exact elimination, and recovers the dual curve's equation at tiny scale by
 evaluating monomials of the predicted dual support on sampled tangency data.
 
-The torus count is exact: one subresultant pass over Z[x] gives the
-resultant and a linear element of the ideal that certifies every root of
-its squarefree part; a sample that cannot be certified is rejected as
-degenerate.  Floating point enters only dual sampling, implicitization and
-the standalone root finder ``roots_of_int_poly``.
+The torus count is exact and uses only Python integers.  One subresultant
+PRS in y (Brown and Traub, "On Euclid's algorithm and the theory of
+subresultants", J. ACM 18, 1971) gives the resultant and a linear element
+of the ideal that certifies every root of its squarefree part; a sample
+that cannot be certified is rejected as degenerate, after the same pair
+has failed in the two other monomial charts too.  The PRS runs on
+Kronecker-packed integers: each y-coefficient, a polynomial in x, is
+replaced by its value at x = 2**k.  Every coefficient of a PRS element,
+and every principal coefficient, is +- a minor of the Sylvester matrix of
+F and G with at most deg_y G rows of F and deg_y F rows of G.  Expanding
+it along its rows, with ||p q||_1 <= ||p||_1 ||q||_1, bounds its
+x-coefficients by ||F||_1^deg_y G * ||G||_1^deg_y F, so with k =
+bitlen(bound) + 2 each of them is one balanced base-2**k digit and a
+minor packs to 0 only if it is 0.  The intermediate pseudo-remainders are
+not minors, so only the minors are tested for zero or unpacked.  The
+univariate gcds use the heuristic gcd (Char, Geddes and
+Gonnet, "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+computation", J. Symbolic Comput. 7, 1989), verified by exact division,
+with the same PRS as fallback.  Floating point enters only dual sampling,
+implicitization and the standalone root finder ``roots_of_int_poly``.
 
-The heavy libraries are imported inside the functions that use them, so
-importing this module (and the package) loads none of them: ``sympy`` in
-``_y_poly``, the one place that names the generators, ``numpy`` in the
-numeric root finders and the SVD, ``mpmath`` in ``_polish_root``.
+``numpy`` and ``mpmath`` are imported inside the functions that use them
+(the numeric root finders and the SVD, and ``_polish_root``), so importing
+this module loads neither.
 """
 from __future__ import annotations
 
@@ -23,13 +37,10 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .formulas import dual_polygon
 from .lattice import LatticePolygon, Point, lattice_points
-
-if TYPE_CHECKING:
-    import sympy
 
 _T = TypeVar("_T")
 
@@ -69,7 +80,7 @@ class OracleConfig:
 class SparsePoly:
     """Bivariate polynomial as a map from lattice exponents to coefficients.
 
-    Exact constructors store Fractions; numeric coefficients (the output of
+    Exact constructors store ints; numeric coefficients (the output of
     implicitization) are kept as given.  Zero coefficients are never stored.
     """
 
@@ -80,7 +91,7 @@ class SparsePoly:
 
     @staticmethod
     def from_int_terms(terms: dict[Point, int]) -> "SparsePoly":
-        return SparsePoly({e: Fraction(c) for e, c in terms.items()})
+        return SparsePoly(terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -188,52 +199,173 @@ def hessian_curve(f: SparsePoly) -> SparsePoly:
 
 def _clear_denominators(f: SparsePoly) -> SparsePoly:
     den = math.lcm(*[Fraction(c).denominator for c in f.terms.values()]) if f else 1
-    return f.scale(Fraction(den))
+    return f if den == 1 else f.scale(Fraction(den))
 
 
-def _y_poly(f: SparsePoly) -> sympy.Poly:
-    """f scaled integral, as a polynomial in y with coefficients in Z[x]:
-    generator 0 is y, generator 1 is x."""
-    import sympy
+# Exact elimination over Z[x].  A bivariate polynomial is a list of its
+# y-coefficients, highest degree first, each a polynomial in x packed into
+# one integer (its value at x = 2**k); a univariate polynomial is a list of
+# ints, lowest degree first, with no trailing zero.
 
+
+def _integral_terms(f: SparsePoly) -> dict[Point, int]:
     if not f:
         raise ValueError("resultant of a zero polynomial")
     if f.degree_y() == 0:
         raise ValueError("resultant_y needs positive y-degree on both sides")
-    terms = _clear_denominators(f).terms
-    y, x = sympy.symbols("y x")
-    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in terms.items()}, y, x)
+    return {e: int(c) for e, c in _clear_denominators(f).terms.items()}
+
+
+def _packing_width(F: dict[Point, int], G: dict[Point, int]) -> int:
+    """Bits per packed x-coefficient that hold every Sylvester minor of F
+    and G (module docstring)."""
+    norm = sum(map(abs, F.values())) ** max(ey for _, ey in G)
+    norm *= sum(map(abs, G.values())) ** max(ey for _, ey in F)
+    return norm.bit_length() + 2
+
+
+def _pack_y(F: dict[Point, int], k: int) -> list[int]:
+    top = max(ey for _, ey in F)
+    rows = [0] * (top + 1)
+    for (ex, ey), c in F.items():
+        rows[top - ey] += c << (k * ex)
+    return rows
+
+
+def _pack(p: list[int], k: int) -> int:
+    v = 0
+    for c in reversed(p):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """The polynomial p with p(2**k) = v and all |coefficients| < 2**(k-1)."""
+    half, mask, p = 1 << (k - 1), (1 << k) - 1, []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << k
+        p.append(c)
+        v = (v - c) >> k
+    return p
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """lc(g)**(deg f - deg g + 1) * f mod g, in exactly that many steps.
+
+    No coefficient is tested for zero: an intermediate one is not a minor,
+    so its packed value may be 0 for a nonzero polynomial."""
+    lc, n = g[0], len(g)
+    for _ in range(len(f) - n + 1):
+        top = f[0]
+        f = [lc * a - top * b for a, b in zip(f[1:n], g[1:])] + [lc * a for a in f[n:]]
+    return f
+
+
+def _strip(p: list[int]) -> list[int]:
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _subresultants(f: list[int], g: list[int]) -> tuple[list[list[int]], int]:
+    """Subresultant PRS of f and g (Brown-Traub), the longer first, and their
+    resultant (0 unless the sequence ends in a constant).  Every element is
+    +-a subresultant, and c is +-a principal subresultant coefficient, so
+    after the exact division by b a leading zero is a zero polynomial."""
+    if len(f) < len(g):
+        f, g = g, f
+    prs = [f, g]
+    d = len(f) - len(g)
+    h = _strip([-a for a in _prem(f, g)] if d % 2 == 0 else _prem(f, g))
+    lc = g[0]
+    c = lc**d
+    res = c
+    c = -c
+    while h:
+        prs.append(h)
+        f, g, d = g, h, len(g) - len(h)
+        b = -lc * c**d
+        h = _strip([a // b for a in _prem(f, g)])
+        lc = g[0]
+        c = (-lc) ** d // c ** (d - 1) if d > 1 else -lc
+        res = -c
+    return prs, (res if len(prs[-1]) == 1 else 0)
+
+
+def _primitive(p: list[int]) -> list[int]:
+    g = math.gcd(*p)
+    return [c // g for c in p] if p[-1] > 0 else [-c // g for c in p]
+
+
+def _quotient(p: list[int], q: list[int]) -> Optional[list[int]]:
+    """p / q in Z[x], or None when q does not divide p."""
+    p, lc, n = list(p), q[-1], len(q) - 1
+    out = [0] * max(len(p) - n, 0)
+    for i in range(len(p) - 1 - n, -1, -1):
+        c, r = divmod(p[i + n], lc)
+        if r:
+            return None
+        out[i] = c
+        for j in range(n):
+            p[i + j] -= c * q[j]
+    return out if not any(p[:n]) else None
+
+
+def _heu_gcd(p: list[int], q: list[int]) -> Optional[list[int]]:
+    """Heuristic gcd (Char-Geddes-Gonnet) of primitive p and q.  With
+    2**s >= 2 * min(|p|_oo, |q|_oo) + 2, the interpolated gcd of p(2**s) and
+    q(2**s) is gcd(p, q) if it divides both; None when no try verifies."""
+    s = (2 * min(max(map(abs, p)), max(map(abs, q))) + 2).bit_length()
+    for _ in range(4):
+        h = _primitive(_unpack(math.gcd(_pack(p, s), _pack(q, s)), s))
+        if _quotient(p, h) is not None and _quotient(q, h) is not None:
+            return h
+        s *= 2
+    return None
+
+
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """gcd of nonzero p and q in Z[x], primitive with a positive leading
+    coefficient.  Falls back to the primitive part of the last element of
+    their subresultant PRS."""
+    p, q = _primitive(p), _primitive(q)
+    if len(p) == 1 or len(q) == 1:
+        return [1]
+    h = _heu_gcd(p, q)
+    if h is None:
+        h = _primitive(_subresultants(p[::-1], q[::-1])[0][-1][::-1])
+    return h
+
+
+def _sqf_part(p: list[int]) -> list[int]:
+    """The squarefree part of nonzero p, with powers of x divided out."""
+    p = _primitive(p[next(i for i, c in enumerate(p) if c) :])
+    if len(p) == 1:
+        return p
+    return _quotient(p, _gcd(p, [i * c for i, c in enumerate(p)][1:]))
+
+
+def _eliminate(F: list[int], G: list[int], k: int) -> tuple[list[int], list[int]]:
+    """The resultant of a packed pair and a(x) of its first subresultant
+    a(x) y + b(x), the last element of positive y-degree of the PRS."""
+    prs, res = _subresultants(F, G)
+    if not res:
+        raise DegenerateSampleError("identically-zero resultant (common factor)")
+    if len(prs[-2]) != 2:
+        raise DegenerateSampleError(f"first subresultant has y-degree {len(prs[-2]) - 1}, not 1")
+    return _unpack(res, k), _unpack(prs[-2][0], k)
 
 
 def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """Resultant of f and g with respect to y: a univariate polynomial in x
     with exact integer coefficients (inputs are scaled integral first)."""
-    res = _y_poly(f).resultant(_y_poly(g))
-    return SparsePoly({(int(m[0]), 0): Fraction(int(c)) for m, c in res.terms()})
-
-
-def _y_coeff(p: sympy.Poly, k: int) -> sympy.Poly:
-    """The coefficient of y^k in p, a polynomial in x."""
-    row = {(ex,): c for (ey, ex), c in p.as_dict(native=True).items() if ey == k}
-    return p.from_dict(row, p.gens[1], domain=p.domain)
-
-
-def _y_reversed(p: sympy.Poly) -> sympy.Poly:
-    """y^deg p(x, 1/y): swaps the common zeroes at y = 0 and y = oo."""
-    d = p.degree(0)
-    terms = {(d - ey, ex): c for (ey, ex), c in p.as_dict(native=True).items()}
-    return p.from_dict(terms, *p.gens, domain=p.domain)
-
-
-def _linear_coeff(prs: list[sympy.Poly]) -> sympy.Poly:
-    """a(x) of the first subresultant a(x) y + b(x): the last element of
-    positive y-degree in the subresultant sequence of a pair."""
-    last = [p for p in prs if p.degree(0) > 0][-1]
-    if last.degree(0) != 1:
-        raise DegenerateSampleError(
-            f"first subresultant has y-degree {last.degree(0)}, not 1"
-        )
-    return _y_coeff(last, 1)
+    F, G = _integral_terms(f), _integral_terms(g)
+    k = _packing_width(F, G)
+    _, res = _subresultants(_pack_y(F, k), _pack_y(G, k))
+    return SparsePoly({(i, 0): c for i, c in enumerate(_unpack(res, k))})
 
 
 def count_torus_solutions(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> int:
@@ -249,25 +381,23 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> in
     of Z none.  The same test on the y-reversed pair shows the roots of I
     carry none.  A sample that fails a test is degenerate.
     """
-    F = _y_poly(f.strip_monomial())
-    G = _y_poly(g.strip_monomial())
-    R, prs = F.resultant(G, includePRS=True)
-    if R.is_zero:
-        raise DegenerateSampleError("identically-zero resultant (common factor)")
-    a = _linear_coeff(prs)
-    _, Rs = R.sqf_part().terms_gcd()
-    Z = Rs.gcd(_y_coeff(F, 0)).gcd(_y_coeff(G, 0))
-    I = Rs.gcd(_y_coeff(F, F.degree(0))).gcd(_y_coeff(G, G.degree(0)))
-    if Z.gcd(I).degree() > 0:
+    F = _integral_terms(f.strip_monomial())
+    G = _integral_terms(g.strip_monomial())
+    k = _packing_width(F, G)
+    Fp, Gp = _pack_y(F, k), _pack_y(G, k)
+    R, a = _eliminate(Fp, Gp, k)
+    Rs = _sqf_part(R)
+    Z = _gcd(Rs, _gcd(_unpack(Fp[-1], k), _unpack(Gp[-1], k)))
+    I = _gcd(Rs, _gcd(_unpack(Fp[0], k), _unpack(Gp[0], k)))
+    if len(_gcd(Z, I)) > 1:
         raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
-    torus = Rs.exquo(Z * I)
-    if (torus * Z).gcd(a).degree() > 0:
+    if len(_gcd(_quotient(Rs, I), a)) > 1:
         raise DegenerateSampleError("two common zeroes over one root of the resultant")
-    if I.degree() > 0:
-        a_rev = _linear_coeff(_y_reversed(F).subresultants(_y_reversed(G)))
-        if I.gcd(a_rev).degree() > 0:
+    if len(I) > 1:
+        _, a_rev = _eliminate(Fp[::-1], Gp[::-1], k)
+        if len(_gcd(I, a_rev)) > 1:
             raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
-    return torus.degree()
+    return len(Rs) - len(Z) - len(I) + 1
 
 
 def _scaled_float(c: int, shift: int) -> float:
@@ -364,11 +494,34 @@ def _retry_samples(
     raise RetriesExhaustedError(what, failed)
 
 
+# Monomial changes of coordinates (i, j) -> chart(i, j).  Each is an
+# automorphism of the torus, so it keeps the count but moves the projection
+# to x that the certificates test.
+_CHARTS: tuple[tuple[str, Callable[[int, int], Point]], ...] = (
+    ("(i, j)", lambda i, j: (i, j)),
+    ("(j, i)", lambda i, j: (j, i)),
+    ("(i, i + j)", lambda i, j: (i, i + j)),
+)
+
+
+def _count_in_charts(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> int:
+    """count_torus_solutions of the pair in the first chart that certifies
+    it; degenerate, naming each chart's reason, when none does."""
+    failed = []
+    for name, chart in _CHARTS:
+        pair = [SparsePoly({chart(*e): c for e, c in p.terms.items()}) for p in (f, g)]
+        try:
+            return count_torus_solutions(*pair, cfg)
+        except DegenerateSampleError as exc:
+            failed.append(f"chart {name}: {exc}")
+    raise DegenerateSampleError(", ".join(failed))
+
+
 def inflection_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus intersections of a sampled curve with its Hessian curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "inflection oracle", lambda f, c: count_torus_solutions(f, hessian_curve(f), c)
+        P, cfg, "inflection oracle", lambda f, c: _count_in_charts(f, hessian_curve(f), c)
     )
 
 
@@ -376,7 +529,7 @@ def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus solutions of f = df/dy = 0 for a sampled curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "vertical tangent oracle", lambda f, c: count_torus_solutions(f, f.diff("y"), c)
+        P, cfg, "vertical tangent oracle", lambda f, c: _count_in_charts(f, f.diff("y"), c)
     )
 
 

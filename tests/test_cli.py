@@ -141,13 +141,21 @@ class TestVerify:
         assert payload["checks"]["inflections"]["formula"] == 0
 
     def test_degenerate_lists_every_attempt(self, polygon_file, capsys):
-        # every sample of this support pairs two torus solutions over one x
-        path = polygon_file([[0, 0], [3, 0], [0, 2]])
+        # a sampled line shares a factor with its Hessian curve, in every chart
+        path = polygon_file([[0, 0], [1, 0], [0, 1]])
         code, payload = run_json(capsys, ["verify", "--polygon", path, "--advisory", "--format", "json"])
         assert code == EXIT_DEGENERATE
         msg = payload["error"]
-        assert msg.startswith("inflection oracle retries exhausted after 5 attempts: seed 1: ")
-        assert msg.count("two common zeroes over one root of the resultant") == 5
+        assert msg.startswith("inflection oracle retries exhausted after 5 attempts: seed 1: chart (i, j): ")
+        assert msg.count("identically-zero resultant (common factor)") == 15
+
+    @pytest.mark.parametrize("vertices", [[[0, 0], [3, 0], [0, 2]], [[0, 0], [4, 0], [1, 2]]])
+    def test_second_chart_certifies(self, polygon_file, capsys, vertices):
+        # the identity chart pairs two solutions over one x on every sample
+        path = polygon_file(vertices)
+        code, payload = run_json(capsys, ["verify", "--polygon", path, "--advisory", "--format", "json"])
+        assert code == EXIT_OK
+        assert payload["match"] is True
 
     def test_refuses_without_advisory(self, polygon_file, capsys):
         path = polygon_file([[0, 0], [0, 1], [1, 1]])
@@ -223,7 +231,7 @@ import contextlib, io, json, sys
 import plucker, plucker.cli as cli
 
 loaded = {}
-for command in ("report", "dual", "assumptions", "render", "implicitize", "verify"):
+for command in ("report", "dual", "assumptions", "render", "verify", "implicitize"):
     sys.stdin = io.StringIO("[[0,0],[3,0],[3,2]]")
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run([command, "--polygon", "-", "--format", "json", "--advisory"])
@@ -233,8 +241,9 @@ print(json.dumps(loaded))
 
 
 def test_oracle_libraries_load_only_where_used():
-    # the combinatorial subcommands never touch the oracle, so a process that
-    # runs only them pays nothing for sympy, numpy or mpmath
+    # only the numeric dual sampling behind implicitize needs one of them;
+    # the combinatorial subcommands and the exact count behind verify load
+    # none
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-c", _HEAVY_MODULES_SCRIPT],
@@ -248,4 +257,4 @@ def test_oracle_libraries_load_only_where_used():
     for command in ("report", "dual", "assumptions", "render"):
         assert loaded[command] == [EXIT_OK, []], command
     assert loaded["implicitize"] == [EXIT_OK, ["numpy"]]
-    assert loaded["verify"][0] == EXIT_OK and "sympy" in loaded["verify"][1]
+    assert loaded["verify"] == [EXIT_OK, []]

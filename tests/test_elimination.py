@@ -1,0 +1,199 @@
+"""The stdlib Z[x] elimination kernel of ``plucker.oracle`` against sympy.
+
+``sympy_count_torus_solutions`` is the sympy count the kernel replaced,
+kept here as the reference: the same certificates, in the same order, on
+sympy's dense polynomials.
+"""
+import random
+
+import sympy
+
+from conftest import random_polygon
+from plucker import oracle
+from plucker.oracle import (
+    DegenerateSampleError,
+    OracleConfig,
+    SparsePoly,
+    _gcd,
+    _integral_terms,
+    _pack_y,
+    _packing_width,
+    _subresultants,
+    _unpack,
+    count_torus_solutions,
+    hessian_curve,
+    resultant_y,
+    sample_poly,
+)
+
+_Y, _X = sympy.symbols("y x")
+
+
+def sympy_y_poly(f: SparsePoly) -> sympy.Poly:
+    """f as a polynomial in y over Z[x]: generator 0 is y, generator 1 is x."""
+    if not f:
+        raise ValueError("resultant of a zero polynomial")
+    if f.degree_y() == 0:
+        raise ValueError("resultant_y needs positive y-degree on both sides")
+    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in f.terms.items()}, _Y, _X)
+
+
+def _y_coeff(p: sympy.Poly, k: int) -> sympy.Poly:
+    row = {(ex,): c for (ey, ex), c in p.as_dict(native=True).items() if ey == k}
+    return p.from_dict(row, p.gens[1], domain=p.domain)
+
+
+def _y_reversed(p: sympy.Poly) -> sympy.Poly:
+    d = p.degree(0)
+    terms = {(d - ey, ex): c for (ey, ex), c in p.as_dict(native=True).items()}
+    return p.from_dict(terms, *p.gens, domain=p.domain)
+
+
+def _linear_coeff(prs: list) -> sympy.Poly:
+    last = [p for p in prs if p.degree(0) > 0][-1]
+    if last.degree(0) != 1:
+        raise DegenerateSampleError(f"first subresultant has y-degree {last.degree(0)}, not 1")
+    return _y_coeff(last, 1)
+
+
+def sympy_count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
+    F = sympy_y_poly(f.strip_monomial())
+    G = sympy_y_poly(g.strip_monomial())
+    R, prs = F.resultant(G, includePRS=True)
+    if R.is_zero:
+        raise DegenerateSampleError("identically-zero resultant (common factor)")
+    a = _linear_coeff(prs)
+    _, Rs = R.sqf_part().terms_gcd()
+    Z = Rs.gcd(_y_coeff(F, 0)).gcd(_y_coeff(G, 0))
+    I = Rs.gcd(_y_coeff(F, F.degree(0))).gcd(_y_coeff(G, G.degree(0)))
+    if Z.gcd(I).degree() > 0:
+        raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
+    torus = Rs.exquo(Z * I)
+    if (torus * Z).gcd(a).degree() > 0:
+        raise DegenerateSampleError("two common zeroes over one root of the resultant")
+    if I.degree() > 0:
+        a_rev = _linear_coeff(_y_reversed(F).subresultants(_y_reversed(G)))
+        if I.gcd(a_rev).degree() > 0:
+            raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
+    return torus.degree()
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except DegenerateSampleError as exc:
+        return str(exc)
+
+
+def _seeded_pairs(rng, n):
+    """n pairs (f, Hessian of f) and (f, f_y) of sampled curves on random
+    polygons in boxes 1 to 4; coefficient bound 2 makes degenerate samples
+    common."""
+    pairs = []
+    while len(pairs) < n:
+        P = random_polygon(rng, box=rng.randint(1, 4))
+        cfg = OracleConfig(seed=rng.randint(0, 2**32), coeff_bound=rng.choice((2, 1000)))
+        f = sample_poly(P, cfg)
+        pairs += [(f, hessian_curve(f)), (f, f.diff("y"))]
+    return pairs
+
+
+def test_count_matches_sympy_reference():
+    cfg = OracleConfig(seed=0)
+    outcomes = []
+    for f, g in _seeded_pairs(random.Random(2024), 600):
+        expected = _outcome(sympy_count_torus_solutions, f, g)
+        assert _outcome(count_torus_solutions, f, g, cfg) == expected, (f, g)
+        outcomes.append(expected)
+    reasons = {o for o in outcomes if isinstance(o, str)}
+    assert len(outcomes) - sum(isinstance(o, int) for o in outcomes) >= 30
+    assert len(reasons) >= 3, reasons
+
+
+def test_count_with_gcd_fallback_matches_sympy_reference(monkeypatch):
+    # every gcd goes through the primitive part of the last PRS element
+    monkeypatch.setattr(oracle, "_heu_gcd", lambda p, q: None)
+    cfg = OracleConfig(seed=0)
+    for f, g in _seeded_pairs(random.Random(7), 60):
+        expected = _outcome(sympy_count_torus_solutions, f, g)
+        assert _outcome(count_torus_solutions, f, g, cfg) == expected, (f, g)
+
+
+def _random_x_poly(rng, degree, bound):
+    return [rng.randint(-bound, bound) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, bound)]
+
+
+def _sympy_x_poly(p):
+    return sympy.Poly(list(reversed(p)), _X)
+
+
+def test_gcd_matches_sympy(monkeypatch):
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(40):
+        common = _random_x_poly(rng, rng.randint(0, 4), 30)
+        pairs.append(
+            tuple(
+                _sympy_x_poly(common) * _sympy_x_poly(_random_x_poly(rng, rng.randint(0, 5), 30))
+                for _ in range(2)
+            )
+        )
+    for heuristic in (True, False):
+        if not heuristic:
+            monkeypatch.setattr(oracle, "_heu_gcd", lambda p, q: None)
+        for p, q in pairs:
+            _, expected = p.gcd(q).primitive()
+            expected = expected if expected.LC() > 0 else -expected
+            got = _gcd(*([int(c) for c in reversed(r.all_coeffs())] for r in (p, q)))
+            assert got == list(reversed([int(c) for c in expected.all_coeffs()])), (p, q, heuristic)
+
+
+def _as_dict(element, k):
+    out = {}
+    for i, v in enumerate(element):
+        for ex, c in enumerate(_unpack(v, k)):
+            if c:
+                out[(len(element) - 1 - i, ex)] = c
+    return out
+
+
+def _gapped_pair(rng):
+    """F(x, y**s) and G(x, y**s): every degree drop of their PRS is a
+    multiple of s."""
+    s = rng.choice((2, 3))
+    terms = []
+    for degree in rng.sample(range(1, 5), 2):
+        t = {(ex, s * ey): rng.randint(-9, 9) for ex in range(3) for ey in range(degree)}
+        t[(rng.randint(0, 2), s * degree)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        terms.append(SparsePoly.from_int_terms(t))
+    return terms
+
+
+def test_prs_matches_sympy_subresultants_on_gapped_pairs():
+    rng = random.Random(5)
+    defective = 0
+    for _ in range(30):
+        f, g = _gapped_pair(rng)
+        F, G = _integral_terms(f), _integral_terms(g)
+        k = _packing_width(F, G)
+        prs, res = _subresultants(_pack_y(F, k), _pack_y(G, k))
+        expected = sympy_y_poly(f).subresultants(sympy_y_poly(g))
+        assert [_as_dict(p, k) for p in prs] == [p.as_dict(native=True) for p in expected]
+        degrees = [len(p) - 1 for p in prs]
+        defective += any(a - b > 1 for a, b in zip(degrees[1:], degrees[2:]))
+        R = sympy_y_poly(f).resultant(sympy_y_poly(g))
+        assert resultant_y(f, g).terms == {(ex, 0): c for (ex,), c in R.as_dict(native=True).items()}
+    assert defective >= 10
+
+
+def test_packing_width_below_the_bound_unpacks_a_wrong_resultant():
+    # Res_y(1000 y - x, y + 1000 x) = 1000001 x, which needs 21 bits per
+    # digit; the bound 1001 * 1001 has 20 bits, so two bits less than the
+    # packing width (bound + 2) unpack something else
+    f = SparsePoly.from_int_terms({(0, 1): 1000, (1, 0): -1})
+    g = SparsePoly.from_int_terms({(0, 1): 1, (1, 0): 1000})
+    assert resultant_y(f, g).terms == {(1, 0): 1000001}
+    F, G = _integral_terms(f), _integral_terms(g)
+    narrow = _packing_width(F, G) - 2
+    _, res = _subresultants(_pack_y(F, narrow), _pack_y(G, narrow))
+    assert _unpack(res, narrow) != [0, 1000001]

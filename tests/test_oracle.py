@@ -73,6 +73,7 @@ class TestSamplePoly:
     def test_term_count_and_shift(self):
         f = sample_poly(rectangle(3, 4), CFG)
         assert len(f.terms) == 20
+        assert all(type(c) is int for c in f.terms.values())
         assert all(ex >= 2 and ey >= 2 for ex, ey in f.terms)
         assert all(
             1 <= abs(c) <= CFG.coeff_bound for c in f.terms.values()
@@ -224,14 +225,30 @@ class TestOracleCounts:
 
 
 def test_exhausted_retries_keep_every_attempt():
-    # every sample on this support pairs two torus solutions over one x
-    P = LatticePolygon.hull([(0, 0), (3, 0), (0, 2)])
+    # a sampled line shares a factor with its Hessian curve, in every chart
+    P = standard_triangle()
     with pytest.raises(RetriesExhaustedError) as info:
         inflection_oracle(P, OracleConfig(seed=7, retries=3))
-    assert info.value.attempts == tuple(
-        (7 + 0x9E3779B9 * i, "two common zeroes over one root of the resultant") for i in range(3)
+    reason = ", ".join(
+        f"chart {chart}: identically-zero resultant (common factor)"
+        for chart in ("(i, j)", "(j, i)", "(i, i + j)")
     )
+    assert info.value.attempts == tuple((7 + 0x9E3779B9 * i, reason) for i in range(3))
     assert str(info.value).count("; seed ") == 2
+
+
+@pytest.mark.parametrize("vertices", [[(0, 0), (3, 0), (0, 2)], [(0, 0), (4, 0), (1, 2)]])
+def test_chart_fallback_certifies_paired_solutions(vertices):
+    # every sample on these supports pairs two torus solutions of f and its
+    # Hessian curve over one x; the other charts separate them
+    P = LatticePolygon.hull(vertices)
+    f = sample_poly(P, CFG)
+    with pytest.raises(DegenerateSampleError, match="two common zeroes over one root"):
+        count_torus_solutions(f, hessian_curve(f), CFG)
+    for seed in range(1, 6):
+        cfg = OracleConfig(seed=seed, retries=1)
+        assert inflection_oracle(P, cfg) == inflection_count(P)
+        assert vertical_tangent_oracle(P, cfg) == vertical_tangent_count(P)
 
 
 def test_formula_oracle_sweep():
