@@ -9,7 +9,6 @@ from .assumptions import (
     assumption2_holds,
     check_assumption1,
     check_assumption3,
-    find_Qd_subdiagram,
     full_assumption_report,
     is_class_Qd,
     is_thin,
@@ -21,7 +20,6 @@ from .formulas import (
     dual_fan,
     dual_polygon,
     euler_characteristic,
-    hessian_polytope,
     inflection_count,
     plucker_report,
     vertical_tangent_count,
@@ -33,7 +31,6 @@ from .lattice import (
     Point,
     WeightedFan,
     contains_translate,
-    convex_hull,
     dilate,
     doubled_area,
     edge_fan,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Iterable, Optional
 
 from .lattice import (
@@ -147,17 +147,6 @@ def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
     return True
 
 
-def _face_ok(Q: Iterable[Point], P: LatticePolygon, g: Optional[Point]) -> bool:
-    """Q's support set at g must lie on P's face at g (no-op when g is None)."""
-    if g is None:
-        return True
-    pts = list(Q)
-    u, v = g
-    best = max(u * x + v * y for x, y in pts)
-    face = LatticePolygon(support_set(P, g).endpoints)
-    return all(p in face for p in pts if u * p[0] + v * p[1] == best)
-
-
 def _staircase_shapes(d: int) -> list[tuple[Point, ...]]:
     """All monotone lattice paths of d points with steps right/up, plus the
     diagonal segment.  Each is a diagram of the no-line class (checked for
@@ -184,16 +173,6 @@ def _shapes_by_reach(d: int, g: Point) -> dict[int, tuple[tuple[Point, ...], ...
     return {reach: tuple(shapes) for reach, shapes in groups.items()}
 
 
-def find_Qd_subdiagram(
-    P: LatticePolygon,
-    d: int,
-    face_constraint: Optional[Point] = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> Optional[Diagram]:
-    result, _ = _find_Qd(P, d, face_constraint, budget)
-    return result
-
-
 def _find_Qd(
     P: LatticePolygon,
     d: int,
@@ -214,57 +193,47 @@ def _find_Qd(
     if pts is None:
         pts = lattice_points(P)
     ptset = set(pts)
-    # A candidate inside P meets P's face at g = (u, v) only if its maximum
-    # of <g, .> is P's, so anchor p tries just the shapes s with
-    # <g, p> + max <g, s> = max_P <g, .>.  Without g every shape reaches 0.
+    # A candidate inside P has its support set at g = (u, v) on P's face
+    # exactly when its maximum of <g, .> is P's, so anchor p tries just the
+    # shapes s with <g, p> + max <g, s> = max_P <g, .>.  Without g every
+    # candidate reaches 0.
     u, v = face_constraint or (0, 0)
     top = max(u * x + v * y for x, y in P.vertices)
     by_reach = _shapes_by_reach(d, (u, v))
     for p in pts:
         for shape in by_reach.get(top - u * p[0] - v * p[1], ()):
             cand = [add(p, s) for s in shape]
-            if not all(q in ptset for q in cand):
-                continue
-            if _face_ok(cand, P, face_constraint):
+            if all(q in ptset for q in cand):
                 return frozenset(cand), False
     spent = 0
     for subset in combinations(pts, d):
         spent += 1
         if spent > budget:
             return None, True
-        if _face_ok(subset, P, face_constraint) and is_class_Qd(subset, d):
+        if max(u * x + v * y for x, y in subset) == top and is_class_Qd(subset, d):
             return frozenset(subset), False
     return None, False
 
 
-def _unimodular_parallelograms(bound: int) -> Iterable[LatticePolygon]:
-    rng = range(-bound, bound + 1)
-    seen: set[tuple[Point, ...]] = set()
-    for ux in rng:
-        for uy in rng:
-            for vx in rng:
-                for vy in rng:
-                    if abs(ux * vy - uy * vx) != 1:
-                        continue
-                    R = LatticePolygon.hull(
-                        [(0, 0), (ux, uy), (vx, vy), (ux + vx, uy + vy)]
-                    ).canonical()
-                    if R.vertices in seen:
-                        continue
-                    seen.add(R.vertices)
-                    yield R
-
-
-def _contains_5R(P: LatticePolygon) -> bool:
+def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     """Appendix criterion: P contains a 5-fold dilate of some unimodular
-    parallelogram."""
+    parallelogram spanned by u, v with coordinates in [-b, b], b =
+    ceil(diam / 5).  Each tuple (u, v) visited costs one budget unit; the
+    second return value reports that the budget ran out first."""
     (xl, yl), (xh, yh) = P.bounding_box()
-    diam = max(xh - xl, yh - yl)
-    bound = max(1, math.ceil(diam / 5))
-    for R in _unimodular_parallelograms(bound):
+    bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
+    coords = range(-bound, bound + 1)
+    seen: set[tuple[Point, ...]] = set()
+    for ux, uy, vx, vy in islice(product(coords, repeat=4), budget):
+        if abs(ux * vy - uy * vx) != 1:
+            continue
+        R = LatticePolygon.hull([(0, 0), (ux, uy), (vx, vy), (ux + vx, uy + vy)]).canonical()
+        if R.vertices in seen:
+            continue
+        seen.add(R.vertices)
         if contains_translate(P, dilate(R, 5)) is not None:
-            return True
-    return False
+            return True, False
+    return False, len(coords) ** 4 > budget
 
 
 _Rotations = list[tuple[LatticePolygon, list[Point]]]
@@ -297,12 +266,15 @@ def check_assumption1(
     q6, exhausted6 = _find_Qd(P, 6, None, budget, pts)
     if q6 is not None:
         ev.append(("no-tritangents", 0, "Q6-generalized subdiagram found"))
-    elif _contains_5R(P):
-        ev.append(("no-tritangents", 0, "contains 5R for a unimodular parallelogram"))
     else:
-        ok = False
-        note = "budget exhausted" if exhausted6 else "no Q6 subdiagram, no 5R"
-        ev.append(("no-tritangents", 0, note))
+        has_5R, exhausted5R = _contains_5R(P, budget)
+        if has_5R:
+            ev.append(("no-tritangents", 0, "contains 5R for a unimodular parallelogram"))
+        else:
+            ok = False
+            exhausted = exhausted6 or exhausted5R
+            note = "budget exhausted" if exhausted else "no Q6 subdiagram, no 5R"
+            ev.append(("no-tritangents", 0, note))
 
     for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
         qd, exhausted = _find_Qd(P, d, None, budget, pts)

@@ -19,15 +19,11 @@ from .lattice import (
     WeightedFan,
     add,
     boundary_lattice_points,
-    dilate,
     doubled_area,
     edge_fan,
     interior_lattice_points,
-    mixed_volume,
     neg,
-    negate,
     sort_rays_ccw,
-    standard_triangle,
     support_length,
     volume,
 )
@@ -109,30 +105,40 @@ def dual_polygon(P: LatticePolygon) -> LatticePolygon:
     return _dual_fan_and_polygon(P)[1]
 
 
-# Edges of the standard triangle, keyed by their outer normals.
-_DELTA_EDGES: dict[Point, LatticePolygon] = {
-    (0, -1): LatticePolygon(((0, 0), (1, 0))),
-    (1, 1): LatticePolygon(((1, 0), (0, 1))),
-    (-1, 0): LatticePolygon(((0, 0), (0, 1))),
-}
-
-
 def _checked_dual_area(P: LatticePolygon, dual: LatticePolygon) -> Fraction:
-    """The closed dual area of P, checked against the reconstructed ``dual``."""
-    da = doubled_area(P)  # = 2S
-    terms: list[tuple[int, LatticePolygon]] = [
-        (da, standard_triangle()),
-        (1, negate(P)),
-    ]
-    for g in LOWER_ARROWS:
-        terms.append((-support_length(P, g), _DELTA_EDGES[g]))
-    # vol(X) = vol(X,X)/2 with the mixed volume expanded as a bilinear form
-    # over the formal combination; note mixed_volume(A,A) = 2 vol(A).
-    total = Fraction(0)
-    for ci, Ai in terms:
-        for cj, Aj in terms:
-            total += Fraction(ci * cj) * mixed_volume(Ai, Aj)
-    area = total / 2
+    """The closed dual area of P, checked against the reconstructed ``dual``.
+
+    The dual polygon is the virtual polygon 2S*Delta + (-P) - sum l_g*E_g
+    over the lower arrows g, where E_g is the unit edge of Delta with outer
+    normal g.  Twice its area is the mixed volume of the combination with
+    itself, expanded by bilinearity over this table of mixed volumes (with
+    MV(A, A) = 2 vol(A)):
+
+        MV(Delta, Delta) = 1          MV(-P, -P) = A = 2S
+        MV(Delta, -P)    = M          MV(Delta, E_g) = 1
+        MV(-P, E_down)   = H          MV(-P, E_ne) = D     MV(-P, E_left) = W
+        MV(E_g, E_h)     = 1 (g != h) MV(E_g, E_g) = 0
+
+    H, D and W are P's widths in y, x+y and x, and M = max x + max y -
+    min (x+y) is the sum of -P's support values at the lower arrows.
+    """
+    A = doubled_area(P)
+    l_down, l_ne, l_left = (support_length(P, g) for g in LOWER_ARROWS)
+    xs = [x for x, _ in P.vertices]
+    ys = [y for _, y in P.vertices]
+    sums = [x + y for x, y in P.vertices]
+    H, D, W = max(ys) - min(ys), max(sums) - min(sums), max(xs) - min(xs)
+    M = max(xs) + max(ys) - min(sums)
+    L = l_down + l_ne + l_left
+    twice = (
+        A * A
+        + A
+        + 2 * A * M
+        - 2 * A * L
+        - 2 * (l_down * H + l_ne * D + l_left * W)
+        + 2 * (l_down * l_ne + l_down * l_left + l_ne * l_left)
+    )
+    area = Fraction(twice, 2)
     recon = volume(dual)
     if area != recon:
         raise FormulaInternalError(
@@ -146,8 +152,9 @@ def dual_area_closed(P: LatticePolygon) -> Fraction:
 
     Evaluates vol of the virtual polygon
     2S*Delta + (-P) - l_down*E(down) - l_ne*E(ne) - l_left*E(left)
-    by bilinearity of the mixed volume, and cross-checks the result against
-    the shoelace area of the reconstructed dual polygon.
+    as an integer polynomial in P's area, support lengths and widths, and
+    cross-checks the result against the shoelace area of the reconstructed
+    dual polygon.
     """
     return _checked_dual_area(P, dual_polygon(P))
 
@@ -175,11 +182,6 @@ def euler_characteristic(P: LatticePolygon) -> int:
     """-2 vol(P) plus the lattice perimeter (the compactified curve's
     Euler characteristic)."""
     return -doubled_area(P) + boundary_lattice_points(P)
-
-
-def hessian_polytope(P: LatticePolygon) -> LatticePolygon:
-    """Newton polygon of x^2 y^2 hess(f) for generic f supported on P: 3P."""
-    return dilate(P, 3)
 
 
 @dataclass(frozen=True)

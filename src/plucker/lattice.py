@@ -174,10 +174,6 @@ class LatticePolygon:
 Diagram = frozenset  # finite set of lattice points (a Newton diagram)
 
 
-def convex_hull(points: Iterable[Point]) -> LatticePolygon:
-    return LatticePolygon.hull(points)
-
-
 def support_set(P: LatticePolygon, g: Point) -> Face:
     """The vertex or edge of P on which the functional g is maximal."""
     u, v = g
@@ -342,9 +338,6 @@ class WeightedFan:
         sx = sum(v[0] * w for v, w in self.rays)
         sy = sum(v[1] * w for v, w in self.rays)
         return sx == 0 and sy == 0
-
-    def weight(self, v: Point) -> int:
-        return self.as_dict().get(v, 0)
 
 
 def edge_fan(P: LatticePolygon) -> WeightedFan:

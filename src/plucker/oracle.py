@@ -26,9 +26,8 @@ computation", J. Symbolic Comput. 7, 1989), verified by exact division,
 with the same PRS as fallback.  Floating point enters only dual sampling,
 implicitization and the standalone root finder ``roots_of_int_poly``.
 
-``numpy`` and ``mpmath`` are imported inside the functions that use them
-(the numeric root finders and the SVD, and ``_polish_root``), so importing
-this module loads neither.
+``numpy`` is imported inside the functions that use it (the numeric root
+finder and the SVD), so importing this module does not load it.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
 from .formulas import dual_polygon
@@ -65,15 +63,19 @@ class RetriesExhaustedError(OracleError):
         super().__init__(f"{what} retries exhausted after {len(self.attempts)} attempts: {listed}")
 
 
+# Distance from 0 below which a sampled coordinate, or the tangency
+# denominator, counts as off the torus.
+_TORUS_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     seed: int
     coeff_bound: int = 1000
-    torus_tol: float = 1e-8
     retries: int = 5
 
     def __post_init__(self) -> None:
-        if self.coeff_bound <= 0 or self.torus_tol <= 0 or self.retries <= 0:
+        if self.coeff_bound <= 0 or self.retries <= 0:
             raise ValueError("all oracle bounds must be positive")
 
 
@@ -88,10 +90,6 @@ class SparsePoly:
 
     def __init__(self, terms: dict[Point, object]):
         self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    @staticmethod
-    def from_int_terms(terms: dict[Point, int]) -> "SparsePoly":
-        return SparsePoly(terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -178,7 +176,7 @@ def sample_poly(P: LatticePolygon, cfg: OracleConfig) -> SparsePoly:
     for px, py in lattice_points(P):
         c = rng.randint(1, cfg.coeff_bound) * rng.choice((-1, 1))
         terms[(px - xl + 2, py - yl + 2)] = c
-    return SparsePoly.from_int_terms(terms)
+    return SparsePoly(terms)
 
 
 def hessian_curve(f: SparsePoly) -> SparsePoly:
@@ -197,11 +195,6 @@ def hessian_curve(f: SparsePoly) -> SparsePoly:
     return h.shift(2, 2)
 
 
-def _clear_denominators(f: SparsePoly) -> SparsePoly:
-    den = math.lcm(*[Fraction(c).denominator for c in f.terms.values()]) if f else 1
-    return f if den == 1 else f.scale(Fraction(den))
-
-
 # Exact elimination over Z[x].  A bivariate polynomial is a list of its
 # y-coefficients, highest degree first, each a polynomial in x packed into
 # one integer (its value at x = 2**k); a univariate polynomial is a list of
@@ -213,7 +206,9 @@ def _integral_terms(f: SparsePoly) -> dict[Point, int]:
         raise ValueError("resultant of a zero polynomial")
     if f.degree_y() == 0:
         raise ValueError("resultant_y needs positive y-degree on both sides")
-    return {e: int(c) for e, c in _clear_denominators(f).terms.items()}
+    if any(type(c) is not int for c in f.terms.values()):
+        raise TypeError("elimination needs integer coefficients")
+    return f.terms
 
 
 def _packing_width(F: dict[Point, int], G: dict[Point, int]) -> int:
@@ -361,7 +356,7 @@ def _eliminate(F: list[int], G: list[int], k: int) -> tuple[list[int], list[int]
 
 def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """Resultant of f and g with respect to y: a univariate polynomial in x
-    with exact integer coefficients (inputs are scaled integral first)."""
+    with exact integer coefficients."""
     F, G = _integral_terms(f), _integral_terms(g)
     k = _packing_width(F, G)
     _, res = _subresultants(_pack_y(F, k), _pack_y(G, k))
@@ -406,38 +401,18 @@ def _scaled_float(c: int, shift: int) -> float:
     return float(c >> shift) if c >= 0 else -float((-c) >> shift)
 
 
-def _polish_root(coeffs: list[int], dcoeffs: list[int], z0: complex, prec: int) -> complex:
-    import mpmath
-
-    with mpmath.workprec(prec):
-        z = mpmath.mpc(z0)
-        for _ in range(60):
-            pv = mpmath.polyval(coeffs, z)
-            dv = mpmath.polyval(dcoeffs, z)
-            if dv == 0:
-                break
-            step = pv / dv
-            z = z - step
-            if abs(step) <= 1e-18 * (1 + abs(z)):
-                break
-        return complex(z)
-
-
 def roots_of_int_poly(coeffs: list[int]) -> list[complex]:
-    """Roots of a squarefree integer polynomial: companion-matrix start on
-    scaled coefficients, then Newton polishing at sufficient precision."""
-    import numpy as np
-
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return []
-    maxbits = max(abs(c).bit_length() for c in coeffs if c)
-    shift = max(0, maxbits - 500)
-    start = np.roots([_scaled_float(c, shift) for c in coeffs])
-    prec = maxbits + 64
-    dcoeffs = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
-    polished = [_polish_root(coeffs, dcoeffs, complex(z), prec) for z in start]
+    """Roots of a squarefree integer polynomial, highest degree first: the
+    coefficients are shifted right into float range, then rooted and
+    polished in double precision.  A repeated root (found exactly, by the
+    gcd with the derivative) or two roots that double precision cannot
+    tell apart make the sample degenerate."""
+    coeffs = _strip(coeffs)
+    p = coeffs[::-1]  # lowest degree first, as the Z[x] kernel takes it
+    if len(p) > 1 and len(_gcd(p, [i * c for i, c in enumerate(p)][1:])) > 1:
+        raise DegenerateSampleError("repeated root")
+    shift = max(0, max((abs(c).bit_length() for c in coeffs), default=0) - 500)
+    polished = _polished_poly_roots([_scaled_float(c, shift) for c in coeffs])
     for i, a in enumerate(polished):
         for b in polished[i + 1 :]:
             if abs(a - b) <= 1e-9 * (1 + abs(a)):
@@ -533,12 +508,9 @@ def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     )
 
 
-@dataclass(frozen=True)
-class DualSample:
-    points: tuple[tuple[complex, complex], ...]
-
-
-def sample_dual_points(f: SparsePoly, n: int, cfg: OracleConfig) -> DualSample:
+def sample_dual_points(
+    f: SparsePoly, n: int, cfg: OracleConfig
+) -> tuple[tuple[complex, complex], ...]:
     """Points (a,b) on the dual curve: for random x near the unit circle,
     solve f(x,.) = 0 and map each torus root through the tangency
     parametrization (a,b) = -(f_x, f_y) / (x f_x + y f_y)."""
@@ -558,15 +530,15 @@ def sample_dual_points(f: SparsePoly, n: int, cfg: OracleConfig) -> DualSample:
         for y0 in _polished_poly_roots(f.y_coeffs_at(x0)):
             if len(points) >= n:
                 break
-            if abs(y0) <= cfg.torus_tol or abs(x0) <= cfg.torus_tol:
+            if abs(y0) <= _TORUS_TOL or abs(x0) <= _TORUS_TOL:
                 continue
             vx = fx.evaluate(x0, y0)
             vy = fy.evaluate(x0, y0)
             den = x0 * vx + y0 * vy
-            if abs(den) <= cfg.torus_tol:
+            if abs(den) <= _TORUS_TOL:
                 continue
             points.append((-vx / den, -vy / den))
-    return DualSample(tuple(points))
+    return tuple(points)
 
 
 def implicitize_dual(
@@ -603,7 +575,7 @@ def _implicitize_once(
 
     sample = sample_dual_points(f, 2 * len(support) + 4, cfg)
     A = np.array(
-        [[a ** u * b ** v for (u, v) in support] for a, b in sample.points],
+        [[a ** u * b ** v for (u, v) in support] for a, b in sample],
         dtype=complex,
     )
     _, s, vh = np.linalg.svd(A)

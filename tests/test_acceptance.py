@@ -42,7 +42,7 @@ from plucker.oracle import (
 
 D = standard_triangle()
 GOLDEN = LatticePolygon.hull([(0, 0), (0, 1), (1, 1)])
-GOLDEN_POLY = SparsePoly.from_int_terms({(1, 1): 1, (0, 1): 1, (0, 0): 1})
+GOLDEN_POLY = SparsePoly({(1, 1): 1, (0, 1): 1, (0, 0): 1})
 
 
 class _Criterion:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,13 +10,11 @@ from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
     Verdict,
-    _face_ok,
     _find_Qd,
     _staircase_shapes,
     assumption2_holds,
     check_assumption3,
     delta_is_summand,
-    find_Qd_subdiagram,
     full_assumption_report,
     is_class_Qd,
     is_thin,
@@ -35,6 +33,7 @@ from plucker.lattice import (
     rectangle,
     rotate_r,
     standard_triangle,
+    support_set,
 )
 
 
@@ -163,6 +162,17 @@ def hull_class_Qd(Q, d):
     )
 
 
+def face_ok(Q, P, g):
+    """Q's support set at g lies on P's face at g (always, when g is None)."""
+    if g is None:
+        return True
+    pts = list(Q)
+    u, v = g
+    best = max(u * x + v * y for x, y in pts)
+    face = LatticePolygon(support_set(P, g).endpoints)
+    return all(p in face for p in pts if u * p[0] + v * p[1] == best)
+
+
 def hull_find_Qd(P, d, face_constraint, budget):
     """The subdiagram search with every candidate put through the hull test."""
     pts = lattice_points(P)
@@ -172,14 +182,14 @@ def hull_find_Qd(P, d, face_constraint, budget):
             cand = [add(p, s) for s in shape]
             if not all(q in ptset for q in cand):
                 continue
-            if _face_ok(cand, P, face_constraint) and hull_class_Qd(cand, d):
+            if face_ok(cand, P, face_constraint) and hull_class_Qd(cand, d):
                 return frozenset(cand), False
     spent = 0
     for subset in combinations(pts, d):
         spent += 1
         if spent > budget:
             return None, True
-        if _face_ok(subset, P, face_constraint) and hull_class_Qd(subset, d):
+        if face_ok(subset, P, face_constraint) and hull_class_Qd(subset, d):
             return frozenset(subset), False
     return None, False
 
@@ -229,7 +239,6 @@ class TestSubdiagramSearch:
                     for budget in (0, 1, 17, 500, 200_000):
                         expected = hull_find_Qd(P, d, g, budget)
                         assert _find_Qd(P, d, g, budget) == expected, (P, d, g, budget)
-                        assert find_Qd_subdiagram(P, d, g, budget) == expected[0]
 
     def test_other_face_constraints_match_hull_search(self):
         rng = random.Random(7)
@@ -242,20 +251,17 @@ class TestSubdiagramSearch:
     def test_face_staircase_tries_only_anchors_on_the_face(self, monkeypatch):
         # the bottom face of r^2 of a long thin triangle is its long edge, and
         # the one staircase on it is the diagonal segment at the end of the
-        # point order; a search that checks the face of every staircase that
-        # fits calls _face_ok about once per lattice point before reaching it
+        # point order; a search that builds a candidate at every anchor
+        # builds at least one per lattice point, 604 here, before reaching
+        # it, and this one builds only that segment
         P = rotate_r(rotate_r(LatticePolygon.hull([(0, 0), (300, 0), (0, 3)])))
         expected = hull_find_Qd(P, 4, DOWN, 0)
         assert expected[0] is not None
-        calls = []
-
-        def counted(Q, P, g):
-            calls.append(Q)
-            return _face_ok(Q, P, g)
-
-        monkeypatch.setattr(assumptions, "_face_ok", counted)
+        assumptions._shapes_by_reach(4, DOWN)  # build the shapes outside the count
+        built = []
+        monkeypatch.setattr(assumptions, "add", lambda p, s: built.append(p) or add(p, s))
         assert _find_Qd(P, 4, DOWN, 0) == expected
-        assert len(calls) == 1
+        assert len(built) == 4
 
     def test_exhaustive_search_on_4delta(self):
         # no staircase fits; all C(15, 6) subsets are tried and none is in class
@@ -265,15 +271,49 @@ class TestSubdiagramSearch:
         assert _find_Qd(P, 6, None, 5005) == (None, False)
 
     def test_5delta_has_q6(self):
-        Q = find_Qd_subdiagram(dilate(standard_triangle(), 5), 6)
+        Q = _find_Qd(dilate(standard_triangle(), 5), 6, None, 200_000)[0]
         assert Q is not None and is_class_Qd(Q, 6)
 
     def test_rectangle_has_q6(self):
-        Q = find_Qd_subdiagram(rectangle(3, 4), 6)
+        Q = _find_Qd(rectangle(3, 4), 6, None, 200_000)[0]
         assert Q is not None and is_class_Qd(Q, 6)
 
     def test_delta_has_no_q4(self):
-        assert find_Qd_subdiagram(standard_triangle(), 4) is None
+        assert _find_Qd(standard_triangle(), 4, None, 200_000) == (None, False)
+
+
+@pytest.fixture
+def five_r_tuples(monkeypatch):
+    """The tuples (u, v) the 5R search visits, in order."""
+    visited = []
+
+    def counted(*args, **kwargs):
+        for t in product(*args, **kwargs):
+            visited.append(t)
+            yield t
+
+    monkeypatch.setattr(assumptions, "product", counted)
+    return visited
+
+
+class TestFiveR:
+    @pytest.mark.parametrize("budget, exhausted", ((81, False), (80, True)))
+    def test_budget_bounds_a_small_search(self, five_r_tuples, budget, exhausted):
+        # 3 * Delta has diameter 3, so b = 1 and 3**4 tuples; it fits no 5R
+        P = dilate(standard_triangle(), 3)
+        assert assumptions._contains_5R(P, budget) == (False, exhausted)
+        assert len(five_r_tuples) == min(budget, 81)
+
+    def test_finds_5R_within_budget(self):
+        assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
+
+    def test_budget_bounds_a_long_search(self, five_r_tuples):
+        # three lattice points, no Q6 and no 5R; b = ceil(1000 / 5) = 200
+        # makes 401**4, about 2.6e10, tuples (u, v)
+        P = LatticePolygon.hull([(0, 0), (1, 0), (1000, 1)])
+        rep = full_assumption_report(P, budget=5000)
+        assert ("no-tritangents", 0, "budget exhausted") in rep.evidence
+        assert len(five_r_tuples) == 5000
 
 
 class TestAssumption3:

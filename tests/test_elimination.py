@@ -165,7 +165,7 @@ def _gapped_pair(rng):
     for degree in rng.sample(range(1, 5), 2):
         t = {(ex, s * ey): rng.randint(-9, 9) for ex in range(3) for ey in range(degree)}
         t[(rng.randint(0, 2), s * degree)] = rng.choice((-1, 1)) * rng.randint(1, 9)
-        terms.append(SparsePoly.from_int_terms(t))
+        terms.append(SparsePoly(t))
     return terms
 
 
@@ -190,8 +190,8 @@ def test_packing_width_below_the_bound_unpacks_a_wrong_resultant():
     # Res_y(1000 y - x, y + 1000 x) = 1000001 x, which needs 21 bits per
     # digit; the bound 1001 * 1001 has 20 bits, so two bits less than the
     # packing width (bound + 2) unpack something else
-    f = SparsePoly.from_int_terms({(0, 1): 1000, (1, 0): -1})
-    g = SparsePoly.from_int_terms({(0, 1): 1, (1, 0): 1000})
+    f = SparsePoly({(0, 1): 1000, (1, 0): -1})
+    g = SparsePoly({(0, 1): 1, (1, 0): 1000})
     assert resultant_y(f, g).terms == {(1, 0): 1000001}
     F, G = _integral_terms(f), _integral_terms(g)
     narrow = _packing_width(F, G) - 2

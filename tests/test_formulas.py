@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polygon
 from plucker import formulas
@@ -12,7 +14,6 @@ from plucker.formulas import (
     dual_fan,
     dual_polygon,
     euler_characteristic,
-    hessian_polytope,
     inflection_count,
     plucker_report,
     vertical_tangent_count,
@@ -20,8 +21,8 @@ from plucker.formulas import (
 from plucker.lattice import (
     ARROWS,
     DegeneratePolygonError,
+    LOWER_ARROWS,
     LatticePolygon,
-    convex_hull,
     dilate,
     doubled_area,
     minkowski_sum,
@@ -30,6 +31,7 @@ from plucker.lattice import (
     rectangle,
     rotate_r,
     standard_triangle,
+    support_length,
     support_set,
     volume,
 )
@@ -59,7 +61,7 @@ class TestInflectionCount:
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegeneratePolygonError):
-            inflection_count(convex_hull({(0, 0), (1, 0)}))
+            inflection_count(LatticePolygon.hull({(0, 0), (1, 0)}))
 
 
 class TestDualFan:
@@ -113,6 +115,23 @@ class TestDualPolygon:
         assert dual_polygon(quasihomog(2, 3)).canonical().vertices == expected.vertices
 
 
+# Edges of the standard triangle, keyed by their outer normals.
+_DELTA_EDGES = {
+    (0, -1): LatticePolygon(((0, 0), (1, 0))),
+    (1, 1): LatticePolygon(((1, 0), (0, 1))),
+    (-1, 0): LatticePolygon(((0, 0), (0, 1))),
+}
+
+
+def mixed_volume_dual_area(P: LatticePolygon) -> Fraction:
+    """vol(2S*Delta + (-P) - sum l_g*E_g over the lower arrows g), as half
+    the mixed volume of the formal combination with itself, expanded by
+    bilinearity into 36 mixed volumes of Minkowski-sum hulls."""
+    terms = [(doubled_area(P), standard_triangle()), (1, negate(P))]
+    terms += [(-support_length(P, g), _DELTA_EDGES[g]) for g in LOWER_ARROWS]
+    return sum(ci * cj * mixed_volume(Ai, Aj) for ci, Ai in terms for cj, Aj in terms) / 2
+
+
 class TestDualArea:
     def test_rectangle_34(self):
         assert dual_area_closed(rectangle(3, 4)) == 288
@@ -128,6 +147,17 @@ class TestDualArea:
         for _ in range(60):
             P = random_polygon(rng)
             assert dual_area_closed(P) == volume(dual_polygon(P))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=3, max_size=9)
+    )
+    def test_closed_area_matches_reconstruction_and_expansion(self, pts):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2 and P.canonical() != standard_triangle())
+        area = dual_area_closed(P)
+        assert area == volume(dual_polygon(P))
+        assert area == mixed_volume_dual_area(P)
 
 
 class TestBitangentCount:
@@ -165,11 +195,6 @@ class TestOtherInvariants:
         assert euler_characteristic(standard_triangle()) == 2
         assert euler_characteristic(dilate(standard_triangle(), 3)) == 0
         assert euler_characteristic(rectangle(3, 4)) == -10
-
-    def test_hessian_polytope(self):
-        D = standard_triangle()
-        assert hessian_polytope(D).vertices == dilate(D, 3).vertices
-        assert hessian_polytope(rectangle(3, 4)).vertices == rectangle(9, 12).vertices
 
 
 class TestRotationInvariance:
@@ -243,8 +268,7 @@ class TestPluckerReport:
         assert len(dual_fan_calls) == 1
 
     def test_closed_area_mismatch_still_raises(self, monkeypatch):
-        mixed_volume = formulas.mixed_volume
-        monkeypatch.setattr(formulas, "mixed_volume", lambda A, B: mixed_volume(A, B) + 1)
+        monkeypatch.setattr(formulas, "volume", lambda Q: volume(Q) + 1)
         with pytest.raises(FormulaInternalError, match="closed dual area"):
             plucker_report(rectangle(3, 4))
 

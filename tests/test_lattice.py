@@ -11,7 +11,6 @@ from plucker.lattice import (
     Face,
     LatticePolygon,
     contains_translate,
-    convex_hull,
     dilate,
     doubled_area,
     edge_fan,
@@ -34,26 +33,26 @@ D = standard_triangle()
 
 class TestConvexHull:
     def test_triangle(self):
-        P = convex_hull({(0, 0), (1, 0), (0, 1)})
+        P = LatticePolygon.hull({(0, 0), (1, 0), (0, 1)})
         assert set(P.vertices) == {(0, 0), (1, 0), (0, 1)}
         assert P.dim == 2
 
     def test_midpoints_absorbed(self):
-        P = convex_hull({(0, 0), (2, 0), (1, 0), (0, 2), (1, 1)})
+        P = LatticePolygon.hull({(0, 0), (2, 0), (1, 0), (0, 2), (1, 1)})
         assert set(P.vertices) == {(0, 0), (2, 0), (0, 2)}
 
     def test_point_polygon(self):
-        P = convex_hull({(5, 5)})
+        P = LatticePolygon.hull({(5, 5)})
         assert P.vertices == ((5, 5),)
         assert P.dim == 0
 
     def test_segment(self):
-        P = convex_hull({(0, 0), (2, 4), (1, 2)})
+        P = LatticePolygon.hull({(0, 0), (2, 4), (1, 2)})
         assert P.dim == 1
         assert set(P.vertices) == {(0, 0), (2, 4)}
 
     def test_ccw_order(self):
-        P = convex_hull({(0, 0), (3, 0), (3, 3), (0, 3)})
+        P = LatticePolygon.hull({(0, 0), (3, 0), (3, 3), (0, 3)})
         v = P.vertices
         n = len(v)
         area2 = sum(
@@ -104,8 +103,8 @@ class TestArea:
         assert doubled_area(rectangle(3, 4)) == 24
 
     def test_degenerate_zero(self):
-        assert doubled_area(convex_hull({(1, 1)})) == 0
-        assert doubled_area(convex_hull({(0, 0), (2, 2)})) == 0
+        assert doubled_area(LatticePolygon.hull({(1, 1)})) == 0
+        assert doubled_area(LatticePolygon.hull({(0, 0), (2, 2)})) == 0
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dilation_scales_quadratically(self, k):
@@ -121,7 +120,7 @@ class TestMinkowski:
         assert S.canonical().vertices == dilate(D, 2).vertices
 
     def test_delta_plus_point(self):
-        S = minkowski_sum(D, convex_hull({(3, 5)}))
+        S = minkowski_sum(D, LatticePolygon.hull({(3, 5)}))
         assert S.vertices == D.translate((3, 5)).vertices
 
     def test_pentagon_sum(self):
@@ -237,7 +236,7 @@ class TestLatticeCounting:
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegeneratePolygonError):
-            interior_lattice_points(convex_hull({(0, 0), (1, 0)}))
+            interior_lattice_points(LatticePolygon.hull({(0, 0), (1, 0)}))
 
     def test_pick_consistency(self):
         # interior + boundary must equal the full enumeration
@@ -266,7 +265,7 @@ class TestLatticePointsByColumns:
     )
     def test_matches_pick_and_scan(self, pts):
         # collinear draws cover segments and points
-        P = convex_hull(pts)
+        P = LatticePolygon.hull(pts)
         listed = lattice_points(P)
         assert listed == bounding_box_scan(P)
         if P.dim == 2:
@@ -276,7 +275,7 @@ class TestLatticePointsByColumns:
     def test_long_thin_triangle_is_not_scanned(self, monkeypatch):
         # a 10^4 x 10^4 bounding box around 20,003 lattice points: a scan
         # would make 10^8 membership tests, the columns make none
-        P = rotate_r(rotate_r(convex_hull([(0, 0), (10000, 0), (0, 3)])))
+        P = rotate_r(rotate_r(LatticePolygon.hull([(0, 0), (10000, 0), (0, 3)])))
 
         def no_membership_test(self, p):
             raise AssertionError("lattice_points tested a point for membership")
@@ -287,8 +286,8 @@ class TestLatticePointsByColumns:
         assert pts == sorted(pts)
 
     def test_long_diagonal_segment_is_not_scanned(self, monkeypatch):
-        P = convex_hull([(0, 0), (10**5, 10**5)])
-        Q = convex_hull([(0, 0), (10**5, 3 * 10**5 + 1)])
+        P = LatticePolygon.hull([(0, 0), (10**5, 10**5)])
+        Q = LatticePolygon.hull([(0, 0), (10**5, 3 * 10**5 + 1)])
 
         def no_membership_test(self, p):
             raise AssertionError("lattice_points tested a point for membership")

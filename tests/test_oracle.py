@@ -25,6 +25,7 @@ from plucker.oracle import (
     implicitize_dual,
     inflection_oracle,
     resultant_y,
+    roots_of_int_poly,
     sample_dual_points,
     sample_poly,
     vertical_tangent_oracle,
@@ -33,11 +34,11 @@ from plucker.oracle import (
 
 CFG = OracleConfig(seed=12345)
 GOLDEN = LatticePolygon.hull([(0, 0), (0, 1), (1, 1)])
-GOLDEN_POLY = SparsePoly.from_int_terms({(1, 1): 1, (0, 1): 1, (0, 0): 1})
+GOLDEN_POLY = SparsePoly({(1, 1): 1, (0, 1): 1, (0, 0): 1})
 
 
 def poly(terms):
-    return SparsePoly.from_int_terms(terms)
+    return SparsePoly(terms)
 
 
 class TestSparsePoly:
@@ -128,6 +129,37 @@ class TestResultant:
         bound = mixed_volume(f.newton_polygon(), g.newton_polygon())
         assert max(e[0] for e in R.terms) <= 2 * bound
 
+    def test_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError):
+            resultant_y(poly({(0, 1): Fraction(1, 2), (1, 0): -1}), poly({(0, 1): 1}))
+
+
+class TestRootsOfIntPoly:
+    # (x - 1)(x - 2)(x - 3), highest degree first
+    CUBIC = [1, -6, 11, -6]
+
+    def test_distinct_integer_roots(self):
+        roots = sorted(roots_of_int_poly(self.CUBIC), key=lambda z: z.real)
+        assert roots == [pytest.approx(k) for k in (1, 2, 3)]
+
+    def test_coefficients_beyond_float_range(self):
+        big = [c << 2000 for c in self.CUBIC]
+        with pytest.raises(OverflowError):
+            float(big[0])
+        roots = sorted(roots_of_int_poly(big), key=lambda z: z.real)
+        assert roots == [pytest.approx(k) for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("coeffs", ([1, -2, 1], [1, -5, 7, -3], [1, -3, 2, 0, 0]))
+    def test_repeated_root_is_degenerate(self, coeffs):
+        with pytest.raises(DegenerateSampleError, match="repeated root"):
+            roots_of_int_poly(coeffs)
+
+    def test_roots_closer_than_double_precision_are_degenerate(self):
+        # (e x - e)(e x - e - 1) with e = 10**10: roots 1 and 1 + 1e-10
+        e = 10**10
+        with pytest.raises(DegenerateSampleError, match="cluster"):
+            roots_of_int_poly([e * e, -e * (2 * e + 1), e * (e + 1)])
+
 
 class TestCountTorusSolutions:
     def test_two_lines_one_point(self):
@@ -198,6 +230,8 @@ class TestOracleConfig:
     def test_root_tol_is_gone(self):
         with pytest.raises(TypeError):
             OracleConfig(seed=1, root_tol=1e-6)
+        with pytest.raises(TypeError):
+            OracleConfig(seed=1, torus_tol=1e-6)
 
     @pytest.mark.parametrize("retries", (0, -2))
     def test_at_least_one_attempt(self, retries):
@@ -272,13 +306,13 @@ class TestDualSampling:
     def test_points_satisfy_tangency(self):
         # every sampled (a,b) must land on the known dual equation
         sample = sample_dual_points(GOLDEN_POLY, 12, CFG)
-        for a, b in sample.points:
+        for a, b in sample:
             # dual equation of xy + y + 1
             res = a * a + 4 * a * b - 2 * a + 1
             assert abs(res) < 1e-9
 
     def test_empty_sample(self):
-        assert sample_dual_points(GOLDEN_POLY, 0, CFG).points == ()
+        assert sample_dual_points(GOLDEN_POLY, 0, CFG) == ()
 
     def test_deterministic(self):
         s1 = sample_dual_points(GOLDEN_POLY, 6, CFG)
