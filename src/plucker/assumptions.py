@@ -8,7 +8,7 @@ an exact classification (the thin-triangle family) is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -92,14 +92,10 @@ def assumption2_holds(
 ) -> tuple[Verdict, Optional[ThinTriangleWitness]]:
     """Exact classification: fails iff P, r(P) or r^2(P) is thin."""
     P.require_dim2()
-    Pk = P
-    for k in range(3):
+    for k, Pk in enumerate(_rotations(P)):
         w = is_thin(Pk)
         if w is not None:
-            return Verdict.FAILS_KNOWN, ThinTriangleWitness(
-                k=w.k, translation=w.translation, rotation_power=k
-            )
-        Pk = rotate_r(Pk)
+            return Verdict.FAILS_KNOWN, replace(w, rotation_power=k)
     return Verdict.VERIFIED, None
 
 
@@ -174,14 +170,9 @@ def _shapes_by_reach(d: int, g: Point) -> dict[int, tuple[tuple[Point, ...], ...
 
 
 def _find_Qd(
-    P: LatticePolygon,
-    d: int,
-    face_constraint: Optional[Point],
-    budget: int,
-    pts: Optional[list[Point]] = None,
+    P: LatticePolygon, d: int, face_constraint: Optional[Point], budget: int
 ) -> tuple[Optional[Diagram], bool]:
-    """Search for a d-point no-line-class subdiagram of P, whose lattice
-    points are ``pts`` when the caller has listed them.
+    """Search for a d-point no-line-class subdiagram of P.
 
     Staircase and segment candidates are tried first; a budget-capped
     exhaustive search over lattice-point subsets is the fallback.  The
@@ -190,8 +181,7 @@ def _find_Qd(
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
-    if pts is None:
-        pts = lattice_points(P)
+    pts = lattice_points(P)
     ptset = set(pts)
     # A candidate inside P has its support set at g = (u, v) on P's face
     # exactly when its maximum of <g, .> is P's, so anchor p tries just the
@@ -236,34 +226,22 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     return False, len(coords) ** 4 > budget
 
 
-_Rotations = list[tuple[LatticePolygon, list[Point]]]
-
-
-def _rotations_of(P: LatticePolygon) -> _Rotations:
-    """P, r(P) and r^2(P), each with its lattice points."""
-    rotations = []
-    for _ in range(3):
-        rotations.append((P, lattice_points(P)))
-        P = rotate_r(P)
-    return rotations
+def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, LatticePolygon]:
+    """P, r(P) and r^2(P): the three directions every check runs in."""
+    rP = rotate_r(P)
+    return P, rP, rotate_r(rP)
 
 
 def check_assumption1(
-    P: LatticePolygon,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    *,
-    _rotations: Optional[_Rotations] = None,
+    P: LatticePolygon, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[Verdict, Evidence]:
     """Nodes-and-cusps-only battery: subdiagram classes of size 6, 5, 4,
-    per-direction boundary-tangency exclusions, and the thin classification.
-    ``full_assumption_report`` passes the rotations it has listed."""
+    per-direction boundary-tangency exclusions, and the thin classification."""
     P.require_dim2()
-    rotations = _rotations or _rotations_of(P)
-    pts = rotations[0][1]
     ev: Evidence = []
     ok = True
 
-    q6, exhausted6 = _find_Qd(P, 6, None, budget, pts)
+    q6, exhausted6 = _find_Qd(P, 6, None, budget)
     if q6 is not None:
         ev.append(("no-tritangents", 0, "Q6-generalized subdiagram found"))
     else:
@@ -277,7 +255,7 @@ def check_assumption1(
             ev.append(("no-tritangents", 0, note))
 
     for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
-        qd, exhausted = _find_Qd(P, d, None, budget, pts)
+        qd, exhausted = _find_Qd(P, d, None, budget)
         if qd is not None:
             ev.append((name, 0, f"Q{d} subdiagram found"))
         else:
@@ -285,8 +263,8 @@ def check_assumption1(
             note = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
             ev.append((name, 0, note))
 
-    for k, (Pk, pts_k) in enumerate(rotations):
-        cond = _boundary_bitangent_excluded(Pk, pts_k, budget)
+    for k, Pk in enumerate(_rotations(P)):
+        cond = _boundary_bitangent_excluded(Pk, budget)
         if cond is not None:
             ev.append(("no-boundary-bitangents", k, cond))
         else:
@@ -307,37 +285,32 @@ def check_assumption1(
     return (Verdict.VERIFIED if ok else Verdict.UNKNOWN), ev
 
 
-def _boundary_bitangent_excluded(
-    Pk: LatticePolygon, pts: list[Point], budget: int
-) -> Optional[str]:
+def _boundary_bitangent_excluded(Pk: LatticePolygon, budget: int) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
     escaping to the bottom boundary orbit."""
     bottom = support_set(Pk, DOWN)
     if bottom.kind == "vertex":
         return "bottom face is a vertex"
-    q4, _ = _find_Qd(Pk, 4, DOWN, budget, pts)
+    q4, _ = _find_Qd(Pk, 4, DOWN, budget)
     if q4 is not None:
         return "Q4 subdiagram aligned with the bottom edge"
     y0 = bottom.endpoints[0][1]
     rows: dict[int, int] = {}
-    for _, y in pts:
+    for _, y in lattice_points(Pk):
         rows[y] = rows.get(y, 0) + 1
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
         return "two lattice points on a row at height >= 2 above the bottom edge"
     return None
 
 
-def check_assumption3(
-    P: LatticePolygon, *, _rotations: Optional[_Rotations] = None
-) -> tuple[Verdict, Evidence]:
+def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
     """No degenerate tangent is a bitangent, an inflection tangent, or an
-    asymptote, checked in each of the three directions via the rotation.
-    ``full_assumption_report`` passes the rotations it has listed."""
+    asymptote, checked in each of the three directions via the rotation."""
     P.require_dim2()
     ev: Evidence = []
     ok = True
-    for k, (Pk, pts) in enumerate(_rotations or _rotations_of(P)):
-        ys = sorted({y for _, y in pts})
+    for k, Pk in enumerate(_rotations(P)):
+        ys = sorted({y for _, y in lattice_points(Pk)})
         consecutive4 = any(
             all(y + i in ys for i in range(4)) for y in ys
         )
@@ -381,8 +354,7 @@ def full_assumption_report(
             a3=Verdict.VERIFIED,
             evidence=[("contains-5-delta", 0, "contains a translate of 5*Delta")],
         )
-    rotations = _rotations_of(P)
-    a1, ev1 = check_assumption1(P, budget, _rotations=rotations)
+    a1, ev1 = check_assumption1(P, budget)
     a2, witness = assumption2_holds(P)
     ev2: Evidence = [
         (
@@ -391,7 +363,7 @@ def full_assumption_report(
             "thin triangle" if witness else "not in the thin orbit",
         )
     ]
-    a3, ev3 = check_assumption3(P, _rotations=rotations)
+    a3, ev3 = check_assumption3(P)
     return AssumptionReport(
         a1=a1, a2=a2, a3=a3, evidence=ev1 + ev2 + ev3, thin_witness=witness
     )

@@ -216,6 +216,9 @@ def cmd_assumptions(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_verify(P: LatticePolygon, args) -> tuple[object, str, int]:
+    # a line lies on its own Hessian curve, so no sample could be counted:
+    # reject it as report does, before the gate and the oracle
+    _dual_fan_and_polygon(P)
     arep = _require_verified_or_advisory(P, args)
     cfg = _oracle_cfg(args)
     pairs = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Iterable, Optional
 
 Point = tuple[int, int]
@@ -258,13 +258,18 @@ def contains_translate(
     return None
 
 
-def lattice_points(P: LatticePolygon) -> list[Point]:
+@lru_cache(maxsize=4)
+def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     """All lattice points of P (boundary included), in lexicographic order.
 
     P is listed column by column: at abscissa x the CCW edges running right
     bound y from below, those running left from above. A non-vertical
     segment has one edge each way on the same line; a vertical segment or a
     point has neither, and its column is the bounding box's.
+
+    The last four polygons listed are remembered by value: one command lists
+    at most P, r(P), r^2(P) and the support of the dual curve, and each
+    search or sample asks again for the points it needs.
     """
     (xl, yl), (xh, yh) = P.bounding_box()
     # Edge a -> b with dx = bx - ax: its line has height (ay*dx + dy*(x - ax)) / dx.
@@ -281,7 +286,7 @@ def lattice_points(P: LatticePolygon) -> list[Point]:
             default=yh,
         )
         pts.extend((x, y) for y in range(lo, hi + 1))
-    return pts
+    return tuple(pts)
 
 
 def boundary_lattice_points(P: LatticePolygon) -> int:

@@ -66,17 +66,18 @@ class RetriesExhaustedError(OracleError):
 # Distance from 0 below which a sampled coordinate, or the tangency
 # denominator, counts as off the torus.
 _TORUS_TOL = 1e-8
+# Samples drawn before the oracle gives up on a polygon.
+_RETRIES = 5
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     seed: int
     coeff_bound: int = 1000
-    retries: int = 5
 
     def __post_init__(self) -> None:
-        if self.coeff_bound <= 0 or self.retries <= 0:
-            raise ValueError("all oracle bounds must be positive")
+        if self.coeff_bound <= 0:
+            raise ValueError("the coefficient bound must be positive")
 
 
 class SparsePoly:
@@ -99,12 +100,6 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.terms!r})"
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return SparsePoly(out)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         out = dict(self.terms)
@@ -363,9 +358,9 @@ def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     return SparsePoly({(i, 0): c for i, c in enumerate(_unpack(res, k))})
 
 
-def count_torus_solutions(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> int:
+def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     """Number of distinct common zeroes of f and g with both coordinates in
-    the torus, counted exactly (``cfg`` sets no tolerance here).
+    the torus, counted exactly.
 
     Each root x0 != 0 of the squarefree resultant carries a common zero at
     finite y, or both y-leading coefficients vanish there (the roots of the
@@ -460,7 +455,7 @@ def _retry_samples(
     """Run ``attempt`` on a curve sampled on P under each reseeded config in
     turn, until one attempt meets no degenerate sample."""
     failed: list[tuple[int, str]] = []
-    for i in range(cfg.retries):
+    for i in range(_RETRIES):
         acfg = _with_attempt_seed(cfg, i)
         try:
             return attempt(sample_poly(P, acfg), acfg)
@@ -479,14 +474,14 @@ _CHARTS: tuple[tuple[str, Callable[[int, int], Point]], ...] = (
 )
 
 
-def _count_in_charts(f: SparsePoly, g: SparsePoly, cfg: OracleConfig) -> int:
+def _count_in_charts(f: SparsePoly, g: SparsePoly) -> int:
     """count_torus_solutions of the pair in the first chart that certifies
     it; degenerate, naming each chart's reason, when none does."""
     failed = []
     for name, chart in _CHARTS:
         pair = [SparsePoly({chart(*e): c for e, c in p.terms.items()}) for p in (f, g)]
         try:
-            return count_torus_solutions(*pair, cfg)
+            return count_torus_solutions(*pair)
         except DegenerateSampleError as exc:
             failed.append(f"chart {name}: {exc}")
     raise DegenerateSampleError(", ".join(failed))
@@ -496,7 +491,7 @@ def inflection_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus intersections of a sampled curve with its Hessian curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "inflection oracle", lambda f, c: _count_in_charts(f, hessian_curve(f), c)
+        P, cfg, "inflection oracle", lambda f, c: _count_in_charts(f, hessian_curve(f))
     )
 
 
@@ -504,7 +499,7 @@ def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus solutions of f = df/dy = 0 for a sampled curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "vertical tangent oracle", lambda f, c: _count_in_charts(f, f.diff("y"), c)
+        P, cfg, "vertical tangent oracle", lambda f, c: _count_in_charts(f, f.diff("y"))
     )
 
 
@@ -568,7 +563,7 @@ def implicitize_dual(
 def _implicitize_once(
     f: SparsePoly,
     predicted: LatticePolygon,
-    support: list[Point],
+    support: tuple[Point, ...],
     cfg: OracleConfig,
 ) -> tuple[SparsePoly, LatticePolygon]:
     import numpy as np

@@ -1,9 +1,8 @@
-"""Static SVG pictures: a polygon on the lattice grid, a weighted fan,
-and the side-by-side render used by the CLI."""
+"""Static SVG pictures: a polygon on the lattice grid and a weighted fan,
+placed side by side for the CLI."""
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .lattice import LatticePolygon, WeightedFan
 
@@ -12,6 +11,8 @@ _PAD = 24
 _STYLE = (
     "fill:#4a7fb5;fill-opacity:0.35;stroke:#1f4e79;stroke-width:2"
 )
+# A panel is its width, its height and the body lines of its picture.
+_Panel = tuple[int, int, list[str]]
 # a panel whose box holds more lattice points gets no grid: drawing one is
 # quadratic in the polygon's size (a 20*Delta dual alone has 146,689 points)
 _GRID_MAX_POINTS = 10_000
@@ -39,7 +40,7 @@ def _grid_and_dots(
     return out
 
 
-def svg_polygon(P: LatticePolygon, title: Optional[str] = None) -> str:
+def _polygon_panel(P: LatticePolygon, title: str) -> _Panel:
     """One polygon on its lattice grid, with a one-cell margin."""
     (xl, yl), (xh, yh) = P.bounding_box()
     xl -= 1
@@ -55,10 +56,7 @@ def svg_polygon(P: LatticePolygon, title: Optional[str] = None) -> str:
     def ty(y):
         return h - _PAD - (y - yl) * _CELL
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-    ]
+    parts = [f'<rect width="{w}" height="{h}" fill="white"/>']
     parts += _grid_and_dots(xl, yl, xh, yh, tx, ty)
     pts = " ".join(f"{tx(x)},{ty(y)}" for x, y in P.vertices)
     if len(P.vertices) >= 3:
@@ -69,21 +67,18 @@ def svg_polygon(P: LatticePolygon, title: Optional[str] = None) -> str:
         )
     for x, y in P.vertices:
         parts.append(f'<circle cx="{tx(x)}" cy="{ty(y)}" r="4" fill="#1f4e79"/>')
-    if title:
-        parts.append(
-            f'<text x="{_PAD}" y="16" font-family="monospace" font-size="13">{title}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    parts.append(
+        f'<text x="{_PAD}" y="16" font-family="monospace" font-size="13">{title}</text>'
+    )
+    return w, h, parts
 
 
-def svg_fan(fan: WeightedFan, title: Optional[str] = None) -> str:
+def _fan_panel(fan: WeightedFan, title: str) -> _Panel:
     """Weighted rays from the origin, labelled by their weights."""
     size = 240
     c = size / 2
     ray_len = size / 2 - 36
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<line x1="0" y1="{c}" x2="{size}" y2="{c}" stroke="#eee"/>',
         f'<line x1="{c}" y1="0" x2="{c}" y2="{size}" stroke="#eee"/>',
@@ -103,24 +98,8 @@ def svg_fan(fan: WeightedFan, title: Optional[str] = None) -> str:
             f'font-family="monospace" font-size="12">{w}</text>'
         )
     parts.append(f'<circle cx="{c}" cy="{c}" r="3" fill="#333"/>')
-    if title:
-        parts.append(
-            f'<text x="8" y="16" font-family="monospace" font-size="13">{title}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def _embed(svg: str, x: int, y: int) -> str:
-    body = svg.split("\n", 1)[1].rsplit("</svg>", 1)[0]
-    return f'<g transform="translate({x},{y})">{body}</g>'
-
-
-def _dims(svg: str) -> tuple[int, int]:
-    head = svg.split("\n", 1)[0]
-    w = int(head.split('width="')[1].split('"')[0])
-    h = int(head.split('height="')[1].split('"')[0])
-    return w, h
+    parts.append(f'<text x="8" y="16" font-family="monospace" font-size="13">{title}</text>')
+    return size, size, parts
 
 
 def svg_report(
@@ -128,20 +107,18 @@ def svg_report(
 ) -> str:
     """Polygon, dual fan and dual polygon side by side."""
     panels = [
-        svg_polygon(P, "Newton polygon"),
-        svg_fan(fan, "dual tropical fan"),
-        svg_polygon(dual, "dual Newton polygon"),
+        _polygon_panel(P, "Newton polygon"),
+        _fan_panel(fan, "dual tropical fan"),
+        _polygon_panel(dual, "dual Newton polygon"),
     ]
     gap = 12
     x = 0
     parts = []
     height = 0
-    for p in panels:
-        w, h = _dims(p)
-        parts.append(_embed(p, x, 0))
+    for w, h, body in panels:
+        parts.append(f'<g transform="translate({x},0)">' + "\n".join(body) + "\n</g>")
         x += w + gap
         height = max(height, h)
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{x - gap}" height="{height}">'
-    )
-    return "\n".join([head, f'<rect width="{x - gap}" height="{height}" fill="white"/>'] + parts + ["</svg>"])
+    width = x - gap
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+    return "\n".join([head, f'<rect width="{width}" height="{height}" fill="white"/>'] + parts + ["</svg>"])

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from plucker import formulas
-from plucker.lattice import LatticePolygon
+from plucker.lattice import LatticePolygon, lattice_points
 
 # filled by the acceptance suite, echoed after the test run
 acceptance_lines: list[str] = []
@@ -44,3 +44,19 @@ def dual_fan_calls(monkeypatch):
         if name.split(".")[0] == "plucker" and vars(module).get("dual_fan") is original:
             monkeypatch.setattr(module, "dual_fan", counted)
     return calls
+
+
+@pytest.fixture
+def listed_once():
+    """Empties the lattice-point memo; the returned check then requires
+    that exactly the given polygons were listed since, each once: one memo
+    miss per polygon, and each still remembered."""
+    lattice_points.cache_clear()
+
+    def check(*polygons):
+        assert lattice_points.cache_info().misses == len(polygons)
+        for P in polygons:
+            lattice_points(P)
+        assert lattice_points.cache_info().misses == len(polygons)
+
+    return check

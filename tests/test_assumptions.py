@@ -338,14 +338,11 @@ class TestFullReport:
         assert full_assumption_report(rectangle(3, 4)).all_verified
 
     @pytest.mark.parametrize("fast_path", (True, False))
-    def test_each_rotation_listed_once(self, monkeypatch, fast_path):
+    def test_each_rotation_listed_once(self, listed_once, fast_path):
         # each listing of this long polygon holds 2,003 points
         P = LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)])
-        listed = []
-        original = assumptions.lattice_points
-        monkeypatch.setattr(assumptions, "lattice_points", lambda Q: listed.append(Q) or original(Q))
         assert full_assumption_report(P, fast_path=fast_path).all_verified
-        assert listed == [P, rotate_r(P), rotate_r(rotate_r(P))]
+        listed_once(P, rotate_r(P), rotate_r(rotate_r(P)))
 
     def test_7delta_fast_path(self):
         rep = full_assumption_report(dilate(standard_triangle(), 7))

@@ -14,6 +14,8 @@ from plucker.cli import (
     parse_polygon,
     run,
 )
+from plucker.formulas import dual_polygon
+from plucker.lattice import LatticePolygon, rotate_r
 from plucker.render import _GRID_MAX_POINTS, _grid_and_dots
 
 
@@ -141,9 +143,12 @@ class TestVerify:
         assert payload["checks"]["inflections"]["formula"] == 0
 
     def test_degenerate_lists_every_attempt(self, polygon_file, capsys):
-        # a sampled line shares a factor with its Hessian curve, in every chart
-        path = polygon_file([[0, 0], [1, 0], [0, 1]])
-        code, payload = run_json(capsys, ["verify", "--polygon", path, "--advisory", "--format", "json"])
+        # with coefficients +-1, each of the five samples drawn at seed 1 on
+        # the unit square is a product of two lines, and a line shares a
+        # factor with its Hessian curve in every chart
+        path = polygon_file([[0, 0], [1, 0], [1, 1], [0, 1]])
+        argv = ["verify", "--polygon", path, "--advisory", "--coeff-bound", "1", "--format", "json"]
+        code, payload = run_json(capsys, argv)
         assert code == EXIT_DEGENERATE
         msg = payload["error"]
         assert msg.startswith("inflection oracle retries exhausted after 5 attempts: seed 1: chart (i, j): ")
@@ -160,6 +165,16 @@ class TestVerify:
     def test_refuses_without_advisory(self, polygon_file, capsys):
         path = polygon_file([[0, 0], [0, 1], [1, 1]])
         assert run(["verify", "--polygon", path]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", ["verify", "implicitize"])
+def test_each_polygon_listed_once(command, polygon_file, listed_once):
+    # the gate lists P, r(P) and r^2(P), implicitize also the dual support,
+    # and every oracle sample reuses P's points
+    P = LatticePolygon.hull([(0, 0), (3, 0), (3, 2)])
+    assert run([command, "--polygon", polygon_file(P.vertices), "--seed", "6"]) == EXIT_OK
+    dual = [dual_polygon(P)] if command == "implicitize" else []
+    listed_once(P, rotate_r(P), rotate_r(rotate_r(P)), *dual)
 
 
 class TestRender:
@@ -204,10 +219,10 @@ class TestDualFanOnce:
 
 
 class TestUnitTriangle:
-    @pytest.mark.parametrize("command", ["report", "dual", "render"])
+    @pytest.mark.parametrize("command", ["report", "dual", "render", "verify", "verify --advisory"])
     def test_dual_is_a_point(self, command, polygon_file, capsys):
         path = polygon_file([[4, -1], [5, -1], [4, 0]])
-        assert run([command, "--polygon", path]) == EXIT_PARSE
+        assert run(command.split() + ["--polygon", path]) == EXIT_PARSE
         assert "dual is a point" in capsys.readouterr().out
 
 

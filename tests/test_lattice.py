@@ -267,7 +267,7 @@ class TestLatticePointsByColumns:
         # collinear draws cover segments and points
         P = LatticePolygon.hull(pts)
         listed = lattice_points(P)
-        assert listed == bounding_box_scan(P)
+        assert listed == tuple(bounding_box_scan(P))
         if P.dim == 2:
             b = sum(segment_length(a, c) for a, c in P.edges())
             assert len(listed) == interior_lattice_points(P) + b
@@ -281,9 +281,10 @@ class TestLatticePointsByColumns:
             raise AssertionError("lattice_points tested a point for membership")
 
         monkeypatch.setattr(LatticePolygon, "contains_point", no_membership_test)
+        lattice_points.cache_clear()
         pts = lattice_points(P)
         assert len(pts) == 20003
-        assert pts == sorted(pts)
+        assert pts == tuple(sorted(pts))
 
     def test_long_diagonal_segment_is_not_scanned(self, monkeypatch):
         P = LatticePolygon.hull([(0, 0), (10**5, 10**5)])
@@ -293,8 +294,21 @@ class TestLatticePointsByColumns:
             raise AssertionError("lattice_points tested a point for membership")
 
         monkeypatch.setattr(LatticePolygon, "contains_point", no_membership_test)
-        assert lattice_points(P) == [(i, i) for i in range(10**5 + 1)]
-        assert lattice_points(Q) == [(0, 0), (10**5, 3 * 10**5 + 1)]
+        lattice_points.cache_clear()
+        assert lattice_points(P) == tuple((i, i) for i in range(10**5 + 1))
+        assert lattice_points(Q) == ((0, 0), (10**5, 3 * 10**5 + 1))
+
+    def test_remembers_the_last_four_polygons_by_value(self):
+        polygons = [rectangle(1, k) for k in range(1, 6)]
+        lattice_points.cache_clear()
+        first = lattice_points(polygons[0])
+        for P in polygons[1:4]:
+            lattice_points(P)
+        assert lattice_points(LatticePolygon(polygons[0].vertices)) is first
+        lattice_points(polygons[4])  # drops polygons[1], the least recently used
+        assert lattice_points.cache_info().misses == 5
+        lattice_points(polygons[1])
+        assert lattice_points.cache_info().misses == 6
 
 
 class TestEdgeFan:
