@@ -25,6 +25,7 @@ from .lattice import (
     contains_translate,
     dilate,
     lattice_points,
+    neg,
     rotate_r,
     standard_triangle,
     sub,
@@ -117,6 +118,13 @@ def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
     Those lines bound a triangle T = (x0, y0) + k*Delta with k >= 1, so a
     bad subset exists iff some T cut out by coordinates of Q holds at
     least two points of Q on each of its three sides.
+
+    The span of a point set is max(x + y) - min x - min y, the least k with
+    the set inside a translate of k*Delta.  A set of m points in the class
+    has span at least m - 1, by induction on m: for m >= 2 some side of the
+    set's own bounding triangle holds exactly one of its points, removing
+    that point lowers the span by at least 1, and what remains is still in
+    the class.  So every set of the class of size d has span exactly d - 1.
     """
     if d < 3:
         raise ValueError("class only defined for d >= 3")
@@ -126,7 +134,7 @@ def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
     xs = {x for x, _ in pts}
     ys = {y for _, y in pts}
     sums = {x + y for x, y in pts}
-    if max(sums) - min(xs) - min(ys) > d - 1:
+    if max(sums) - min(xs) - min(ys) != d - 1:
         return False
     for x0 in xs:
         for y0 in ys:
@@ -182,6 +190,11 @@ def _find_Qd(
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
     pts = lattice_points(P)
+    (xl, yl), _ = P.bounding_box()
+    if max(x + y for x, y in P.vertices) - xl - yl < d - 1:
+        # every d-point set of the class spans d - 1 (see is_class_Qd), so
+        # the walk below would try every subset and find none
+        return None, math.comb(len(pts), d) > max(budget, 0)
     ptset = set(pts)
     # A candidate inside P has its support set at g = (u, v) on P's face
     # exactly when its maximum of <g, .> is P's, so anchor p tries just the
@@ -213,15 +226,18 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
-    seen: set[tuple[Point, ...]] = set()
+    # the parallelogram is fixed up to translation by its edges up to sign
+    seen: set[tuple[Point, Point]] = set()
     for ux, uy, vx, vy in islice(product(coords, repeat=4), budget):
         if abs(ux * vy - uy * vx) != 1:
             continue
-        R = LatticePolygon.hull([(0, 0), (ux, uy), (vx, vy), (ux + vx, uy + vy)]).canonical()
-        if R.vertices in seen:
+        u, v = (ux, uy), (vx, vy)
+        key = tuple(sorted((max(u, neg(u)), max(v, neg(v)))))
+        if key in seen:
             continue
-        seen.add(R.vertices)
-        if contains_translate(P, dilate(R, 5)) is not None:
+        seen.add(key)
+        corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
+        if contains_translate(P, corners) is not None:
             return True, False
     return False, len(coords) ** 4 > budget
 

@@ -173,9 +173,12 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_SEARCH_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
+        if budget >= 0:
+            return budget
     except ValueError:
-        raise CliError(f"PLUCKER_BUDGET must be an integer, got {raw!r}", EXIT_PARSE)
+        pass
+    raise CliError(f"PLUCKER_BUDGET must be a nonnegative integer, got {raw!r}", EXIT_PARSE)
 
 
 def _oracle_cfg(args) -> OracleConfig:
@@ -247,6 +250,7 @@ def cmd_verify(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_implicitize(P: LatticePolygon, args) -> tuple[object, str, int]:
+    _dual_fan_and_polygon(P)  # a line has no dual curve to implicitize
     _require_verified_or_advisory(P, args)
     poly, observed = implicitize_dual(P, _oracle_cfg(args))
     coeffs = {

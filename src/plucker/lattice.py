@@ -269,7 +269,9 @@ def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
 
     The last four polygons listed are remembered by value: one command lists
     at most P, r(P), r^2(P) and the support of the dual curve, and each
-    search or sample asks again for the points it needs.
+    search or sample asks again for the points it needs.  The remembered
+    listings stay alive after the call, so a caller that lists a huge
+    polygon frees them with ``lattice_points.cache_clear()``.
     """
     (xl, yl), (xh, yh) = P.bounding_box()
     # Edge a -> b with dx = bx - ax: its line has height (ay*dx + dy*(x - ax)) / dx.

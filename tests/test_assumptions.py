@@ -1,5 +1,6 @@
+import math
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -194,6 +195,29 @@ def hull_find_Qd(P, d, face_constraint, budget):
     return None, False
 
 
+def hull_contains_5R(P, budget):
+    """The 5R search with each parallelogram told apart by its canonical
+    hull."""
+    (xl, yl), (xh, yh) = P.bounding_box()
+    bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
+    coords = range(-bound, bound + 1)
+    seen = set()
+    for ux, uy, vx, vy in islice(product(coords, repeat=4), budget):
+        if abs(ux * vy - uy * vx) != 1:
+            continue
+        R = LatticePolygon.hull([(0, 0), (ux, uy), (vx, vy), (ux + vx, uy + vy)]).canonical()
+        if R.vertices in seen:
+            continue
+        seen.add(R.vertices)
+        if contains_translate(P, dilate(R, 5)) is not None:
+            return True, False
+    return False, len(coords) ** 4 > budget
+
+
+def span(Q):
+    return max(x + y for x, y in Q) - min(x for x, _ in Q) - min(y for _, y in Q)
+
+
 class TestClassQdAgainstHulls:
     def test_every_subset_of_3delta(self):
         pts = lattice_points(dilate(standard_triangle(), 3))
@@ -215,6 +239,21 @@ class TestClassQdAgainstHulls:
             assert got == hull_class_Qd(Q, d), (Q, d)
             seen[got] += 1
         assert min(seen.values()) > 50
+
+    def test_every_class_subset_of_the_3x3_box_spans_d_minus_1(self):
+        # a no-line set of d points spans at least d - 1 and, being in the
+        # class, at most d - 1
+        pts = lattice_points(rectangle(3, 3))
+        found = {}
+        for d in range(3, 7):
+            found[d] = 0
+            for subset in combinations(pts, d):
+                got = is_class_Qd(subset, d)
+                assert got == hull_class_Qd(subset, d), subset
+                if got:
+                    assert span(subset) == d - 1, subset
+                    found[d] += 1
+        assert min(found.values()) > 0
 
     @pytest.mark.parametrize("d", (4, 5, 6))
     def test_staircase_shapes_are_in_class(self, d):
@@ -270,6 +309,18 @@ class TestSubdiagramSearch:
         assert _find_Qd(P, 6, None, 5004) == (None, True)
         assert _find_Qd(P, 6, None, 5005) == (None, False)
 
+    def test_short_span_searches_nothing(self, monkeypatch):
+        # 4 * Delta spans 4 < 6 - 1, so no subset of it is a Q6 and the
+        # search needs neither a candidate nor a class test
+        P = dilate(standard_triangle(), 4)
+        tested, built = [], []
+        monkeypatch.setattr(
+            assumptions, "is_class_Qd", lambda Q, d: tested.append(Q) or is_class_Qd(Q, d)
+        )
+        monkeypatch.setattr(assumptions, "add", lambda p, s: built.append(p) or add(p, s))
+        assert _find_Qd(P, 6, None, 200_000) == (None, False)
+        assert tested == [] and built == []
+
     def test_5delta_has_q6(self):
         Q = _find_Qd(dilate(standard_triangle(), 5), 6, None, 200_000)[0]
         assert Q is not None and is_class_Qd(Q, 6)
@@ -306,6 +357,38 @@ class TestFiveR:
 
     def test_finds_5R_within_budget(self):
         assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
+
+    def test_same_result_as_hull_dedup(self, monkeypatch):
+        # both searches test the same shapes in the same order
+        real, tested = contains_translate, []
+
+        def recorded(P, Q):
+            tested.append(LatticePolygon.hull(getattr(Q, "vertices", Q)).canonical().vertices)
+            return real(P, Q)
+
+        monkeypatch.setattr(assumptions, "contains_translate", recorded)
+        monkeypatch.setitem(globals(), "contains_translate", recorded)
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(40):
+            P = random_polygon(rng, box=rng.randint(2, 14))
+            for budget in (0, 1, 80, 81, 5000, 200_000):
+                got = assumptions._contains_5R(P, budget)
+                shapes = tested[:]
+                tested.clear()
+                assert got == hull_contains_5R(P, budget), (P, budget)
+                assert shapes == tested, (P, budget)
+                tested.clear()
+                seen.add(got)
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_builds_no_hull(self, monkeypatch):
+        def no_hull(points):
+            raise AssertionError("hull built")
+
+        monkeypatch.setattr(LatticePolygon, "hull", staticmethod(no_hull))
+        assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
+        assert assumptions._contains_5R(rectangle(9, 4), 200_000) == (False, False)
 
     def test_budget_bounds_a_long_search(self, five_r_tuples):
         # three lattice points, no Q6 and no 5R; b = ceil(1000 / 5) = 200

@@ -121,6 +121,21 @@ class TestAssumptions:
         assert payload["a2"] == "FailsKnown"
         assert payload["thin_witness"]["k"] == 1
 
+    @pytest.mark.parametrize("raw", ["-1", "ten"])
+    def test_rejects_a_bad_budget(self, raw, polygon_file, capsys, monkeypatch):
+        monkeypatch.setenv("PLUCKER_BUDGET", raw)
+        path = polygon_file([[0, 0], [3, 0], [0, 3]])
+        assert run(["assumptions", "--polygon", path]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        assert f"PLUCKER_BUDGET must be a nonnegative integer, got {raw!r}" in out
+
+    def test_zero_budget_is_accepted(self, polygon_file, capsys, monkeypatch):
+        monkeypatch.setenv("PLUCKER_BUDGET", "0")
+        path = polygon_file([[0, 0], [3, 0], [0, 3]])
+        code, payload = run_json(capsys, ["assumptions", "--polygon", path, "--format", "json"])
+        assert code == EXIT_OK
+        assert ["no-tritangents", 0, "budget exhausted"] in payload["evidence"]
+
 
 class TestVerify:
     def test_golden_matches(self, polygon_file, capsys):
@@ -219,7 +234,10 @@ class TestDualFanOnce:
 
 
 class TestUnitTriangle:
-    @pytest.mark.parametrize("command", ["report", "dual", "render", "verify", "verify --advisory"])
+    @pytest.mark.parametrize(
+        "command",
+        ["report", "dual", "render", "verify", "verify --advisory", "implicitize", "implicitize --advisory"],
+    )
     def test_dual_is_a_point(self, command, polygon_file, capsys):
         path = polygon_file([[4, -1], [5, -1], [4, 0]])
         assert run(command.split() + ["--polygon", path]) == EXIT_PARSE
