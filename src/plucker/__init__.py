@@ -26,7 +26,6 @@ from .formulas import (
 )
 from .lattice import (
     DegeneratePolygonError,
-    Face,
     LatticePolygon,
     Point,
     WeightedFan,
@@ -35,7 +34,6 @@ from .lattice import (
     doubled_area,
     edge_fan,
     interior_lattice_points,
-    lattice_length,
     lattice_points,
     minkowski_sum,
     mixed_volume,
@@ -43,7 +41,6 @@ from .lattice import (
     rectangle,
     rotate_r,
     standard_triangle,
-    support_set,
     volume,
 )
 from .oracle import (

@@ -24,12 +24,12 @@ from .lattice import (
     add,
     contains_translate,
     dilate,
+    edge_fan,
     lattice_points,
     neg,
     rotate_r,
     standard_triangle,
     sub,
-    support_set,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -102,10 +102,8 @@ def assumption2_holds(
 
 def delta_is_summand(M: LatticePolygon) -> bool:
     """Edge criterion: the standard triangle is a Minkowski summand of M
-    iff M is 2-dimensional and its three lower-arrow support sets are edges."""
-    if M.dim < 2:
-        return False
-    return all(support_set(M, g).kind == "edge" for g in LOWER_ARROWS)
+    iff M is 2-dimensional and its three lower-arrow faces are edges."""
+    return M.dim == 2 and all(g in edge_fan(M).as_dict() for g in LOWER_ARROWS)
 
 
 def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
@@ -292,7 +290,7 @@ def check_assumption1(
             ok = False
             ev.append(("no-inflections-at-infinity", k, "thin triangle"))
 
-    if P.dim == 2 and P.canonical().vertices != standard_triangle().vertices:
+    if P.canonical().vertices != standard_triangle().vertices:
         ev.append(("no-corner-bitangents", 0, "2-dimensional and not the unit triangle"))
     else:
         ok = False
@@ -304,13 +302,12 @@ def check_assumption1(
 def _boundary_bitangent_excluded(Pk: LatticePolygon, budget: int) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
     escaping to the bottom boundary orbit."""
-    bottom = support_set(Pk, DOWN)
-    if bottom.kind == "vertex":
+    if DOWN not in edge_fan(Pk).as_dict():
         return "bottom face is a vertex"
     q4, _ = _find_Qd(Pk, 4, DOWN, budget)
     if q4 is not None:
         return "Q4 subdiagram aligned with the bottom edge"
-    y0 = bottom.endpoints[0][1]
+    y0 = min(y for _, y in Pk.vertices)
     rows: dict[int, int] = {}
     for _, y in lattice_points(Pk):
         rows[y] = rows.get(y, 0) + 1
@@ -343,7 +340,7 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
         else:
             ok = False
             ev.append(("no-vertical-inflections", k, "fewer than 3 ordinates"))
-        if len(ys) >= 3 or support_set(Pk, UP).kind == "vertex":
+        if len(ys) >= 3 or UP not in edge_fan(Pk).as_dict():
             ev.append(("no-tangent-asymptotes", k, "3 ordinates or top face is a vertex"))
         else:
             ok = False

@@ -332,24 +332,32 @@ def _parser_from(builder: Callable[[], argparse.ArgumentParser]) -> argparse.Arg
     return builder()
 
 
-def run(argv: Optional[list[str]] = None) -> int:
-    args = _parser_from(build_parser).parse_args(argv)
+def _result(args) -> tuple[str, int]:
+    """The text to emit and the exit code of one parsed command line."""
     if args.format == "svg" and args.command != "render":
-        _emit(json.dumps({"error": "svg format is only available for render"}), args.out)
-        return EXIT_PARSE
+        return json.dumps({"error": "svg format is only available for render"}), EXIT_PARSE
     try:
         P = read_polygon(args.polygon)
         payload, text, code = _COMMANDS[args.command][0](P, args)
     except (CliError, RetriesExhaustedError, ValueError) as exc:
         msg = str(exc)
-        _emit(json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}", args.out)
+        text = json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}"
         if isinstance(exc, CliError):
-            return exc.code
-        return EXIT_DEGENERATE if isinstance(exc, RetriesExhaustedError) else EXIT_PARSE
+            return text, exc.code
+        return text, EXIT_DEGENERATE if isinstance(exc, RetriesExhaustedError) else EXIT_PARSE
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
+        return json.dumps(payload, indent=2, sort_keys=True), code
+    return text, code
+
+
+def run(argv: Optional[list[str]] = None) -> int:
+    args = _parser_from(build_parser).parse_args(argv)
+    text, code = _result(args)
+    try:
         _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

@@ -24,7 +24,6 @@ from .lattice import (
     interior_lattice_points,
     neg,
     sort_rays_ccw,
-    support_length,
     volume,
 )
 
@@ -38,8 +37,9 @@ class FormulaInternalError(AssertionError):
 
 
 def _arrow_sums(P: LatticePolygon) -> tuple[int, int]:
-    lower = sum(support_length(P, g) for g in LOWER_ARROWS)
-    upper = sum(support_length(P, g) for g in UPPER_ARROWS)
+    lengths = edge_fan(P).as_dict()
+    lower = sum(lengths.get(g, 0) for g in LOWER_ARROWS)
+    upper = sum(lengths.get(g, 0) for g in UPPER_ARROWS)
     return lower, upper
 
 
@@ -62,17 +62,12 @@ def dual_fan(P: LatticePolygon) -> WeightedFan:
     """
     P.require_dim2()
     da = doubled_area(P)
-    rays: dict[Point, int] = {}
-    for g in LOWER_ARROWS:
-        rays[g] = da - support_length(P, g) + support_length(P, neg(g))
-    for n, w in edge_fan(P).rays:
-        if n in ARROWS:
-            continue
-        rays[neg(n)] = w
-    fan = WeightedFan.from_dict(rays)
+    lengths = edge_fan(P).as_dict()
+    rays = {g: da - lengths.get(g, 0) + lengths.get(neg(g), 0) for g in LOWER_ARROWS}
+    rays.update((neg(n), w) for n, w in lengths.items() if n not in ARROWS)
+    fan = WeightedFan.from_dict({g: w for g, w in rays.items() if w != 0})
     if any(w < 0 for _, w in fan.rays):
         raise FormulaInternalError(f"negative dual-fan weight for {P.vertices}")
-    fan = fan.normalized()
     if not fan.is_balanced():
         raise FormulaInternalError(f"dual fan does not balance for {P.vertices}")
     return fan
@@ -123,7 +118,8 @@ def _checked_dual_area(P: LatticePolygon, dual: LatticePolygon) -> Fraction:
     min (x+y) is the sum of -P's support values at the lower arrows.
     """
     A = doubled_area(P)
-    l_down, l_ne, l_left = (support_length(P, g) for g in LOWER_ARROWS)
+    lengths = edge_fan(P).as_dict()
+    l_down, l_ne, l_left = (lengths.get(g, 0) for g in LOWER_ARROWS)
     xs = [x for x, _ in P.vertices]
     ys = [y for _, y in P.vertices]
     sums = [x + y for x, y in P.vertices]
@@ -152,7 +148,7 @@ def dual_area_closed(P: LatticePolygon) -> Fraction:
 
     Evaluates vol of the virtual polygon
     2S*Delta + (-P) - l_down*E(down) - l_ne*E(ne) - l_left*E(left)
-    as an integer polynomial in P's area, support lengths and widths, and
+    as an integer polynomial in P's area, face lengths and widths, and
     cross-checks the result against the shoelace area of the reconstructed
     dual polygon.
     """
@@ -175,7 +171,9 @@ def bitangent_count(P: LatticePolygon) -> Fraction:
 
 def vertical_tangent_count(P: LatticePolygon) -> int:
     """2 vol(P) - len P^down - len P^up."""
-    return doubled_area(P) - support_length(P, (0, -1)) - support_length(P, (0, 1))
+    P.require_dim2()
+    lengths = edge_fan(P).as_dict()
+    return doubled_area(P) - lengths.get((0, -1), 0) - lengths.get((0, 1), 0)
 
 
 def euler_characteristic(P: LatticePolygon) -> int:

@@ -1,4 +1,4 @@
-"""Exact integer lattice geometry: polygons, support sets, mixed volumes.
+"""Exact integer lattice geometry: polygons, edge fans, mixed volumes.
 
 Everything here works over the integers (areas are stored doubled) so that
 no rounding can creep into the combinatorial formulas built on top.
@@ -33,14 +33,6 @@ class DegeneratePolygonError(ValueError):
 
 def cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def primitive(v: Point) -> Point:
-    """Divide a nonzero integer vector by the gcd of its coordinates."""
-    if v == (0, 0):
-        raise ValueError("zero vector has no primitive form")
-    g = math.gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g)
 
 
 def neg(v: Point) -> Point:
@@ -79,26 +71,6 @@ def _hull_vertices(points: Iterable[Point]) -> tuple[Point, ...]:
             upper.pop()
         upper.append(p)
     return tuple(lower[:-1] + upper[:-1])
-
-
-@dataclass(frozen=True)
-class Face:
-    """A support set of a polygon: either a vertex or an edge."""
-
-    endpoints: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.endpoints) not in (1, 2):
-            raise ValueError("face must have one or two endpoints")
-
-    @property
-    def kind(self) -> str:
-        return "vertex" if len(self.endpoints) == 1 else "edge"
-
-
-def lattice_length(face: Face) -> int:
-    """Number of lattice points on the face minus one; 0 for a vertex."""
-    return 0 if face.kind == "vertex" else segment_length(*face.endpoints)
 
 
 def segment_length(a: Point, b: Point) -> int:
@@ -172,22 +144,6 @@ class LatticePolygon:
 
 
 Diagram = frozenset  # finite set of lattice points (a Newton diagram)
-
-
-def support_set(P: LatticePolygon, g: Point) -> Face:
-    """The vertex or edge of P on which the functional g is maximal."""
-    u, v = g
-    best = max(u * x + v * y for x, y in P.vertices)
-    winners = [p for p in P.vertices if u * p[0] + v * p[1] == best]
-    if len(winners) == 1:
-        return Face((winners[0],))
-    if len(winners) == 2:
-        return Face(tuple(winners))
-    raise AssertionError("strictly convex polygon cannot have 3 collinear maximizers")
-
-
-def support_length(P: LatticePolygon, g: Point) -> int:
-    return lattice_length(support_set(P, g))
 
 
 def doubled_area(P: LatticePolygon) -> int:
@@ -323,11 +279,7 @@ def sort_rays_ccw(rays: Iterable[Point]) -> list[Point]:
 
 @dataclass(frozen=True)
 class WeightedFan:
-    """Finite set of (primitive direction, positive weight) pairs.
-
-    Zero-weight rays are permitted in intermediate results and removed by
-    :meth:`normalized`.
-    """
+    """Finite set of (primitive direction, positive weight) pairs."""
 
     rays: tuple[tuple[Point, int], ...]
 
@@ -338,9 +290,6 @@ class WeightedFan:
     def as_dict(self) -> dict[Point, int]:
         return dict(self.rays)
 
-    def normalized(self) -> "WeightedFan":
-        return WeightedFan(tuple((v, w) for v, w in self.rays if w != 0))
-
     def is_balanced(self) -> bool:
         sx = sum(v[0] * w for v, w in self.rays)
         sy = sum(v[1] * w for v, w in self.rays)
@@ -349,14 +298,16 @@ class WeightedFan:
 
 def edge_fan(P: LatticePolygon) -> WeightedFan:
     """Normal fan of P weighted by lattice edge lengths (the tropical fan
-    of a generic curve with Newton polygon P)."""
+    of a generic curve with Newton polygon P).  The weight at a primitive
+    direction g is the lattice length of P's face where <g, .> is maximal;
+    g is absent exactly when that face is a vertex (length 0)."""
     P.require_dim2()
-    rays: dict[Point, int] = {}
-    for a, b in P.edges():
-        dx, dy = sub(b, a)
-        n = primitive((dy, -dx))  # outer normal of a CCW edge
-        rays[n] = segment_length(a, b)
-    return WeightedFan(tuple(sorted(rays.items())))
+    rays: list[tuple[Point, int]] = []
+    for (ax, ay), (bx, by) in P.edges():
+        dx, dy = bx - ax, by - ay
+        n = math.gcd(dx, dy)  # the edge's lattice length
+        rays.append(((dy // n, -dx // n), n))  # keyed by its outer normal (P is CCW)
+    return WeightedFan(tuple(sorted(rays)))
 
 
 def standard_triangle(k: int = 1) -> LatticePolygon:

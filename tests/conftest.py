@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from plucker import formulas
-from plucker.lattice import LatticePolygon, lattice_points
+from plucker.lattice import LatticePolygon, Point, lattice_points, segment_length
 
 # filled by the acceptance suite, echoed after the test run
 acceptance_lines: list[str] = []
@@ -27,6 +27,21 @@ def random_polygon(
         P = LatticePolygon.hull(pts)
         if P.dim == 2:
             return P
+
+
+def support_face(P: LatticePolygon, g: Point) -> tuple[Point, ...]:
+    """The vertices of P on which <g, .> is maximal: one for a vertex face,
+    two for an edge.  A plain vertex scan, kept independent of ``edge_fan``
+    so that it can serve as a reference for it."""
+    u, v = g
+    best = max(u * x + v * y for x, y in P.vertices)
+    return tuple(p for p in P.vertices if u * p[0] + v * p[1] == best)
+
+
+def face_length(P: LatticePolygon, g: Point) -> int:
+    """Lattice length of P's face at g by the vertex scan; 0 at a vertex."""
+    face = support_face(P, g)
+    return segment_length(face[0], face[-1])
 
 
 @pytest.fixture

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polygon
+from conftest import random_polygon, support_face
 from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
     Verdict,
+    _boundary_bitangent_excluded,
     _find_Qd,
     _staircase_shapes,
     assumption2_holds,
@@ -34,7 +35,6 @@ from plucker.lattice import (
     rectangle,
     rotate_r,
     standard_triangle,
-    support_set,
 )
 
 
@@ -170,7 +170,7 @@ def face_ok(Q, P, g):
     pts = list(Q)
     u, v = g
     best = max(u * x + v * y for x, y in pts)
-    face = LatticePolygon(support_set(P, g).endpoints)
+    face = LatticePolygon(support_face(P, g))
     return all(p in face for p in pts if u * p[0] + v * p[1] == best)
 
 
@@ -411,6 +411,28 @@ class TestAssumption3:
     def test_strip_unknown(self):
         v, _ = check_assumption3(rectangle(9, 1))
         assert v is Verdict.UNKNOWN
+
+    def test_tangent_asymptotes_on_two_rows(self):
+        # two ordinates: the condition holds only when the top face is a vertex
+        _, ev = check_assumption3(LatticePolygon.hull([(0, 0), (2, 0), (1, 1)]))
+        assert ("no-tangent-asymptotes", 0, "3 ordinates or top face is a vertex") in ev
+        _, ev = check_assumption3(rectangle(9, 1))
+        assert ("no-tangent-asymptotes", 0, "no condition fired") in ev
+
+
+class TestBoundaryBitangents:
+    def test_bottom_vertex(self):
+        P = LatticePolygon.hull([(1, 0), (0, 2), (3, 3)])
+        assert _boundary_bitangent_excluded(P, 100) == "bottom face is a vertex"
+
+    @pytest.mark.parametrize("t", [(0, 0), (3, -5)])
+    def test_row_two_above_the_bottom_edge(self, t):
+        # no Q4 on the bottom edge; the only row of two points above it is
+        # at height exactly 2, measured from P's lowest row
+        P = LatticePolygon.hull([(0, 0), (1, 0), (5, 2), (4, 3)]).translate(t)
+        assert _boundary_bitangent_excluded(P, 100) == (
+            "two lattice points on a row at height >= 2 above the bottom edge"
+        )
 
 
 class TestFullReport:

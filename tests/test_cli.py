@@ -92,6 +92,17 @@ class TestReport:
         path = polygon_file([[0, 0], [1, 0]])
         assert run(["report", "--polygon", path]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("vertices", [[[0, 0], [3, 0], [0, 3]], [[0, 0], [1, 0]]])
+    def test_unwritable_out(self, vertices, polygon_file, capsys, tmp_path):
+        # the answer and the error path both fail to write: no traceback
+        out = tmp_path / "missing" / "x.json"
+        argv = ["report", "--polygon", polygon_file(vertices), "--out", str(out)]
+        assert run(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.out == ""
+        assert not out.parent.exists()
+
 
 class TestDual:
     def test_golden_fan(self, polygon_file, capsys):

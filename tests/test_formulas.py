@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polygon
+from conftest import face_length, random_polygon, support_face
 from plucker import formulas
 from plucker.formulas import (
     FormulaInternalError,
@@ -25,14 +25,14 @@ from plucker.lattice import (
     LatticePolygon,
     dilate,
     doubled_area,
+    interior_lattice_points,
     minkowski_sum,
     mixed_volume,
+    neg,
     negate,
     rectangle,
     rotate_r,
     standard_triangle,
-    support_length,
-    support_set,
     volume,
 )
 
@@ -93,11 +93,9 @@ class TestDualFan:
             assert fan.is_balanced()
             assert all(w > 0 for _, w in fan.rays)
             # off-arrow weights are the lengths of the opposite faces of P
-            from plucker.lattice import lattice_length, neg
-
             for g, w in fan.rays:
                 if g not in ARROWS:
-                    assert w == lattice_length(support_set(P, neg(g)))
+                    assert w == face_length(P, neg(g))
 
 
 class TestDualPolygon:
@@ -128,7 +126,7 @@ def mixed_volume_dual_area(P: LatticePolygon) -> Fraction:
     the mixed volume of the formal combination with itself, expanded by
     bilinearity into 36 mixed volumes of Minkowski-sum hulls."""
     terms = [(doubled_area(P), standard_triangle()), (1, negate(P))]
-    terms += [(-support_length(P, g), _DELTA_EDGES[g]) for g in LOWER_ARROWS]
+    terms += [(-face_length(P, g), _DELTA_EDGES[g]) for g in LOWER_ARROWS]
     return sum(ci * cj * mixed_volume(Ai, Aj) for ci, Ai in terms for cj, Aj in terms) / 2
 
 
@@ -191,6 +189,11 @@ class TestOtherInvariants:
         assert vertical_tangent_count(GOLDEN) == 0
         assert vertical_tangent_count(rectangle(3, 4)) == 18
 
+    @pytest.mark.parametrize("points", [[(0, 0), (3, 0)], [(2, 5)]], ids=["segment", "point"])
+    def test_vertical_tangents_reject_degenerate(self, points):
+        with pytest.raises(DegeneratePolygonError):
+            vertical_tangent_count(LatticePolygon.hull(points))
+
     def test_euler(self):
         assert euler_characteristic(standard_triangle()) == 2
         assert euler_characteristic(dilate(standard_triangle(), 3)) == 0
@@ -214,7 +217,7 @@ class TestVertexFaceSpecialization:
         hits = 0
         while hits < 12:
             P = random_polygon(rng)
-            if any(support_set(P, g).kind == "edge" for g in ARROWS):
+            if any(len(support_face(P, g)) == 2 for g in ARROWS):
                 continue
             hits += 1
             S = volume(P)
@@ -262,6 +265,10 @@ class TestPluckerReport:
             assert r.dual_polygon == dual_polygon(P)
             assert r.dual_vol == dual_area_closed(P)
             assert r.bitangents == bitangent_count(P)
+            assert r.inflections == inflection_count(P)
+            assert r.vertical_tangents == vertical_tangent_count(P)
+            assert r.euler_char == euler_characteristic(P)
+            assert r.genus == interior_lattice_points(P)
 
     def test_dual_fan_derived_once(self, dual_fan_calls):
         plucker_report(rectangle(3, 4))

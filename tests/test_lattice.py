@@ -1,21 +1,21 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polygon
 from plucker.lattice import (
     DegeneratePolygonError,
-    Face,
     LatticePolygon,
     contains_translate,
     dilate,
     doubled_area,
     edge_fan,
     interior_lattice_points,
-    lattice_length,
     lattice_points,
     minkowski_sum,
     mixed_volume,
@@ -24,7 +24,6 @@ from plucker.lattice import (
     rotate_r,
     segment_length,
     standard_triangle,
-    support_set,
     volume,
 )
 
@@ -63,32 +62,35 @@ class TestConvexHull:
 
 
 class TestSupportSet:
+    """The face of P at a direction g, read off the edge fan: an edge of
+    the given lattice length, or a vertex when g is absent."""
+
     def test_bottom_edge_of_5delta(self):
-        f = support_set(dilate(D, 5), (0, -1))
-        assert f.kind == "edge"
-        assert set(f.endpoints) == {(0, 0), (5, 0)}
+        P = dilate(D, 5)
+        assert edge_fan(P).as_dict()[(0, -1)] == 5
+        assert {(0, 0), (5, 0)} in [set(e) for e in P.edges()]
 
     def test_ne_vertex_of_rectangle(self):
-        f = support_set(rectangle(3, 4), (1, 1))
-        assert f.kind == "vertex"
-        assert f.endpoints == ((3, 4),)
+        assert (1, 1) not in edge_fan(rectangle(3, 4)).as_dict()
 
     def test_left_edge(self):
         P = LatticePolygon.hull([(0, 0), (0, 1), (1, 1)])
-        f = support_set(P, (-1, 0))
-        assert f.kind == "edge"
-        assert set(f.endpoints) == {(0, 0), (0, 1)}
+        assert edge_fan(P).as_dict()[(-1, 0)] == 1
+        assert {(0, 0), (0, 1)} in [set(e) for e in P.edges()]
 
 
 class TestLatticeLength:
     def test_gcd_segment(self):
-        assert lattice_length(Face(((0, 0), (3, 6)))) == 3
+        assert segment_length((0, 0), (3, 6)) == 3
+        assert edge_fan(LatticePolygon.hull([(0, 0), (3, 6), (0, 6)])).as_dict()[(2, -1)] == 3
 
     def test_vertex_is_zero(self):
-        assert lattice_length(Face(((4, 4),))) == 0
+        assert segment_length((4, 4), (4, 4)) == 0
+        assert edge_fan(rectangle(4, 4)).as_dict().get((1, 1), 0) == 0
 
     def test_vertical_segment(self):
-        assert lattice_length(Face(((0, 0), (0, 7)))) == 7
+        assert segment_length((0, 0), (0, 7)) == 7
+        assert edge_fan(rectangle(2, 7)).as_dict()[(-1, 0)] == 7
 
 
 class TestArea:
@@ -330,3 +332,19 @@ class TestEdgeFan:
         rng = random.Random(43)
         for _ in range(30):
             assert edge_fan(random_polygon(rng)).is_balanced()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=8)
+    )
+    def test_face_lengths_count_maximising_lattice_points(self, pts):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2)
+        lengths = edge_fan(P).as_dict()
+        listed = lattice_points(P)
+        for g in product(range(-4, 5), repeat=2):
+            if math.gcd(*g) != 1:
+                continue
+            best = max(g[0] * x + g[1] * y for x, y in listed)
+            on_face = sum(g[0] * x + g[1] * y == best for x, y in listed)
+            assert lengths.get(g, 0) == on_face - 1
