@@ -28,7 +28,6 @@ from .lattice import (
     DegeneratePolygonError,
     LatticePolygon,
     Point,
-    WeightedFan,
     contains_translate,
     dilate,
     doubled_area,

@@ -103,7 +103,7 @@ def assumption2_holds(
 def delta_is_summand(M: LatticePolygon) -> bool:
     """Edge criterion: the standard triangle is a Minkowski summand of M
     iff M is 2-dimensional and its three lower-arrow faces are edges."""
-    return M.dim == 2 and all(g in edge_fan(M).as_dict() for g in LOWER_ARROWS)
+    return M.dim == 2 and all(g in edge_fan(M) for g in LOWER_ARROWS)
 
 
 def is_class_Qd(Q: Iterable[Point], d: int) -> bool:
@@ -302,7 +302,7 @@ def check_assumption1(
 def _boundary_bitangent_excluded(Pk: LatticePolygon, budget: int) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
     escaping to the bottom boundary orbit."""
-    if DOWN not in edge_fan(Pk).as_dict():
+    if DOWN not in edge_fan(Pk):
         return "bottom face is a vertex"
     q4, _ = _find_Qd(Pk, 4, DOWN, budget)
     if q4 is not None:
@@ -340,7 +340,7 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
         else:
             ok = False
             ev.append(("no-vertical-inflections", k, "fewer than 3 ordinates"))
-        if len(ys) >= 3 or UP not in edge_fan(Pk).as_dict():
+        if len(ys) >= 3 or UP not in edge_fan(Pk):
             ev.append(("no-tangent-asymptotes", k, "3 ordinates or top face is a vertex"))
         else:
             ok = False

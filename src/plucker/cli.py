@@ -23,14 +23,8 @@ from .assumptions import (
     AssumptionReport,
     full_assumption_report,
 )
-from .formulas import (
-    PluckerReport,
-    _dual_fan_and_polygon,
-    inflection_count,
-    plucker_report,
-    vertical_tangent_count,
-)
-from .lattice import LatticePolygon, WeightedFan
+from .formulas import PluckerReport, plucker_report
+from .lattice import LatticePolygon, Point
 from .oracle import (
     OracleConfig,
     RetriesExhaustedError,
@@ -94,12 +88,12 @@ def count_json(v):
     return int(f) if f.denominator == 1 else frac_str(f)
 
 
-def fan_json(fan: WeightedFan) -> dict:
-    return {f"{u},{v}": w for (u, v), w in fan.rays}
+def fan_json(fan: dict[Point, int]) -> dict:
+    return {f"{u},{v}": w for (u, v), w in sorted(fan.items())}
 
 
-def _fan_text(fan: WeightedFan) -> str:
-    return ", ".join(f"({u},{v}):{w}" for (u, v), w in fan.rays)
+def _fan_text(fan: dict[Point, int]) -> str:
+    return ", ".join(f"({u},{v}):{w}" for (u, v), w in sorted(fan.items()))
 
 
 def polygon_json(P: LatticePolygon) -> list:
@@ -203,13 +197,13 @@ def cmd_report(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_dual(P: LatticePolygon, args) -> tuple[object, str, int]:
-    fan, dual = _dual_fan_and_polygon(P)
+    r = plucker_report(P)
     payload = {
         "polygon": polygon_json(P),
-        "dual_fan": fan_json(fan),
-        "dual_polygon": polygon_json(dual),
+        "dual_fan": fan_json(r.dual_fan),
+        "dual_polygon": polygon_json(r.dual_polygon),
     }
-    text = f"dual fan      {_fan_text(fan)}\ndual polygon  {list(dual.vertices)}"
+    text = f"dual fan      {_fan_text(r.dual_fan)}\ndual polygon  {list(r.dual_polygon.vertices)}"
     return payload, text, EXIT_OK
 
 
@@ -220,16 +214,13 @@ def cmd_assumptions(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 def cmd_verify(P: LatticePolygon, args) -> tuple[object, str, int]:
     # a line lies on its own Hessian curve, so no sample could be counted:
-    # reject it as report does, before the gate and the oracle
-    _dual_fan_and_polygon(P)
+    # the report rejects it before the gate and the oracle
+    r = plucker_report(P)
     arep = _require_verified_or_advisory(P, args)
     cfg = _oracle_cfg(args)
     pairs = {
-        "inflections": (inflection_count(P), inflection_oracle(P, cfg)),
-        "vertical_tangents": (
-            vertical_tangent_count(P),
-            vertical_tangent_oracle(P, cfg),
-        ),
+        "inflections": (r.inflections, inflection_oracle(P, cfg)),
+        "vertical_tangents": (r.vertical_tangents, vertical_tangent_oracle(P, cfg)),
     }
     ok = all(formula == oracle for formula, oracle in pairs.values())
     payload = {
@@ -250,7 +241,7 @@ def cmd_verify(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_implicitize(P: LatticePolygon, args) -> tuple[object, str, int]:
-    _dual_fan_and_polygon(P)  # a line has no dual curve to implicitize
+    plucker_report(P)  # a line has no dual curve to implicitize
     _require_verified_or_advisory(P, args)
     poly, observed = implicitize_dual(P, _oracle_cfg(args))
     coeffs = {
@@ -270,7 +261,8 @@ def cmd_implicitize(P: LatticePolygon, args) -> tuple[object, str, int]:
 
 
 def cmd_render(P: LatticePolygon, args) -> tuple[object, str, int]:
-    svg = svg_report(P, *_dual_fan_and_polygon(P))
+    r = plucker_report(P)
+    svg = svg_report(P, r.dual_fan, r.dual_polygon)
     return {"svg": svg}, svg, EXIT_OK
 
 

@@ -1,8 +1,14 @@
 """Invariants of a generic plane curve computed from its Newton polygon.
 
-The headline counts (inflection points, bitangents), the tropical fan and
-Newton polygon of the dual curve, and the Euler characteristic are all
-evaluated by exact integer/rational arithmetic on the polygon.
+Every invariant is exact integer arithmetic on two things read off P: its
+doubled area A and its edge table ``edge_fan(P)`` (outer primitive normal
+-> lattice length).  ``plucker_report`` reads that pair once and derives
+every field from it: the headline counts (inflection points, bitangents),
+the tropical fan and Newton polygon of the dual curve with its area, the
+genus, the Euler characteristic and the vertical tangents.  The functions
+of one invariant that has no meaning on a line return the report's field;
+``dual_fan``, ``vertical_tangent_count`` and ``euler_characteristic`` stay
+defined on a line and read the pair themselves.
 """
 from __future__ import annotations
 
@@ -10,18 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
+    DOWN,
     LOWER_ARROWS,
+    UP,
     UPPER_ARROWS,
     ARROWS,
     DegeneratePolygonError,
     LatticePolygon,
     Point,
-    WeightedFan,
     add,
-    boundary_lattice_points,
     doubled_area,
     edge_fan,
-    interior_lattice_points,
     neg,
     sort_rays_ccw,
     volume,
@@ -36,72 +41,48 @@ class FormulaInternalError(AssertionError):
     """
 
 
-def _arrow_sums(P: LatticePolygon) -> tuple[int, int]:
-    lengths = edge_fan(P).as_dict()
-    lower = sum(lengths.get(g, 0) for g in LOWER_ARROWS)
-    upper = sum(lengths.get(g, 0) for g in UPPER_ARROWS)
-    return lower, upper
-
-
-def inflection_count(P: LatticePolygon) -> int:
-    """6 vol(P) - 2 (len down + len ne + len left) - (len up + len sw + len right).
-
-    The value is the true inflection count of a generic curve supported on P
-    when the genericity assumptions are verified.
-    """
-    P.require_dim2()
-    lower, upper = _arrow_sums(P)
-    return 3 * doubled_area(P) - 2 * lower - upper
-
-
-def dual_fan(P: LatticePolygon) -> WeightedFan:
-    """Tropical fan of the dual curve.
-
-    Weights: 2 vol - len P^g + len P^-g on the three lower arrows, zero on
-    the upper arrows, and len P^-g on every other primitive direction g.
-    """
-    P.require_dim2()
-    da = doubled_area(P)
-    lengths = edge_fan(P).as_dict()
-    rays = {g: da - lengths.get(g, 0) + lengths.get(neg(g), 0) for g in LOWER_ARROWS}
+def _dual_fan(P: LatticePolygon, A: int, lengths: dict[Point, int]) -> dict[Point, int]:
+    rays = {g: A - lengths.get(g, 0) + lengths.get(neg(g), 0) for g in LOWER_ARROWS}
     rays.update((neg(n), w) for n, w in lengths.items() if n not in ARROWS)
-    fan = WeightedFan.from_dict({g: w for g, w in rays.items() if w != 0})
-    if any(w < 0 for _, w in fan.rays):
+    fan = {g: w for g, w in rays.items() if w != 0}
+    if any(w < 0 for w in fan.values()):
         raise FormulaInternalError(f"negative dual-fan weight for {P.vertices}")
-    if not fan.is_balanced():
+    if sum(u * w for (u, _), w in fan.items()) or sum(v * w for (_, v), w in fan.items()):
         raise FormulaInternalError(f"dual fan does not balance for {P.vertices}")
     return fan
 
 
-def _dual_fan_and_polygon(P: LatticePolygon) -> tuple[WeightedFan, LatticePolygon]:
-    """The dual fan and the dual polygon rebuilt from it, deriving the fan once."""
-    fan = dual_fan(P)
-    if not fan.rays:
+def dual_fan(P: LatticePolygon) -> dict[Point, int]:
+    """Tropical fan of the dual curve: primitive direction -> positive weight.
+
+    Weights: 2 vol - len P^g + len P^-g on the three lower arrows, zero on
+    the upper arrows, and len P^-g on every other primitive direction g.
+    Directions of weight zero are absent; the fan of a line is empty.
+    """
+    return _dual_fan(P, doubled_area(P), edge_fan(P))
+
+
+def _dual_polygon(P: LatticePolygon, fan: dict[Point, int]) -> LatticePolygon:
+    """The Newton polygon of the dual curve, walked from its fan: each ray
+    (g, w) contributes an edge with outer normal g and lattice length w, and
+    balancing closes the walk."""
+    if not fan:
         raise DegeneratePolygonError(
             f"the dual fan of {P.vertices} is empty: the curve is a line and its dual is a point"
         )
-    weights = fan.as_dict()
     verts: list[Point] = [(0, 0)]
-    for u, v in sort_rays_ccw(weights):
-        w = weights[(u, v)]
+    for u, v in sort_rays_ccw(fan):
+        w = fan[(u, v)]
         verts.append(add(verts[-1], (-v * w, u * w)))
     if verts[-1] != verts[0]:
         raise FormulaInternalError(f"dual polygon edge walk does not close for {P.vertices}")
-    return fan, LatticePolygon.hull(verts[:-1]).canonical()
+    return LatticePolygon.hull(verts[:-1]).canonical()
 
 
-def dual_polygon(P: LatticePolygon) -> LatticePolygon:
-    """Newton polygon of the dual curve, reconstructed from its normal fan.
-
-    Each ray (g, w) contributes an edge with outer normal g and lattice
-    length w; balancing guarantees the edge walk closes.  The result is
-    anchored with its lexicographically minimal vertex at the origin.
-    """
-    return _dual_fan_and_polygon(P)[1]
-
-
-def _checked_dual_area(P: LatticePolygon, dual: LatticePolygon) -> Fraction:
-    """The closed dual area of P, checked against the reconstructed ``dual``.
+def _dual_area(
+    P: LatticePolygon, A: int, lengths: dict[Point, int], dual: LatticePolygon
+) -> Fraction:
+    """The closed dual area of P, checked against the walked ``dual``.
 
     The dual polygon is the virtual polygon 2S*Delta + (-P) - sum l_g*E_g
     over the lower arrows g, where E_g is the unit edge of Delta with outer
@@ -117,8 +98,6 @@ def _checked_dual_area(P: LatticePolygon, dual: LatticePolygon) -> Fraction:
     H, D and W are P's widths in y, x+y and x, and M = max x + max y -
     min (x+y) is the sum of -P's support values at the lower arrows.
     """
-    A = doubled_area(P)
-    lengths = edge_fan(P).as_dict()
     l_down, l_ne, l_left = (lengths.get(g, 0) for g in LOWER_ARROWS)
     xs = [x for x, _ in P.vertices]
     ys = [y for _, y in P.vertices]
@@ -143,6 +122,90 @@ def _checked_dual_area(P: LatticePolygon, dual: LatticePolygon) -> Fraction:
     return area
 
 
+def _vertical_tangents(A: int, lengths: dict[Point, int]) -> int:
+    return A - lengths.get(DOWN, 0) - lengths.get(UP, 0)
+
+
+def vertical_tangent_count(P: LatticePolygon) -> int:
+    """2 vol(P) - len P^down - len P^up."""
+    return _vertical_tangents(doubled_area(P), edge_fan(P))
+
+
+def _euler_char(A: int, lengths: dict[Point, int]) -> int:
+    return sum(lengths.values()) - A
+
+
+def euler_characteristic(P: LatticePolygon) -> int:
+    """-2 vol(P) plus the lattice perimeter (the compactified curve's
+    Euler characteristic)."""
+    return _euler_char(doubled_area(P), edge_fan(P))
+
+
+@dataclass(frozen=True)
+class PluckerReport:
+    polygon: LatticePolygon
+    vol: Fraction
+    inflections: int
+    bitangents: Fraction
+    dual_fan: dict[Point, int]
+    dual_polygon: LatticePolygon
+    dual_vol: Fraction
+    euler_char: int
+    genus: int
+    vertical_tangents: int
+
+
+def plucker_report(P: LatticePolygon) -> PluckerReport:
+    """Every invariant of P, from one read of its doubled area and edge table.
+
+    Raises DegeneratePolygonError on a segment or a point, and on a line (a
+    unit-triangle translate), whose dual is a point.
+    """
+    A, lengths = doubled_area(P), edge_fan(P)
+    fan = _dual_fan(P, A, lengths)
+    dual = _dual_polygon(P, fan)
+    dual_vol = _dual_area(P, A, lengths, dual)
+    lower = sum(lengths.get(g, 0) for g in LOWER_ARROWS)
+    upper = sum(lengths.get(g, 0) for g in UPPER_ARROWS)
+    euler_char = _euler_char(A, lengths)
+    return PluckerReport(
+        polygon=P,
+        vol=Fraction(A, 2),
+        inflections=3 * A - 2 * lower - upper,
+        bitangents=-5 * A + dual_vol + 3 * lower + upper,
+        dual_fan=fan,
+        dual_polygon=dual,
+        dual_vol=dual_vol,
+        euler_char=euler_char,
+        genus=1 - euler_char // 2,  # by Pick, the interior lattice points
+        vertical_tangents=_vertical_tangents(A, lengths),
+    )
+
+
+def inflection_count(P: LatticePolygon) -> int:
+    """6 vol(P) - 2 (len down + len ne + len left) - (len up + len sw + len right).
+
+    The value is the true inflection count of a generic curve supported on P
+    when the genericity assumptions are verified.
+    """
+    return plucker_report(P).inflections
+
+
+def bitangent_count(P: LatticePolygon) -> Fraction:
+    """-10 vol(P) + vol(dual) + 3 (lower arrow lengths) + (upper arrow lengths).
+
+    Returned as an exact rational; integrality is only guaranteed when the
+    genericity assumptions are verified.
+    """
+    return plucker_report(P).bitangents
+
+
+def dual_polygon(P: LatticePolygon) -> LatticePolygon:
+    """Newton polygon of the dual curve, reconstructed from its normal fan
+    and anchored with its lexicographically minimal vertex at the origin."""
+    return plucker_report(P).dual_polygon
+
+
 def dual_area_closed(P: LatticePolygon) -> Fraction:
     """Area of the dual polygon from the closed formula.
 
@@ -152,62 +215,4 @@ def dual_area_closed(P: LatticePolygon) -> Fraction:
     cross-checks the result against the shoelace area of the reconstructed
     dual polygon.
     """
-    return _checked_dual_area(P, dual_polygon(P))
-
-
-def _bitangents(P: LatticePolygon, dual_area: Fraction) -> Fraction:
-    lower, upper = _arrow_sums(P)
-    return -5 * doubled_area(P) + dual_area + 3 * lower + upper
-
-
-def bitangent_count(P: LatticePolygon) -> Fraction:
-    """-10 vol(P) + vol(dual) + 3 (lower arrow lengths) + (upper arrow lengths).
-
-    Returned as an exact rational; integrality is only guaranteed when the
-    genericity assumptions are verified.
-    """
-    return _bitangents(P, dual_area_closed(P))
-
-
-def vertical_tangent_count(P: LatticePolygon) -> int:
-    """2 vol(P) - len P^down - len P^up."""
-    P.require_dim2()
-    lengths = edge_fan(P).as_dict()
-    return doubled_area(P) - lengths.get((0, -1), 0) - lengths.get((0, 1), 0)
-
-
-def euler_characteristic(P: LatticePolygon) -> int:
-    """-2 vol(P) plus the lattice perimeter (the compactified curve's
-    Euler characteristic)."""
-    return -doubled_area(P) + boundary_lattice_points(P)
-
-
-@dataclass(frozen=True)
-class PluckerReport:
-    polygon: LatticePolygon
-    vol: Fraction
-    inflections: int
-    bitangents: Fraction
-    dual_fan: WeightedFan
-    dual_polygon: LatticePolygon
-    dual_vol: Fraction
-    euler_char: int
-    genus: int
-    vertical_tangents: int
-
-
-def plucker_report(P: LatticePolygon) -> PluckerReport:
-    fan, dual = _dual_fan_and_polygon(P)
-    dvol = _checked_dual_area(P, dual)
-    return PluckerReport(
-        polygon=P,
-        vol=volume(P),
-        inflections=inflection_count(P),
-        bitangents=_bitangents(P, dvol),
-        dual_fan=fan,
-        dual_polygon=dual,
-        dual_vol=dvol,
-        euler_char=euler_characteristic(P),
-        genus=interior_lattice_points(P),
-        vertical_tangents=vertical_tangent_count(P),
-    )
+    return plucker_report(P).dual_vol

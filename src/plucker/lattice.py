@@ -1,4 +1,4 @@
-"""Exact integer lattice geometry: polygons, edge fans, mixed volumes.
+"""Exact integer lattice geometry: polygons, edge tables, mixed volumes.
 
 Everything here works over the integers (areas are stored doubled) so that
 no rounding can creep into the combinatorial formulas built on top.
@@ -277,37 +277,20 @@ def sort_rays_ccw(rays: Iterable[Point]) -> list[Point]:
     return sorted(rays, key=cmp_to_key(_ray_angle_cmp))
 
 
-@dataclass(frozen=True)
-class WeightedFan:
-    """Finite set of (primitive direction, positive weight) pairs."""
-
-    rays: tuple[tuple[Point, int], ...]
-
-    @staticmethod
-    def from_dict(d: dict[Point, int]) -> "WeightedFan":
-        return WeightedFan(tuple(sorted(d.items())))
-
-    def as_dict(self) -> dict[Point, int]:
-        return dict(self.rays)
-
-    def is_balanced(self) -> bool:
-        sx = sum(v[0] * w for v, w in self.rays)
-        sy = sum(v[1] * w for v, w in self.rays)
-        return sx == 0 and sy == 0
-
-
-def edge_fan(P: LatticePolygon) -> WeightedFan:
-    """Normal fan of P weighted by lattice edge lengths (the tropical fan
-    of a generic curve with Newton polygon P).  The weight at a primitive
-    direction g is the lattice length of P's face where <g, .> is maximal;
-    g is absent exactly when that face is a vertex (length 0)."""
+def edge_fan(P: LatticePolygon) -> dict[Point, int]:
+    """The edge table of P: outer primitive normal -> lattice length of the
+    edge.  Read as a weighted fan it is the normal fan of P (the tropical
+    fan of a generic curve with Newton polygon P), and the lengths sum to
+    the lattice perimeter.  The value at a primitive direction g is the
+    lattice length of P's face where <g, .> is maximal; g is absent
+    exactly when that face is a vertex (length 0)."""
     P.require_dim2()
-    rays: list[tuple[Point, int]] = []
+    lengths: dict[Point, int] = {}
     for (ax, ay), (bx, by) in P.edges():
         dx, dy = bx - ax, by - ay
         n = math.gcd(dx, dy)  # the edge's lattice length
-        rays.append(((dy // n, -dx // n), n))  # keyed by its outer normal (P is CCW)
-    return WeightedFan(tuple(sorted(rays)))
+        lengths[(dy // n, -dx // n)] = n  # keyed by its outer normal (P is CCW)
+    return lengths
 
 
 def standard_triangle(k: int = 1) -> LatticePolygon:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import LatticePolygon, WeightedFan
+from .lattice import LatticePolygon, Point
 
 _CELL = 28
 _PAD = 24
@@ -73,7 +73,7 @@ def _polygon_panel(P: LatticePolygon, title: str) -> _Panel:
     return w, h, parts
 
 
-def _fan_panel(fan: WeightedFan, title: str) -> _Panel:
+def _fan_panel(fan: dict[Point, int], title: str) -> _Panel:
     """Weighted rays from the origin, labelled by their weights."""
     size = 240
     c = size / 2
@@ -83,7 +83,7 @@ def _fan_panel(fan: WeightedFan, title: str) -> _Panel:
         f'<line x1="0" y1="{c}" x2="{size}" y2="{c}" stroke="#eee"/>',
         f'<line x1="{c}" y1="0" x2="{c}" y2="{size}" stroke="#eee"/>',
     ]
-    for (u, v), w in fan.rays:
+    for (u, v), w in sorted(fan.items()):
         n = math.hypot(u, v)
         ex = c + ray_len * u / n
         ey = c - ray_len * v / n
@@ -103,7 +103,7 @@ def _fan_panel(fan: WeightedFan, title: str) -> _Panel:
 
 
 def svg_report(
-    P: LatticePolygon, fan: WeightedFan, dual: LatticePolygon
+    P: LatticePolygon, fan: dict[Point, int], dual: LatticePolygon
 ) -> str:
     """Polygon, dual fan and dual polygon side by side."""
     panels = [

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from plucker import formulas
+from plucker import lattice
 from plucker.lattice import LatticePolygon, Point, lattice_points, segment_length
 
 # filled by the acceptance suite, echoed after the test run
@@ -44,20 +44,28 @@ def face_length(P: LatticePolygon, g: Point) -> int:
     return segment_length(face[0], face[-1])
 
 
+def fan_sum(fan: dict[Point, int]) -> Point:
+    """The weighted sum of a fan's rays: (0, 0) exactly when it balances."""
+    return (
+        sum(u * w for (u, _), w in fan.items()),
+        sum(v * w for (_, v), w in fan.items()),
+    )
+
+
 @pytest.fixture
-def dual_fan_calls(monkeypatch):
-    """A list that grows by one entry per ``dual_fan`` call, counted through
+def edge_fan_calls(monkeypatch):
+    """A list that grows by one entry per ``edge_fan`` call, counted through
     every plucker module that holds the function."""
     calls = []
-    original = formulas.dual_fan
+    original = lattice.edge_fan
 
     def counted(P):
         calls.append(P)
         return original(P)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "plucker" and vars(module).get("dual_fan") is original:
-            monkeypatch.setattr(module, "dual_fan", counted)
+        if name.split(".")[0] == "plucker" and vars(module).get("edge_fan") is original:
+            monkeypatch.setattr(module, "edge_fan", counted)
     return calls
 
 

@@ -236,12 +236,14 @@ class TestExitCodes:
         assert (EXIT_OK, EXIT_PARSE, EXIT_MISMATCH, EXIT_DEGENERATE) == (0, 2, 3, 4)
 
 
-class TestDualFanOnce:
-    @pytest.mark.parametrize("command", ["dual", "render"])
-    def test_one_dual_fan_call(self, command, polygon_file, dual_fan_calls, capsys):
-        path = polygon_file([[0, 0], [3, 0], [3, 4], [0, 4]])
+class TestOneEdgeTable:
+    @pytest.mark.parametrize("command", ["report", "dual", "render", "verify"])
+    def test_one_edge_fan_call(self, command, polygon_file, edge_fan_calls, capsys):
+        # 5*Delta takes the assumption gate's containment shortcut, so the
+        # only edge table verify reads is the report's
+        path = polygon_file([[0, 0], [5, 0], [0, 5]])
         assert run([command, "--polygon", path]) == EXIT_OK
-        assert len(dual_fan_calls) == 1
+        assert len(edge_fan_calls) == 1
 
 
 class TestUnitTriangle:

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import face_length, random_polygon, support_face
+from conftest import face_length, fan_sum, random_polygon, support_face
 from plucker import formulas
 from plucker.formulas import (
     FormulaInternalError,
@@ -22,6 +24,7 @@ from plucker.lattice import (
     ARROWS,
     DegeneratePolygonError,
     LOWER_ARROWS,
+    UPPER_ARROWS,
     LatticePolygon,
     dilate,
     doubled_area,
@@ -37,6 +40,18 @@ from plucker.lattice import (
 )
 
 GOLDEN = LatticePolygon.hull([(0, 0), (0, 1), (1, 1)])
+
+# vertex lists in a small box; their hulls include segments and points
+SMALL_POINT_SETS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=8
+)
+
+
+def curve_polygon(pts) -> LatticePolygon:
+    """The hull of ``pts``, assumed 2-dimensional and not a line's polygon."""
+    P = LatticePolygon.hull(pts)
+    assume(P.dim == 2 and P.canonical() != standard_triangle())
+    return P
 
 
 def quasihomog(c: int, d: int) -> LatticePolygon:
@@ -66,12 +81,12 @@ class TestInflectionCount:
 
 class TestDualFan:
     def test_golden(self):
-        assert dual_fan(GOLDEN).as_dict() == {(0, -1): 2, (1, 1): 1, (-1, 1): 1}
+        assert dual_fan(GOLDEN) == {(0, -1): 2, (1, 1): 1, (-1, 1): 1}
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_ddelta(self, d):
         w = d * d - d
-        assert dual_fan(dilate(standard_triangle(), d)).as_dict() == {
+        assert dual_fan(dilate(standard_triangle(), d)) == {
             (0, -1): w,
             (1, 1): w,
             (-1, 0): w,
@@ -79,23 +94,24 @@ class TestDualFan:
 
     @pytest.mark.parametrize("c,d", [(3, 4), (2, 2), (5, 1)])
     def test_rectangle(self, c, d):
-        assert dual_fan(rectangle(c, d)).as_dict() == {
+        assert dual_fan(rectangle(c, d)) == {
             (0, -1): 2 * c * d,
             (1, 1): 2 * c * d,
             (-1, 0): 2 * c * d,
         }
 
-    def test_balancing_and_weight_cases(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            P = random_polygon(rng)
-            fan = dual_fan(P)
-            assert fan.is_balanced()
-            assert all(w > 0 for _, w in fan.rays)
-            # off-arrow weights are the lengths of the opposite faces of P
-            for g, w in fan.rays:
-                if g not in ARROWS:
-                    assert w == face_length(P, neg(g))
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(SMALL_POINT_SETS)
+    def test_balancing_and_weight_cases(self, pts):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2)
+        fan = dual_fan(P)
+        assert fan_sum(fan) == (0, 0)
+        assert all(w > 0 for w in fan.values())
+        # off-arrow weights are the lengths of the opposite faces of P
+        for g, w in fan.items():
+            if g not in ARROWS:
+                assert w == face_length(P, neg(g))
 
 
 class TestDualPolygon:
@@ -201,14 +217,20 @@ class TestOtherInvariants:
 
 
 class TestRotationInvariance:
-    def test_counts_invariant(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            P = random_polygon(rng)
-            R = rotate_r(P)
-            assert inflection_count(R) == inflection_count(P)
-            assert bitangent_count(R) == bitangent_count(P)
-            assert doubled_area(R) == doubled_area(P)
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(SMALL_POINT_SETS)
+    def test_counts_invariant(self, pts):
+        P = curve_polygon(pts)
+        counts = attrgetter("vol", "inflections", "bitangents", "dual_vol", "genus", "euler_char")
+        assert counts(plucker_report(rotate_r(P))) == counts(plucker_report(P))
+
+
+class TestTranslationInvariance:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(SMALL_POINT_SETS, st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    def test_report_invariant(self, pts, t):
+        P = curve_polygon(pts)
+        assert replace(plucker_report(P.translate(t)), polygon=P) == plucker_report(P)
 
 
 class TestVertexFaceSpecialization:
@@ -252,7 +274,7 @@ class TestPluckerReport:
     def test_golden(self):
         r = plucker_report(GOLDEN)
         assert r.inflections == 0
-        assert r.dual_fan.as_dict() == {(0, -1): 2, (1, 1): 1, (-1, 1): 1}
+        assert r.dual_fan == {(0, -1): 2, (1, 1): 1, (-1, 1): 1}
         assert r.euler_char == 2
         assert r.vertical_tangents == 0
 
@@ -261,18 +283,31 @@ class TestPluckerReport:
         for _ in range(30):
             P = random_polygon(rng)
             r = plucker_report(P)
+            # face lengths by the vertex scan, independent of the edge table
+            lower = sum(face_length(P, g) for g in LOWER_ARROWS)
+            upper = sum(face_length(P, g) for g in UPPER_ARROWS)
+            assert r.vol == volume(P)
+            assert r.inflections == 3 * doubled_area(P) - 2 * lower - upper
+            assert r.bitangents == -5 * doubled_area(P) + r.dual_vol + 3 * lower + upper
             assert r.dual_fan == dual_fan(P)
-            assert r.dual_polygon == dual_polygon(P)
-            assert r.dual_vol == dual_area_closed(P)
-            assert r.bitangents == bitangent_count(P)
-            assert r.inflections == inflection_count(P)
+            assert r.dual_vol == volume(r.dual_polygon) == mixed_volume_dual_area(P)
             assert r.vertical_tangents == vertical_tangent_count(P)
             assert r.euler_char == euler_characteristic(P)
             assert r.genus == interior_lattice_points(P)
+            assert (r.inflections, r.bitangents, r.dual_polygon, r.dual_vol) == (
+                inflection_count(P),
+                bitangent_count(P),
+                dual_polygon(P),
+                dual_area_closed(P),
+            )
 
-    def test_dual_fan_derived_once(self, dual_fan_calls):
-        plucker_report(rectangle(3, 4))
-        assert len(dual_fan_calls) == 1
+    def test_one_edge_table(self, edge_fan_calls, monkeypatch):
+        areas = []
+        monkeypatch.setattr(formulas, "doubled_area", lambda P: areas.append(P) or doubled_area(P))
+        P = rectangle(3, 4)
+        plucker_report(P)
+        assert edge_fan_calls == [P]
+        assert areas == [P]
 
     def test_closed_area_mismatch_still_raises(self, monkeypatch):
         monkeypatch.setattr(formulas, "volume", lambda Q: volume(Q) + 1)
@@ -280,7 +315,7 @@ class TestPluckerReport:
             plucker_report(rectangle(3, 4))
 
     @pytest.mark.parametrize(
-        "fn", [dual_polygon, dual_area_closed, bitangent_count, plucker_report]
+        "fn", [dual_polygon, dual_area_closed, bitangent_count, inflection_count, plucker_report]
     )
     def test_unit_triangle_dual_is_a_point(self, fn):
         with pytest.raises(DegeneratePolygonError, match="dual is a point"):
