@@ -1,9 +1,35 @@
 """Tri-state genericity checks for a Newton polygon.
 
 The three assumptions behind the invariant formulas are decided by a
-battery of sufficient combinatorial criteria.  Failure of the battery
-yields Unknown, never FailsKnown, except for the second assumption where
-an exact classification (the thin-triangle family) is available.
+battery of sufficient combinatorial criteria.  Each criterion gives one
+evidence line (criterion, k, outcome) per direction k it runs in, the test
+applied to r^k(P).  Assumption 1 or 3 is Verified exactly when every one
+of its criteria passed, and Unknown otherwise: failure of the battery never
+yields FailsKnown.  Assumption 2 has an exact classification (the
+thin-triangle family), so it is Verified or FailsKnown.
+
+The outcomes that pass, then "|" and those that fail; every search also
+fails on "budget exhausted".  Assumption 1, in direction 0 or (k) in all three:
+  no-tritangents: Q6-generalized subdiagram found; contains 5R for a unimodular
+    parallelogram | no Q6 subdiagram, no 5R
+  no-inflected-bitangents: Q5 subdiagram found | no Q5 subdiagram
+  no-higher-flexes: Q4 subdiagram found | no Q4 subdiagram
+  no-boundary-bitangents (k): bottom face is a vertex; Q4 subdiagram aligned with the
+    bottom edge; two lattice points on a row at height >= 2 above the bottom edge
+    | no condition fired
+  no-inflections-at-infinity (k): not a thin triangle | thin triangle
+  no-corner-bitangents: 2-dimensional and not the unit triangle | polygon is the unit triangle
+Assumption 2, in the direction of the thin rotation, else 0:
+  thin-classification: not in the thin orbit | thin triangle
+Assumption 3, each in all three directions:
+  no-vertical-bitangents: 4 consecutive ordinates; vertical degree at most 3
+    | no condition fired
+  no-vertical-inflections: at least 3 ordinates | fewer than 3 ordinates
+  no-tangent-asymptotes: 3 ordinates or top face is a vertex | no condition fired
+
+When P contains a translate of 5*Delta, ``full_assumption_report`` skips
+the battery: all three are Verified on the one line contains-5-delta,
+"contains a translate of 5*Delta".
 """
 from __future__ import annotations
 
@@ -42,6 +68,7 @@ class Verdict(str, Enum):
 
 
 Evidence = list[tuple[str, int, str]]  # (criterion name, direction 0|1|2, outcome)
+_Row = tuple[str, int, bool, str]  # (criterion name, direction, passed, outcome)
 
 
 @dataclass(frozen=True)
@@ -64,11 +91,7 @@ class AssumptionReport:
 
     @property
     def all_verified(self) -> bool:
-        return (
-            self.a1 is Verdict.VERIFIED
-            and self.a2 is Verdict.VERIFIED
-            and self.a3 is Verdict.VERIFIED
-        )
+        return all(v is Verdict.VERIFIED for v in (self.a1, self.a2, self.a3))
 
 
 def is_thin(P: LatticePolygon) -> Optional[ThinTriangleWitness]:
@@ -226,7 +249,7 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     coords = range(-bound, bound + 1)
     # the parallelogram is fixed up to translation by its edges up to sign
     seen: set[tuple[Point, Point]] = set()
-    for ux, uy, vx, vy in islice(product(coords, repeat=4), budget):
+    for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
         if abs(ux * vy - uy * vx) != 1:
             continue
         u, v = (ux, uy), (vx, vy)
@@ -246,57 +269,49 @@ def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, Latti
     return P, rP, rotate_r(rP)
 
 
+def _verdict(rows: list[_Row]) -> tuple[Verdict, Evidence]:
+    """The verdict rule of assumptions 1 and 3: Verified exactly when every
+    row (criterion, direction, passed, outcome) passed, and Unknown
+    otherwise; the evidence is the rows without the pass flag."""
+    verdict = Verdict.VERIFIED if all(passed for _, _, passed, _ in rows) else Verdict.UNKNOWN
+    return verdict, [(name, k, outcome) for name, k, _, outcome in rows]
+
+
 def check_assumption1(
     P: LatticePolygon, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[Verdict, Evidence]:
     """Nodes-and-cusps-only battery: subdiagram classes of size 6, 5, 4,
     per-direction boundary-tangency exclusions, and the thin classification."""
     P.require_dim2()
-    ev: Evidence = []
-    ok = True
-
-    q6, exhausted6 = _find_Qd(P, 6, None, budget)
+    q6, exhausted = _find_Qd(P, 6, None, budget)
     if q6 is not None:
-        ev.append(("no-tritangents", 0, "Q6-generalized subdiagram found"))
+        rows = [("no-tritangents", 0, True, "Q6-generalized subdiagram found")]
     else:
         has_5R, exhausted5R = _contains_5R(P, budget)
         if has_5R:
-            ev.append(("no-tritangents", 0, "contains 5R for a unimodular parallelogram"))
+            outcome = "contains 5R for a unimodular parallelogram"
         else:
-            ok = False
-            exhausted = exhausted6 or exhausted5R
-            note = "budget exhausted" if exhausted else "no Q6 subdiagram, no 5R"
-            ev.append(("no-tritangents", 0, note))
-
+            outcome = "budget exhausted" if exhausted or exhausted5R else "no Q6 subdiagram, no 5R"
+        rows = [("no-tritangents", 0, has_5R, outcome)]
     for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
         qd, exhausted = _find_Qd(P, d, None, budget)
         if qd is not None:
-            ev.append((name, 0, f"Q{d} subdiagram found"))
+            outcome = f"Q{d} subdiagram found"
         else:
-            ok = False
-            note = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
-            ev.append((name, 0, note))
-
+            outcome = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
+        rows.append((name, 0, qd is not None, outcome))
     for k, Pk in enumerate(_rotations(P)):
         cond = _boundary_bitangent_excluded(Pk, budget)
-        if cond is not None:
-            ev.append(("no-boundary-bitangents", k, cond))
-        else:
-            ok = False
-            ev.append(("no-boundary-bitangents", k, "no condition fired"))
-        if is_thin(Pk) is None:
-            ev.append(("no-inflections-at-infinity", k, "not a thin triangle"))
-        else:
-            ok = False
-            ev.append(("no-inflections-at-infinity", k, "thin triangle"))
-
-    if P.canonical().vertices != standard_triangle().vertices:
-        ev.append(("no-corner-bitangents", 0, "2-dimensional and not the unit triangle"))
-    else:
-        ok = False
-        ev.append(("no-corner-bitangents", 0, "polygon is the unit triangle"))
-
-    return (Verdict.VERIFIED if ok else Verdict.UNKNOWN), ev
+        thin = is_thin(Pk) is not None
+        rows += [
+            ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
+            ("no-inflections-at-infinity", k, not thin,
+             "thin triangle" if thin else "not a thin triangle"),
+        ]
+    unit = P.canonical().vertices == standard_triangle().vertices
+    outcome = "polygon is the unit triangle" if unit else "2-dimensional and not the unit triangle"
+    rows.append(("no-corner-bitangents", 0, not unit, outcome))
+    return _verdict(rows)
 
 
 def _boundary_bitangent_excluded(Pk: LatticePolygon, budget: int) -> Optional[str]:
@@ -320,32 +335,24 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
     """No degenerate tangent is a bitangent, an inflection tangent, or an
     asymptote, checked in each of the three directions via the rotation."""
     P.require_dim2()
-    ev: Evidence = []
-    ok = True
+    rows: list[_Row] = []
     for k, Pk in enumerate(_rotations(P)):
         ys = sorted({y for _, y in lattice_points(Pk)})
-        consecutive4 = any(
-            all(y + i in ys for i in range(4)) for y in ys
-        )
-        span_le3 = ys[-1] - ys[0] <= 3
-        if consecutive4:
-            ev.append(("no-vertical-bitangents", k, "4 consecutive ordinates"))
-        elif span_le3:
-            ev.append(("no-vertical-bitangents", k, "vertical degree at most 3"))
+        if any(all(y + i in ys for i in range(4)) for y in ys):
+            rows.append(("no-vertical-bitangents", k, True, "4 consecutive ordinates"))
+        elif ys[-1] - ys[0] <= 3:
+            rows.append(("no-vertical-bitangents", k, True, "vertical degree at most 3"))
         else:
-            ok = False
-            ev.append(("no-vertical-bitangents", k, "no condition fired"))
-        if len(ys) >= 3:
-            ev.append(("no-vertical-inflections", k, "at least 3 ordinates"))
-        else:
-            ok = False
-            ev.append(("no-vertical-inflections", k, "fewer than 3 ordinates"))
-        if len(ys) >= 3 or UP not in edge_fan(Pk):
-            ev.append(("no-tangent-asymptotes", k, "3 ordinates or top face is a vertex"))
-        else:
-            ok = False
-            ev.append(("no-tangent-asymptotes", k, "no condition fired"))
-    return (Verdict.VERIFIED if ok else Verdict.UNKNOWN), ev
+            rows.append(("no-vertical-bitangents", k, False, "no condition fired"))
+        three = len(ys) >= 3
+        asymptotes = three or UP not in edge_fan(Pk)
+        rows += [
+            ("no-vertical-inflections", k, three,
+             "at least 3 ordinates" if three else "fewer than 3 ordinates"),
+            ("no-tangent-asymptotes", k, asymptotes,
+             "3 ordinates or top face is a vertex" if asymptotes else "no condition fired"),
+        ]
+    return _verdict(rows)
 
 
 def full_assumption_report(
@@ -369,14 +376,9 @@ def full_assumption_report(
         )
     a1, ev1 = check_assumption1(P, budget)
     a2, witness = assumption2_holds(P)
-    ev2: Evidence = [
-        (
-            "thin-classification",
-            witness.rotation_power if witness else 0,
-            "thin triangle" if witness else "not in the thin orbit",
-        )
-    ]
+    thin = (witness.rotation_power, "thin triangle") if witness else (0, "not in the thin orbit")
     a3, ev3 = check_assumption3(P)
     return AssumptionReport(
-        a1=a1, a2=a2, a3=a3, evidence=ev1 + ev2 + ev3, thin_witness=witness
+        a1=a1, a2=a2, a3=a3, evidence=ev1 + [("thin-classification", *thin)] + ev3,
+        thin_witness=witness,
     )

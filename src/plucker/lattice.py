@@ -247,17 +247,11 @@ def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     return tuple(pts)
 
 
-def boundary_lattice_points(P: LatticePolygon) -> int:
-    """Number of lattice points on the boundary (the lattice perimeter)."""
-    P.require_dim2()
-    return sum(segment_length(a, b) for a, b in P.edges())
-
-
 def interior_lattice_points(P: LatticePolygon) -> int:
     """Count of lattice points strictly inside P, via Pick's theorem."""
     P.require_dim2()
-    b = boundary_lattice_points(P)
-    return (doubled_area(P) - b + 2) // 2
+    perimeter = sum(segment_length(p, q) for p, q in P.edges())
+    return (doubled_area(P) - perimeter + 2) // 2
 
 
 def _ray_angle_cmp(a: Point, b: Point) -> int:

@@ -10,6 +10,7 @@ from conftest import random_polygon, support_face
 from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
+    ThinTriangleWitness,
     Verdict,
     _boundary_bitangent_excluded,
     _find_Qd,
@@ -474,6 +475,275 @@ class TestFullReport:
         assert rep.evidence
         names = {e[0] for e in rep.evidence}
         assert "no-tritangents" in names and "no-vertical-bitangents" in names
+
+
+# The (criterion, direction) of each evidence line of a battery report, in
+# order: the tritangent, inflected-bitangent and higher-flex searches; the
+# boundary-bitangent and inflection-at-infinity tests in each direction;
+# the corner test; the thin classification (at the direction of the thin
+# rotation, 0 when there is none); the three tests of assumption 3 in each
+# direction.
+BATTERY_ROWS = [
+    ("no-tritangents", 0),
+    ("no-inflected-bitangents", 0),
+    ("no-higher-flexes", 0),
+    ("no-boundary-bitangents", 0), ("no-inflections-at-infinity", 0),
+    ("no-boundary-bitangents", 1), ("no-inflections-at-infinity", 1),
+    ("no-boundary-bitangents", 2), ("no-inflections-at-infinity", 2),
+    ("no-corner-bitangents", 0),
+    ("thin-classification", 0),
+    ("no-vertical-bitangents", 0), ("no-vertical-inflections", 0), ("no-tangent-asymptotes", 0),
+    ("no-vertical-bitangents", 1), ("no-vertical-inflections", 1), ("no-tangent-asymptotes", 1),
+    ("no-vertical-bitangents", 2), ("no-vertical-inflections", 2), ("no-tangent-asymptotes", 2),
+]
+
+# P is 5R for u = (1, -2), v = (-2, 5); no staircase Q6 fits in it
+FIVE_R = [(0, 0), (5, -10), (-10, 25), (-5, 15)]
+
+# vertices, budget, (a1, a2, a3), thin witness, outcomes in BATTERY_ROWS order
+EVIDENCE_TABLE = [
+    pytest.param(
+        [(0, 0), (1, 0), (0, 1)], 200_000,
+        ("Unknown", "FailsKnown", "Unknown"), ThinTriangleWitness(k=0, translation=(-1, 0)),
+        [
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "no Q4 subdiagram",
+            "no condition fired", "thin triangle",
+            "no condition fired", "thin triangle",
+            "no condition fired", "thin triangle",
+            "polygon is the unit triangle", "thin triangle",
+            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="unit-triangle",
+    ),
+    pytest.param(
+        [(0, 0), (1, -2), (0, 1)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "no Q4 subdiagram",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "no condition fired", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="no-search-fires",
+    ),
+    pytest.param(
+        [(0, 0), (1, -2), (0, 1)], 10,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "budget exhausted", "no Q5 subdiagram", "no Q4 subdiagram",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "no condition fired", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="q6-budget-exhausted",
+    ),
+    pytest.param(
+        [(0, 0), (1, -3), (1, -1)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "Q4 subdiagram found",
+            "bottom face is a vertex", "not a thin triangle",
+            "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "no condition fired",
+        ],
+        id="q4-no-q5",
+    ),
+    pytest.param(
+        [(0, 0), (1, -3), (1, 0)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "no Q6 subdiagram, no 5R", "Q5 subdiagram found", "Q4 subdiagram found",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "no condition fired",
+        ],
+        id="q5-no-q6",
+    ),
+    pytest.param(
+        [(0, 0), (1, -3), (2, 0)], 200_000,
+        ("Verified", "Verified", "Verified"), None,
+        [
+            "Q6-generalized subdiagram found", "Q5 subdiagram found", "Q4 subdiagram found",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="all-verified",
+    ),
+    pytest.param(
+        [(0, 0), (3, 2), (3, 3), (0, 1)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "no Q4 subdiagram",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "two lattice points on a row at height >= 2 above the bottom edge", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "no condition fired", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="row-two-above-bottom",
+    ),
+    pytest.param(
+        [(0, 0), (1, -1), (0, 1)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "no Q4 subdiagram",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "no condition fired", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "fewer than 3 ordinates", "no condition fired",
+            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="two-rows-top-edge",
+    ),
+    pytest.param(
+        [(0, 0), (2, 2), (0, 1)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "no Q4 subdiagram",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "no condition fired", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "no condition fired", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="vertical-bitangents-unknown",
+    ),
+    pytest.param(
+        [(0, 0), (2, 0), (0, 2)], 10,
+        ("Unknown", "Verified", "Verified"), None,
+        [
+            "budget exhausted", "no Q5 subdiagram", "budget exhausted",
+            "no condition fired", "not a thin triangle",
+            "no condition fired", "not a thin triangle",
+            "no condition fired", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="2delta-q4-budget-exhausted",
+    ),
+    pytest.param(
+        [(0, 0), (1, -1), (2, 0), (0, 2)], 10,
+        ("Unknown", "Verified", "Verified"), None,
+        [
+            "budget exhausted", "budget exhausted", "Q4 subdiagram found",
+            "bottom face is a vertex", "not a thin triangle",
+            "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
+            "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="q5-budget-exhausted",
+    ),
+    pytest.param(
+        FIVE_R, 20_000,
+        ("Unknown", "Verified", "Verified"), None,
+        [
+            "contains 5R for a unimodular parallelogram", "budget exhausted", "Q4 subdiagram found",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="5R",
+    ),
+    # a1 is Unknown through the boundary test alone
+    pytest.param(
+        [(0, 0), (2, 0), (9, 1), (4, 1)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
+        [
+            "Q6-generalized subdiagram found", "Q5 subdiagram found", "Q4 subdiagram found",
+            "no condition fired", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "vertical degree at most 3", "fewer than 3 ordinates", "no condition fired",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="boundary-bitangents-decide",
+    ),
+    # 5R decides a1; the exhaustive search finds a Q5 after 98,739 subsets
+    pytest.param(
+        FIVE_R, 100_000,
+        ("Verified", "Verified", "Verified"), None,
+        [
+            "contains 5R for a unimodular parallelogram", "Q5 subdiagram found", "Q4 subdiagram found",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ],
+        id="5R-decides",
+    ),
+]
+
+
+class TestEvidenceTable:
+    """The whole report with ``fast_path=False`` on inputs that reach, with
+    the fast path on 5*Delta, every (criterion, outcome) pair the battery
+    can report."""
+
+    @pytest.mark.parametrize("vertices, budget, verdicts, witness, outcomes", EVIDENCE_TABLE)
+    def test_battery_report(self, vertices, budget, verdicts, witness, outcomes):
+        rep = full_assumption_report(LatticePolygon.hull(vertices), budget, fast_path=False)
+        assert (rep.a1.value, rep.a2.value, rep.a3.value) == verdicts
+        assert rep.thin_witness == witness
+        assert rep.evidence == [
+            (name, k, outcome) for (name, k), outcome in zip(BATTERY_ROWS, outcomes, strict=True)
+        ]
+
+    def test_fast_path_report(self):
+        rep = full_assumption_report(dilate(standard_triangle(), 5), fast_path=True)
+        assert (rep.a1, rep.a2, rep.a3) == (Verdict.VERIFIED,) * 3
+        assert rep.thin_witness is None
+        assert rep.evidence == [("contains-5-delta", 0, "contains a translate of 5*Delta")]
+
+    @pytest.mark.parametrize("vertices", [[(0, 0), (2, 0), (0, 2)], FIVE_R], ids=["2delta", "5R"])
+    def test_negative_budget_is_budget_zero(self, vertices):
+        P = LatticePolygon.hull(vertices)
+        a, b = full_assumption_report(P, -1), full_assumption_report(P, 0)
+        assert (a.a1, a.a2, a.a3, a.evidence, a.thin_witness) == (
+            b.a1, b.a2, b.a3, b.evidence, b.thin_witness
+        )
 
 
 class TestTranslationInvariance:

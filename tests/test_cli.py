@@ -132,6 +132,36 @@ class TestAssumptions:
         assert payload["a2"] == "FailsKnown"
         assert payload["thin_witness"]["k"] == 1
 
+    def test_thin_cubic_text(self, polygon_file, capsys):
+        path = polygon_file([[0, 3], [1, 0], [2, 0]])
+        assert run(["assumptions", "--polygon", path]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "a1 Unknown\n"
+            "a2 FailsKnown\n"
+            "a3 Verified\n"
+            "  [no-tritangents r^0] no Q6 subdiagram, no 5R\n"
+            "  [no-inflected-bitangents r^0] no Q5 subdiagram\n"
+            "  [no-higher-flexes r^0] no Q4 subdiagram\n"
+            "  [no-boundary-bitangents r^0] no condition fired\n"
+            "  [no-inflections-at-infinity r^0] thin triangle\n"
+            "  [no-boundary-bitangents r^1] bottom face is a vertex\n"
+            "  [no-inflections-at-infinity r^1] not a thin triangle\n"
+            "  [no-boundary-bitangents r^2] bottom face is a vertex\n"
+            "  [no-inflections-at-infinity r^2] not a thin triangle\n"
+            "  [no-corner-bitangents r^0] 2-dimensional and not the unit triangle\n"
+            "  [thin-classification r^0] thin triangle\n"
+            "  [no-vertical-bitangents r^0] vertical degree at most 3\n"
+            "  [no-vertical-inflections r^0] at least 3 ordinates\n"
+            "  [no-tangent-asymptotes r^0] 3 ordinates or top face is a vertex\n"
+            "  [no-vertical-bitangents r^1] vertical degree at most 3\n"
+            "  [no-vertical-inflections r^1] at least 3 ordinates\n"
+            "  [no-tangent-asymptotes r^1] 3 ordinates or top face is a vertex\n"
+            "  [no-vertical-bitangents r^2] vertical degree at most 3\n"
+            "  [no-vertical-inflections r^2] at least 3 ordinates\n"
+            "  [no-tangent-asymptotes r^2] 3 ordinates or top face is a vertex\n"
+            "  thin witness: k=1 translation=(0, 0) rotation=0\n"
+        )
+
     @pytest.mark.parametrize("raw", ["-1", "ten"])
     def test_rejects_a_bad_budget(self, raw, polygon_file, capsys, monkeypatch):
         monkeypatch.setenv("PLUCKER_BUDGET", raw)
