@@ -740,10 +740,7 @@ class TestEvidenceTable:
     @pytest.mark.parametrize("vertices", [[(0, 0), (2, 0), (0, 2)], FIVE_R], ids=["2delta", "5R"])
     def test_negative_budget_is_budget_zero(self, vertices):
         P = LatticePolygon.hull(vertices)
-        a, b = full_assumption_report(P, -1), full_assumption_report(P, 0)
-        assert (a.a1, a.a2, a.a3, a.evidence, a.thin_witness) == (
-            b.a1, b.a2, b.a3, b.evidence, b.thin_witness
-        )
+        assert full_assumption_report(P, -1) == full_assumption_report(P, 0)
 
 
 class TestTranslationInvariance:
