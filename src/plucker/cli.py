@@ -244,18 +244,14 @@ def cmd_implicitize(P: LatticePolygon, args) -> tuple[object, str, int]:
     plucker_report(P)  # a line has no dual curve to implicitize
     _require_verified_or_advisory(P, args)
     poly, observed = implicitize_dual(P, _oracle_cfg(args))
-    coeffs = {
-        f"{u},{v}": [c.real, c.imag] for (u, v), c in sorted(poly.terms.items())
-    }
+    # exact integers, as [real, imaginary] pairs
+    coeffs = {f"{u},{v}": [c, 0] for (u, v), c in sorted(poly.terms.items())}
     payload = {
         "polygon": polygon_json(P),
         "dual_coefficients": coeffs,
         "observed_polygon": polygon_json(observed),
     }
-    lines = [
-        f"a^{u} b^{v}  {c.real:+.9g}{c.imag:+.3g}j"
-        for (u, v), c in sorted(poly.terms.items())
-    ]
+    lines = [f"a^{u} b^{v}  {c:+d}" for (u, v), c in sorted(poly.terms.items())]
     lines.append(f"observed polygon {list(observed.vertices)}")
     return payload, "\n".join(lines), EXIT_OK
 
@@ -271,7 +267,7 @@ _COMMANDS = {
     "dual": (cmd_dual, "dual tropical fan and dual Newton polygon"),
     "assumptions": (cmd_assumptions, "tri-state genericity verdicts with evidence"),
     "verify": (cmd_verify, "formula vs analytic oracle, side by side"),
-    "implicitize": (cmd_implicitize, "numerically recover the dual curve's equation"),
+    "implicitize": (cmd_implicitize, "exact integer equation of the dual curve"),
     "render": (cmd_render, "SVG picture of the polygon, fan and dual"),
 }
 
@@ -331,14 +327,16 @@ def _result(args) -> tuple[str, int]:
     try:
         P = read_polygon(args.polygon)
         payload, text, code = _COMMANDS[args.command][0](P, args)
+        if args.format == "json":
+            # an int of more than sys.get_int_max_str_digits() digits
+            # raises ValueError here, as in a text format
+            text = json.dumps(payload, indent=2, sort_keys=True)
     except (CliError, RetriesExhaustedError, ValueError) as exc:
         msg = str(exc)
         text = json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}"
         if isinstance(exc, CliError):
             return text, exc.code
         return text, EXIT_DEGENERATE if isinstance(exc, RetriesExhaustedError) else EXIT_PARSE
-    if args.format == "json":
-        return json.dumps(payload, indent=2, sort_keys=True), code
     return text, code
 
 

@@ -2,8 +2,8 @@
 
 Samples a random integer-coefficient curve supported on a polygon, counts
 its inflection points (via the bordered Hessian) and vertical tangents by
-exact elimination, and recovers the dual curve's equation at tiny scale by
-evaluating monomials of the predicted dual support on sampled tangency data.
+exact elimination, and computes the dual curve's exact integer equation
+as a discriminant.
 
 The torus count is exact and uses only Python integers.  One subresultant
 PRS in y (Brown and Traub, "On Euclid's algorithm and the theory of
@@ -23,11 +23,18 @@ not minors, so only the minors are tested for zero or unpacked.  The
 univariate gcds use the heuristic gcd (Char, Geddes and
 Gonnet, "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
 computation", J. Symbolic Comput. 7, 1989), verified by exact division,
-with the same PRS as fallback.  Floating point enters only dual sampling,
-implicitization and the standalone root finder ``roots_of_int_poly``.
+with the same PRS as fallback.
 
-``numpy`` is imported inside the functions that use it (the numeric root
-finder and the SVD), so importing this module does not load it.
+The dual equation is the discriminant of the pencil of lines
+a x + b y + 1 = 0 restricted to the curve, computed by the same PRS with
+the coefficients in Z[a, b] packed at a = 2**k, b = 2**(k*w)
+(``_dual_equation``).
+
+Floating point enters only the numeric dual sampler
+``sample_dual_points`` and the standalone root finder
+``roots_of_int_poly``; neither is on a path of the CLI.  ``numpy`` is
+imported inside the root finder they share, so importing this module
+does not load it.
 """
 from __future__ import annotations
 
@@ -83,8 +90,8 @@ class OracleConfig:
 class SparsePoly:
     """Bivariate polynomial as a map from lattice exponents to coefficients.
 
-    Exact constructors store ints; numeric coefficients (the output of
-    implicitization) are kept as given.  Zero coefficients are never stored.
+    The oracle stores ints; other coefficients are kept as given.  Zero
+    coefficients are never stored.
     """
 
     __slots__ = ("terms",)
@@ -390,6 +397,66 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     return len(Rs) - len(Z) - len(I) + 1
 
 
+def _pack_ab(terms: dict[Point, int], k: int, w: int) -> int:
+    """The value of sum c a**u b**v at a = 2**k, b = 2**(k*w)."""
+    return sum(c << (k * (u + w * v)) for (u, v), c in terms.items())
+
+
+def _unpack_ab(v: int, k: int, w: int) -> SparsePoly:
+    """The polynomial in (a, b) whose b-coefficients are the balanced
+    base-2**(k*w) digits of v and whose a-coefficients are theirs in base
+    2**k."""
+    return SparsePoly(
+        {(u, j): c for j, row in enumerate(_unpack(v, k * w)) for u, c in enumerate(_unpack(row, k))}
+    )
+
+
+def _dual_equation(f: SparsePoly) -> SparsePoly:
+    """The equation G(a, b) of the dual curve of f = 0, whose points are the
+    lines a x + b y + 1 = 0 tangent to it: primitive, with no monomial
+    factor and a positive coefficient at its largest exponent.
+
+    Such a line is tangent where h(x) = b**n f(x, -(1 + a x)/b), n = deg_y f,
+    has a double root, so G is the discriminant Res_x(h, h_x) / lc_x(h) with
+    its monomial and integer content removed.  The PRS runs on h and h_x
+    with their x-coefficients packed at a = 2**k, b = 2**(k*w).  A Sylvester
+    minor has a-degree at most deg_a(h) (2 deg_x h - 1) < w - 1 and
+    coefficients bounded as in the module docstring, so the resultant D
+    unpacks exactly.  The quotient by lc_x(h) is not a minor: its unpacking
+    is certified by multiplying it back against D in Z[a, b], and k doubles
+    until it is, at most three times.
+    """
+    f = _integral_terms(f.strip_monomial())
+    n = max(ey for _, ey in f)
+    # h by x-degree; each term c x**i y**j gives the terms
+    # c (-1)**j C(j, t) x**(i + t) a**t b**(n - j), none shared with another
+    h: dict[int, dict[Point, int]] = {}
+    for (i, j), c in f.items():
+        for t in range(j + 1):
+            h.setdefault(i + t, {})[(t, n - j)] = (-1) ** j * math.comb(j, t) * c
+    m = max(h)
+    hx = {d - 1: {e: d * c for e, c in row.items()} for d, row in h.items() if d}
+    norm_h = sum(abs(c) for row in h.values() for c in row.values())
+    norm_hx = sum(abs(c) for row in hx.values() for c in row.values())
+    k = (norm_h ** (m - 1) * norm_hx**m).bit_length() + 2
+    w = n * (2 * m - 1) + 2  # deg_a h = n
+    for _ in range(4):
+        H = [_pack_ab(h.get(d, {}), k, w) for d in range(m, -1, -1)]
+        Hx = [_pack_ab(hx.get(d, {}), k, w) for d in range(m - 1, -1, -1)]
+        _, res = _subresultants(H, Hx)
+        if not res:
+            raise DegenerateSampleError("identically-zero discriminant (the curve has a repeated factor)")
+        Q = _unpack_ab(res // H[0], k, w)
+        if Q * SparsePoly(h[m]) == _unpack_ab(res, k, w):
+            break
+        k *= 2
+    else:
+        raise DegenerateSampleError("dual equation not certified at 8 times the packing width")
+    G = Q.strip_monomial().terms
+    g = math.gcd(*G.values()) * (1 if G[max(G)] > 0 else -1)
+    return SparsePoly({e: c // g for e, c in G.items()})
+
+
 def _scaled_float(c: int, shift: int) -> float:
     if shift <= 0:
         return float(c)
@@ -541,54 +608,45 @@ def implicitize_dual(
     cfg: OracleConfig,
     poly: Optional[SparsePoly] = None,
 ) -> tuple[SparsePoly, LatticePolygon]:
-    """Recover the dual curve's equation numerically on the predicted
-    support and return it with its observed Newton polygon.
-
-    The evaluation matrix of the predicted dual monomials at sampled dual
-    points must have a one-dimensional kernel; that simultaneously pins the
-    coefficients and validates the predicted polygon.
-    """
+    """The exact dual equation of a curve sampled on P (or of ``poly``),
+    with its Newton polygon, which must match the predicted dual polygon
+    up to translation."""
     predicted = dual_polygon(P)
-    support = lattice_points(predicted)
-    if len(support) > 40:
+    if len(lattice_points(predicted)) > 40:
         raise ValueError("dual support too large for implicitization")
     if poly is not None:
         # a given curve cannot be resampled: its first degeneracy is final
-        return _implicitize_once(poly, predicted, support, cfg)
-    return _retry_samples(
-        P, cfg, "implicitization", lambda f, c: _implicitize_once(f, predicted, support, c)
-    )
+        return _implicitize_once(poly, predicted)
+    return _retry_samples(P, cfg, "implicitization", lambda f, c: _implicitize_once(f, predicted))
 
 
 def _implicitize_once(
-    f: SparsePoly,
-    predicted: LatticePolygon,
-    support: tuple[Point, ...],
-    cfg: OracleConfig,
+    f: SparsePoly, predicted: LatticePolygon
 ) -> tuple[SparsePoly, LatticePolygon]:
-    import numpy as np
-
-    sample = sample_dual_points(f, 2 * len(support) + 4, cfg)
-    A = np.array(
-        [[a ** u * b ** v for (u, v) in support] for a, b in sample],
-        dtype=complex,
-    )
-    _, s, vh = np.linalg.svd(A)
-    # a one-dimensional kernel: a small last singular value, well separated
-    # from the next one (the gap is relative, since the monomial matrix can
-    # be ill-conditioned far above its kernel)
-    if s[-1] > 1e-8 * s[0] or (len(s) > 1 and s[-2] < 1e4 * s[-1]):
-        raise DegenerateSampleError("kernel dimension != 1 in dual implicitization")
-    kernel = vh[-1].conj()
-    kernel = kernel / kernel[np.argmax(np.abs(kernel))]
-    terms = {
-        e: complex(c)
-        for e, c in zip(support, kernel)
-        if abs(c) > 1e-6
-    }
-    observed = LatticePolygon.hull(terms.keys())
+    G = _dual_equation(f)
+    observed = G.newton_polygon()
     if observed.canonical().vertices != predicted.canonical().vertices:
         raise DegenerateSampleError(
             "observed dual support does not match the predicted polygon"
         )
-    return SparsePoly(terms), observed
+    if not _is_squarefree(G):
+        raise DegenerateSampleError("dual equation has a repeated factor")
+    return G, observed
+
+
+def _is_squarefree(G: SparsePoly) -> bool:
+    """True when G(a, b0 + s a) has G's total degree and no repeated root
+    on one of three lines.  That proves G squarefree: a factor A**2 of G
+    restricts to one of degree 2 deg A there.  A singular curve, such as a
+    pair of lines, has a square factor in its discriminant for each node."""
+    d = max(u + v for u, v in G.terms)
+    rows = [[0] * (d + 1) for _ in range(max(v for _, v in G.terms) + 1)]
+    for (u, v), c in G.terms.items():
+        rows[v][u] = c
+    for b0, s in ((1, 2), (3, 5), (7, 11)):
+        g = [0] * (d + 1)
+        for row in reversed(rows):  # Horner in b
+            g = [b0 * x + s * y + r for x, y, r in zip(g, [0] + g[:-1], row)]
+        if g[d] and len(_gcd(g, [i * c for i, c in enumerate(g)][1:])) == 1:
+            return True
+    return False

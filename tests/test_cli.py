@@ -16,6 +16,7 @@ from plucker.cli import (
 )
 from plucker.formulas import dual_polygon
 from plucker.lattice import LatticePolygon, rotate_r
+from plucker.oracle import OracleConfig, implicitize_dual
 from plucker.render import _GRID_MAX_POINTS, _grid_and_dots
 
 
@@ -223,6 +224,48 @@ class TestVerify:
         assert run(["verify", "--polygon", path]) == EXIT_PARSE
 
 
+class TestImplicitize:
+    SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_coefficients_printed_exactly(self, polygon_file, capsys, fmt):
+        bound = 10**400
+        argv = ["implicitize", "--polygon", polygon_file(self.SQUARE), "--advisory"]
+        assert run(argv + ["--coeff-bound", str(bound), "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "json":
+            pairs = json.loads(out)["dual_coefficients"]
+            assert all(im == 0 for _, im in pairs.values())
+            printed = {k: re for k, (re, _) in pairs.items()}
+        else:
+            printed = {f"{m[2:]},{n[2:]}": int(c) for m, n, c in (line.split() for line in out.splitlines()[:-1])}
+        G, _ = implicitize_dual(LatticePolygon.hull(self.SQUARE), OracleConfig(seed=1, coeff_bound=bound))
+        assert printed == {f"{u},{v}": c for (u, v), c in G.terms.items()}
+        assert max(abs(c) for c in G.terms.values()) > 10**700
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficients_past_the_digit_limit_exit_2(self, polygon_file, capsys, fmt):
+        # the bound has 4,001 digits, under Python's 4,300-digit limit on
+        # int <-> str conversion, and the dual equation's coefficients about
+        # 8,000
+        argv = ["implicitize", "--polygon", polygon_file(self.SQUARE), "--advisory"]
+        assert run(argv + ["--coeff-bound", str(10**4000), "--format", fmt]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        if fmt == "json":
+            out = json.loads(out)["error"]
+        else:
+            assert out.startswith("error: ")
+        assert "limit" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bound_past_the_digit_limit_exits_2(self, polygon_file, capsys, fmt):
+        argv = ["implicitize", "--polygon", polygon_file(self.SQUARE), "--advisory", "--format", fmt]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--coeff-bound", "1" + "0" * 5000])
+        assert exc.value.code == EXIT_PARSE
+        assert "error: argument --coeff-bound: invalid int value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "implicitize"])
 def test_each_polygon_listed_once(command, polygon_file, listed_once):
     # the gate lists P, r(P) and r^2(P), implicitize also the dual support,
@@ -317,9 +360,9 @@ print(json.dumps(loaded))
 
 
 def test_oracle_libraries_load_only_where_used():
-    # only the numeric dual sampling behind implicitize needs one of them;
-    # the combinatorial subcommands and the exact count behind verify load
-    # none
+    # no subcommand needs one of them: the combinatorial ones, the exact
+    # count behind verify and the exact dual equation behind implicitize
+    # load none
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-c", _HEAVY_MODULES_SCRIPT],
@@ -332,5 +375,5 @@ def test_oracle_libraries_load_only_where_used():
     loaded = json.loads(proc.stdout)
     for command in ("report", "dual", "assumptions", "render"):
         assert loaded[command] == [EXIT_OK, []], command
-    assert loaded["implicitize"] == [EXIT_OK, ["numpy"]]
+    assert loaded["implicitize"] == [EXIT_OK, []]
     assert loaded["verify"] == [EXIT_OK, []]

@@ -4,16 +4,20 @@
 kept here as the reference: the same certificates, in the same order, on
 sympy's dense polynomials.
 """
+import math
 import random
 
+import pytest
 import sympy
 
 from conftest import random_polygon
 from plucker import oracle
+from plucker.lattice import LatticePolygon
 from plucker.oracle import (
     DegenerateSampleError,
     OracleConfig,
     SparsePoly,
+    _dual_equation,
     _gcd,
     _integral_terms,
     _pack_y,
@@ -195,3 +199,28 @@ def test_packing_width_below_the_bound_unpacks_a_wrong_resultant():
     narrow = _packing_width(F, G) - 2
     _, res = _subresultants(_pack_y(F, narrow), _pack_y(G, narrow))
     assert _unpack(res, narrow) != [0, 1000001]
+
+
+def _primitive_terms(terms):
+    """Terms divided by their monomial and integer content, with a positive
+    coefficient at the largest exponent."""
+    mu = min(u for u, _ in terms)
+    mv = min(v for _, v in terms)
+    g = math.gcd(*terms.values()) * (1 if terms[max(terms)] > 0 else -1)
+    return {(u - mu, v - mv): c // g for (u, v), c in terms.items()}
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[(0, 0), (3, 0), (0, 3)], [(0, 0), (3, 0), (3, 2)], [(0, 0), (1, 0), (1, 3), (0, 3)]],
+    ids=["3delta", "tri-slab", "rect1x3"],
+)
+def test_dual_equation_is_the_sympy_discriminant(vertices):
+    # the discriminant in x of b**n f(x, -(1 + a x)/b), n = deg_y f, up to a
+    # constant times a monomial
+    a, b = sympy.symbols("a b")
+    f = sample_poly(LatticePolygon.hull(vertices), OracleConfig(seed=3)).strip_monomial()
+    n = f.degree_y()
+    h = sympy.expand(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()))
+    disc = sympy.Poly(sympy.discriminant(h, _X), a, b).as_dict(native=True)
+    assert _dual_equation(f).terms == _primitive_terms(disc)

@@ -4,10 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polygon
+from plucker import oracle
 from plucker.assumptions import Verdict, full_assumption_report
-from plucker.formulas import dual_polygon, inflection_count, vertical_tangent_count
+from plucker.formulas import dual_fan, dual_polygon, inflection_count, vertical_tangent_count
 from plucker.lattice import (
     LatticePolygon,
     dilate,
@@ -31,7 +34,9 @@ from plucker.oracle import (
     sample_poly,
     vertical_tangent_oracle,
     _count_in_charts,
+    _dual_equation,
     _implicitize_once,
+    _is_squarefree,
 )
 
 CFG = OracleConfig(seed=12345)
@@ -385,8 +390,75 @@ class TestImplicitize:
 
     def test_two_dimensional_kernel_degenerate(self):
         # the support of a * (a^2 + 4ab - 2a + 1) also holds the dual
-        # equation itself, so both lie in the kernel
+        # equation itself, but not as its Newton polygon
         predicted = LatticePolygon.hull([(0, 0), (3, 0), (2, 1), (1, 1)])
-        support = lattice_points(predicted)
-        with pytest.raises(DegenerateSampleError):
-            _implicitize_once(GOLDEN_POLY, predicted, support, CFG)
+        with pytest.raises(DegenerateSampleError, match="does not match the predicted"):
+            _implicitize_once(GOLDEN_POLY, predicted)
+
+    def test_singular_curve_degenerate(self):
+        # the discriminant of the line pair (1 + x)(1 + y) is the square of
+        # the pencil through its node, whose Newton polygon is the predicted
+        # one
+        pair = poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+        P = LatticePolygon.hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(DegenerateSampleError, match="repeated factor"):
+            implicitize_dual(P, CFG, poly=pair)
+
+    def test_line_pairs_resampled(self):
+        # with coefficients +-1 on the unit square every sample drawn at
+        # seed 1 is a line pair, and one drawn at seed 2 a smooth conic
+        P = LatticePolygon.hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(RetriesExhaustedError, match="repeated factor"):
+            implicitize_dual(P, OracleConfig(seed=1, coeff_bound=1))
+        rec, _ = implicitize_dual(P, OracleConfig(seed=2, coeff_bound=1))
+        assert rec.terms == {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): 2, (1, 1): 6, (2, 0): 1}
+
+
+class TestDualEquation:
+    def test_golden_exact(self):
+        assert _dual_equation(GOLDEN_POLY).terms == {(2, 0): 1, (1, 1): 4, (1, 0): -2, (0, 0): 1}
+
+    def test_square_curve_degenerate(self):
+        # (1 + x + y)**2 meets every line in a double point
+        square = poly({(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 1, (1, 1): 2, (0, 2): 1})
+        with pytest.raises(DegenerateSampleError, match="identically-zero discriminant"):
+            _dual_equation(square)
+
+    def test_squarefree_needs_the_full_degree_on_a_line(self):
+        # b - 2a is the constant 1 on the line b = 1 + 2a, where the square
+        # of it times a + b + 3 restricts to the squarefree 3a + 4
+        A = poly({(0, 1): 1, (1, 0): -2})
+        B = poly({(1, 0): 1, (0, 1): 1, (0, 0): 3})
+        assert _is_squarefree(A * B)
+        assert not _is_squarefree(A * A * B)
+
+    def test_uncertified_quotient_degenerate(self, monkeypatch):
+        # a resultant off by one is no multiple of lc_x(h) at any width
+        subresultants = oracle._subresultants
+        monkeypatch.setattr(oracle, "_subresultants", lambda F, G: (None, subresultants(F, G)[1] + 1))
+        with pytest.raises(DegenerateSampleError, match="not certified"):
+            _dual_equation(GOLDEN_POLY)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[(0, 0), (0, 1), (1, 1)], [(0, 0), (3, 0), (0, 3)], [(0, 0), (3, 0), (3, 2)], [(0, 0), (2, 0), (3, 1), (3, 2)]],
+    )
+    def test_vanishes_at_sampled_dual_points(self, vertices):
+        # the numeric sampler is an independent witness: G is zero, to
+        # rounding, at the tangent lines it finds by root finding
+        f = sample_poly(LatticePolygon.hull(vertices), CFG)
+        G = _dual_equation(f)
+        for a, b in sample_dual_points(f, 20, CFG):
+            terms = [c * a**u * b**v for (u, v), c in G.terms.items()]
+            assert abs(sum(terms)) <= 1e-9 * sum(map(abs, terms))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=9),
+        st.integers(1, 2**32),
+    )
+    def test_newton_polygon_is_the_dual_polygon(self, points, seed):
+        P = LatticePolygon.hull(points)
+        assume(P.dim == 2 and dual_fan(P))  # a line's dual is a point
+        G = _dual_equation(sample_poly(P, OracleConfig(seed=seed)))
+        assert G.newton_polygon().canonical().vertices == dual_polygon(P).canonical().vertices
