@@ -214,7 +214,7 @@ def contains_translate(
     return None
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=3)
 def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     """All lattice points of P (boundary included), in lexicographic order.
 
@@ -223,11 +223,11 @@ def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     segment has one edge each way on the same line; a vertical segment or a
     point has neither, and its column is the bounding box's.
 
-    The last four polygons listed are remembered by value: one command lists
-    at most P, r(P), r^2(P) and the support of the dual curve, and each
-    search or sample asks again for the points it needs.  The remembered
-    listings stay alive after the call, so a caller that lists a huge
-    polygon frees them with ``lattice_points.cache_clear()``.
+    The last three polygons listed are remembered by value: one command lists
+    at most P, r(P) and r^2(P), and each search or sample asks again for the
+    points it needs.  The remembered listings stay alive after the call, so
+    a caller that lists a huge polygon frees them with
+    ``lattice_points.cache_clear()``.
     """
     (xl, yl), (xh, yh) = P.bounding_box()
     # Edge a -> b with dx = bx - ax: its line has height (ay*dx + dy*(x - ax)) / dx.

@@ -26,8 +26,9 @@ computation", J. Symbolic Comput. 7, 1989), verified by exact division,
 with the same PRS as fallback.
 
 The dual equation is the discriminant of the pencil of lines
-a x + b y + 1 = 0 restricted to the curve, computed by the same PRS with
-the coefficients in Z[a, b] packed at a = 2**k, b = 2**(k*w)
+a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
+the same width, with each coefficient in Z[a, b] keyed by its Kronecker
+exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w)
 (``_dual_equation``).
 
 Floating point enters only the numeric dual sampler
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from .formulas import dual_polygon
-from .lattice import LatticePolygon, Point, lattice_points
+from .lattice import LatticePolygon, Point, edge_fan, interior_lattice_points, lattice_points
 
 _T = TypeVar("_T")
 
@@ -215,7 +216,9 @@ def _integral_terms(f: SparsePoly) -> dict[Point, int]:
 
 def _packing_width(F: dict[Point, int], G: dict[Point, int]) -> int:
     """Bits per packed x-coefficient that hold every Sylvester minor of F
-    and G (module docstring)."""
+    and G (module docstring), and, for F = h and G = h_x keyed by Kronecker
+    exponents, the quotient Res_x(h, h_x) / lc_x(h) of ``_dual_equation``,
+    whose 1-norm is also at most ||h||_1**(m-1) ||h_x||_1**m, m = deg_x h."""
     norm = sum(map(abs, F.values())) ** max(ey for _, ey in G)
     norm *= sum(map(abs, G.values())) ** max(ey for _, ey in F)
     return norm.bit_length() + 2
@@ -397,11 +400,6 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     return len(Rs) - len(Z) - len(I) + 1
 
 
-def _pack_ab(terms: dict[Point, int], k: int, w: int) -> int:
-    """The value of sum c a**u b**v at a = 2**k, b = 2**(k*w)."""
-    return sum(c << (k * (u + w * v)) for (u, v), c in terms.items())
-
-
 def _unpack_ab(v: int, k: int, w: int) -> SparsePoly:
     """The polynomial in (a, b) whose b-coefficients are the balanced
     base-2**(k*w) digits of v and whose a-coefficients are theirs in base
@@ -417,42 +415,40 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
     factor and a positive coefficient at its largest exponent.
 
     Such a line is tangent where h(x) = b**n f(x, -(1 + a x)/b), n = deg_y f,
-    has a double root, so G is the discriminant Res_x(h, h_x) / lc_x(h) with
-    its monomial and integer content removed.  The PRS runs on h and h_x
-    with their x-coefficients packed at a = 2**k, b = 2**(k*w).  A Sylvester
-    minor has a-degree at most deg_a(h) (2 deg_x h - 1) < w - 1 and
-    coefficients bounded as in the module docstring, so the resultant D
-    unpacks exactly.  The quotient by lc_x(h) is not a minor: its unpacking
-    is certified by multiplying it back against D in Z[a, b], and k doubles
-    until it is, at most three times.
+    has a double root, so G is the discriminant Q = Res_x(h, h_x) / lc_x(h)
+    with its monomial and integer content removed.  The PRS runs on the
+    kernel of ``count_torus_solutions``: h is keyed by (Kronecker exponent
+    of a after b -> a**w, x-degree), so its x-coefficients pack at
+    a = 2**k, b = 2**(k*w).
+
+    One width holds Q, though Q is not a minor.  With m = deg_x h,
+    subtract m times the first h-row of the Sylvester matrix of h and h_x
+    from its first h_x-row: that row becomes the coefficients of
+    x h_x - m h, of 1-norm at most m ||h||_1, and the first column holds
+    lc_x(h) alone.  So Q = +-det M, M having m - 2 rows of h, that row and
+    m - 1 rows of h_x, and ||Q||_1 <= m ||h||_1**(m-1) ||h_x||_1**(m-1)
+    <= ||h||_1**(m-1) ||h_x||_1**m, as ||h_x||_1 >= m: the
+    ``_packing_width`` norm of h and h_x.  And deg_a Q <= deg_a D
+    <= n (2m - 1) < w - 1 for D = Res_x(h, h_x), so Q unpacks exactly.
     """
     f = _integral_terms(f.strip_monomial())
     n = max(ey for _, ey in f)
-    # h by x-degree; each term c x**i y**j gives the terms
-    # c (-1)**j C(j, t) x**(i + t) a**t b**(n - j), none shared with another
-    h: dict[int, dict[Point, int]] = {}
-    for (i, j), c in f.items():
-        for t in range(j + 1):
-            h.setdefault(i + t, {})[(t, n - j)] = (-1) ** j * math.comb(j, t) * c
-    m = max(h)
-    hx = {d - 1: {e: d * c for e, c in row.items()} for d, row in h.items() if d}
-    norm_h = sum(abs(c) for row in h.values() for c in row.values())
-    norm_hx = sum(abs(c) for row in hx.values() for c in row.values())
-    k = (norm_h ** (m - 1) * norm_hx**m).bit_length() + 2
+    m = max(i + j for i, j in f)
     w = n * (2 * m - 1) + 2  # deg_a h = n
-    for _ in range(4):
-        H = [_pack_ab(h.get(d, {}), k, w) for d in range(m, -1, -1)]
-        Hx = [_pack_ab(hx.get(d, {}), k, w) for d in range(m - 1, -1, -1)]
-        _, res = _subresultants(H, Hx)
-        if not res:
-            raise DegenerateSampleError("identically-zero discriminant (the curve has a repeated factor)")
-        Q = _unpack_ab(res // H[0], k, w)
-        if Q * SparsePoly(h[m]) == _unpack_ab(res, k, w):
-            break
-        k *= 2
-    else:
-        raise DegenerateSampleError("dual equation not certified at 8 times the packing width")
-    G = Q.strip_monomial().terms
+    # each term c x**i y**j gives c (-1)**j C(j, t) x**(i + t) a**t b**(n - j),
+    # none shared with another
+    h = {
+        (t + w * (n - j), i + t): (-1) ** j * math.comb(j, t) * c
+        for (i, j), c in f.items()
+        for t in range(j + 1)
+    }
+    hx = {(e, d - 1): d * c for (e, d), c in h.items() if d}
+    k = _packing_width(h, hx)
+    H = _pack_y(h, k)
+    _, res = _subresultants(H, _pack_y(hx, k))
+    if not res:
+        raise DegenerateSampleError("identically-zero discriminant (the curve has a repeated factor)")
+    G = _unpack_ab(res // H[0], k, w).strip_monomial().terms
     g = math.gcd(*G.values()) * (1 if G[max(G)] > 0 else -1)
     return SparsePoly({e: c // g for e, c in G.items()})
 
@@ -612,7 +608,8 @@ def implicitize_dual(
     with its Newton polygon, which must match the predicted dual polygon
     up to translation."""
     predicted = dual_polygon(P)
-    if len(lattice_points(predicted)) > 40:
+    # counted by Pick's theorem: the dual of d Delta holds O(d**4) points
+    if interior_lattice_points(predicted) + sum(edge_fan(predicted).values()) > 40:
         raise ValueError("dual support too large for implicitization")
     if poly is not None:
         # a given curve cannot be resampled: its first degeneracy is final

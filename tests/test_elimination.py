@@ -210,16 +210,31 @@ def _primitive_terms(terms):
     return {(u - mu, v - mv): c // g for (u, v), c in terms.items()}
 
 
+# samples with coefficients +-1, whose quotients by lc_x(h) come within 7 to
+# 15 bits of what the packing width holds
+_TIGHT = {
+    "square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+    "2delta": [(0, 0), (2, 0), (0, 2)],
+    "tri": [(1, 0), (2, 0), (0, 3)],
+}
+
+
 @pytest.mark.parametrize(
-    "vertices",
-    [[(0, 0), (3, 0), (0, 3)], [(0, 0), (3, 0), (3, 2)], [(0, 0), (1, 0), (1, 3), (0, 3)]],
-    ids=["3delta", "tri-slab", "rect1x3"],
+    "vertices, cfg",
+    [
+        ([(0, 0), (3, 0), (0, 3)], OracleConfig(seed=3)),
+        ([(0, 0), (3, 0), (3, 2)], OracleConfig(seed=3)),
+        ([(0, 0), (1, 0), (1, 3), (0, 3)], OracleConfig(seed=3)),
+    ]
+    + [(vertices, OracleConfig(seed=seed, coeff_bound=1)) for vertices in _TIGHT.values() for seed in (1, 2, 3)],
+    ids=["3delta", "tri-slab", "rect1x3"] + [f"{name}-pm1-seed{seed}" for name in _TIGHT for seed in (1, 2, 3)],
 )
-def test_dual_equation_is_the_sympy_discriminant(vertices):
+def test_dual_equation_is_the_sympy_discriminant(vertices, cfg):
     # the discriminant in x of b**n f(x, -(1 + a x)/b), n = deg_y f, up to a
-    # constant times a monomial
+    # constant times a monomial; the _TIGHT samples are the check on the
+    # packing width besides its proof in _dual_equation
     a, b = sympy.symbols("a b")
-    f = sample_poly(LatticePolygon.hull(vertices), OracleConfig(seed=3)).strip_monomial()
+    f = sample_poly(LatticePolygon.hull(vertices), cfg).strip_monomial()
     n = f.degree_y()
     h = sympy.expand(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()))
     disc = sympy.Poly(sympy.discriminant(h, _X), a, b).as_dict(native=True)

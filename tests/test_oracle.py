@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polygon
-from plucker import oracle
 from plucker.assumptions import Verdict, full_assumption_report
 from plucker.formulas import dual_fan, dual_polygon, inflection_count, vertical_tangent_count
 from plucker.lattice import (
@@ -378,6 +377,14 @@ class TestImplicitize:
         assert observed.canonical().vertices == dual_polygon(P).canonical().vertices
         assert len(lattice_points(observed)) >= len(rec.terms)
 
+    def test_size_guard_lists_no_point(self):
+        # the dual of 100 Delta holds about 49 million lattice points, which
+        # the guard counts by Pick's theorem instead of listing them
+        lattice_points.cache_clear()
+        with pytest.raises(ValueError, match="dual support too large"):
+            implicitize_dual(dilate(standard_triangle(), 100), CFG)
+        assert lattice_points.cache_info().misses == 0
+
     @pytest.mark.parametrize(
         "vertices", [[(0, 0), (3, 0), (3, 2)], [(0, 0), (2, 0), (3, 1), (3, 2)]]
     )
@@ -431,13 +438,6 @@ class TestDualEquation:
         B = poly({(1, 0): 1, (0, 1): 1, (0, 0): 3})
         assert _is_squarefree(A * B)
         assert not _is_squarefree(A * A * B)
-
-    def test_uncertified_quotient_degenerate(self, monkeypatch):
-        # a resultant off by one is no multiple of lc_x(h) at any width
-        subresultants = oracle._subresultants
-        monkeypatch.setattr(oracle, "_subresultants", lambda F, G: (None, subresultants(F, G)[1] + 1))
-        with pytest.raises(DegenerateSampleError, match="not certified"):
-            _dual_equation(GOLDEN_POLY)
 
     @pytest.mark.parametrize(
         "vertices",
