@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import islice, product
 from typing import Iterable, Optional
 
 from .lattice import (
@@ -198,6 +198,23 @@ def _shapes_by_reach(d: int, g: Point) -> dict[int, tuple[tuple[Point, ...], ...
     return {reach: tuple(shapes) for reach, shapes in groups.items()}
 
 
+def _path_fits(ptset: set[Point], x: int, y: int, d: int, diagonal: bool = True) -> bool:
+    """Some staircase shape of d points anchored at (x, y) lies in ptset:
+    a right/up path, walked depth first and cut at the first point outside
+    (at most 2**(d-1) leaves), or, when ``diagonal``, the (1, -1) run."""
+    if (x, y) not in ptset:
+        return False
+    if d == 1:
+        return True
+    if _path_fits(ptset, x + 1, y, d - 1, False) or _path_fits(ptset, x, y + 1, d - 1, False):
+        return True
+    return diagonal and all((x + i, y - i) in ptset for i in range(1, d))
+
+
+class _BudgetExhausted(Exception):
+    """The subset walk of ``_find_Qd`` spent its budget before a hit."""
+
+
 def _find_Qd(
     P: LatticePolygon, d: int, face_constraint: Optional[Point], budget: int
 ) -> tuple[Optional[Diagram], bool]:
@@ -207,6 +224,15 @@ def _find_Qd(
     exhaustive search over lattice-point subsets is the fallback.  The
     second return value reports budget exhaustion (result None then means
     "not found within budget", not "does not exist").
+
+    An anchor builds its staircase candidates only after ``_path_fits``
+    finds that some path of d points from it stays in P, so the first
+    diagram found is the one the full loop would find.  The exhaustive
+    search walks index prefixes in ``combinations(pts, d)`` order and
+    spends one budget unit per subset in that order.  The span only grows
+    as points are added and every set of the class spans d - 1 (see
+    is_class_Qd), so a prefix that spans more has no class completion: its
+    whole block of completions is charged at once and never generated.
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
@@ -225,25 +251,52 @@ def _find_Qd(
     top = max(u * x + v * y for x, y in P.vertices)
     by_reach = _shapes_by_reach(d, (u, v))
     for p in pts:
-        for shape in by_reach.get(top - u * p[0] - v * p[1], ()):
+        shapes = by_reach.get(top - u * p[0] - v * p[1], ())
+        if not shapes or not _path_fits(ptset, *p, d):
+            continue
+        for shape in shapes:
             cand = [add(p, s) for s in shape]
             if all(q in ptset for q in cand):
                 return frozenset(cand), False
+    n = len(pts)
     spent = 0
-    for subset in combinations(pts, d):
-        spent += 1
-        if spent > budget:
-            return None, True
-        if max(u * x + v * y for x, y in subset) == top and is_class_Qd(subset, d):
-            return frozenset(subset), False
-    return None, False
+
+    def walk(start: int, prefix: tuple[Point, ...], lo_x, lo_y, hi_s) -> Optional[Diagram]:
+        # the completions of prefix by indices >= start, in combinations order
+        nonlocal spent
+        r = len(prefix)
+        for j in range(start, n - d + r + 1):
+            x, y = pts[j]
+            mx, my, ms = min(lo_x, x), min(lo_y, y), max(hi_s, x + y)
+            if ms - mx - my > d - 1:
+                spent += math.comb(n - j - 1, d - r - 1)
+                if spent > budget:
+                    raise _BudgetExhausted
+            elif r + 1 < d:
+                found = walk(j + 1, prefix + (pts[j],), mx, my, ms)
+                if found is not None:
+                    return found
+            else:
+                spent += 1
+                if spent > budget:
+                    raise _BudgetExhausted
+                subset = prefix + (pts[j],)
+                if max(u * a + v * b for a, b in subset) == top and is_class_Qd(subset, d):
+                    return frozenset(subset)
+        return None
+
+    try:
+        return walk(0, (), math.inf, math.inf, -math.inf), False
+    except _BudgetExhausted:
+        return None, True
 
 
 def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     """Appendix criterion: P contains a 5-fold dilate of some unimodular
     parallelogram spanned by u, v with coordinates in [-b, b], b =
-    ceil(diam / 5).  Each tuple (u, v) visited costs one budget unit; the
-    second return value reports that the budget ran out first."""
+    ceil(w / 5) with w the larger side of P's bounding box.  Each tuple
+    (u, v) visited costs one budget unit; the second return value reports
+    that the budget ran out first."""
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
@@ -337,10 +390,10 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
     P.require_dim2()
     rows: list[_Row] = []
     for k, Pk in enumerate(_rotations(P)):
-        ys = sorted({y for _, y in lattice_points(Pk)})
+        ys = {y for _, y in lattice_points(Pk)}
         if any(all(y + i in ys for i in range(4)) for y in ys):
             rows.append(("no-vertical-bitangents", k, True, "4 consecutive ordinates"))
-        elif ys[-1] - ys[0] <= 3:
+        elif max(ys) - min(ys) <= 3:
             rows.append(("no-vertical-bitangents", k, True, "vertical degree at most 3"))
         else:
             rows.append(("no-vertical-bitangents", k, False, "no condition fired"))

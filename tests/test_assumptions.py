@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations, islice, product
 
 import pytest
@@ -219,6 +220,29 @@ def span(Q):
     return max(x + y for x, y in Q) - min(x for x, _ in Q) - min(y for _, y in Q)
 
 
+def plain_find_Qd(P, d, face_constraint, budget):
+    """The subdiagram search without pruning: every staircase shape at every
+    anchor, then every subset of ``combinations`` through the face test and
+    the class test, one budget unit each."""
+    pts = lattice_points(P)
+    ptset = set(pts)
+    u, v = face_constraint or (0, 0)
+    top = max(u * x + v * y for x, y in P.vertices)
+    for p in pts:
+        for shape in _staircase_shapes(d):
+            cand = [add(p, s) for s in shape]
+            if all(q in ptset for q in cand) and max(u * x + v * y for x, y in cand) == top:
+                return frozenset(cand), False
+    spent = 0
+    for subset in combinations(pts, d):
+        spent += 1
+        if spent > budget:
+            return None, True
+        if max(u * x + v * y for x, y in subset) == top and is_class_Qd(subset, d):
+            return frozenset(subset), False
+    return None, False
+
+
 class TestClassQdAgainstHulls:
     def test_every_subset_of_3delta(self):
         pts = lattice_points(dilate(standard_triangle(), 3))
@@ -322,6 +346,61 @@ class TestSubdiagramSearch:
         assert _find_Qd(P, 6, None, 200_000) == (None, False)
         assert tested == [] and built == []
 
+    @pytest.mark.parametrize(
+        "verts, d, found",
+        (
+            # no staircase fits; with DOWN the first class subset is number
+            # 82 of C(9, 5) = 126 in combinations order
+            ([(0, 2), (5, 0), (5, 1), (1, 3)], 5, True),
+            # with DOWN, prefixes of each size 2 to 5 are pruned before the hit
+            ([(0, 6), (2, 0), (2, 4)], 6, True),
+            # no staircase and no class subset among C(9, 6) = 84
+            ([(0, 0), (1, 0), (2, 4), (0, 3)], 6, False),
+            # the same, with prefixes of each size 2 to 5 pruned
+            ([(0, 0), (3, 2), (6, 6), (3, 4)], 6, False),
+        ),
+    )
+    def test_pruned_walk_matches_plain_walk_at_every_budget(self, monkeypatch, verts, d, found):
+        # each budget edge, also one that falls inside a block the pruned
+        # walk charges without generating it
+        P = LatticePolygon.hull(verts)
+        total = math.comb(len(lattice_points(P)), d)
+        tested = []
+        monkeypatch.setattr(
+            assumptions, "is_class_Qd", lambda Q, d: tested.append(Q) or is_class_Qd(Q, d)
+        )
+        for g in (None, DOWN):
+            for budget in range(-1, total + 2):
+                expected = plain_find_Qd(P, d, g, budget)
+                tested.clear()
+                assert _find_Qd(P, d, g, budget) == expected, (g, budget)
+            assert (expected[0] is not None) is found and not expected[1]
+            assert all(span(Q) <= d - 1 for Q in tested) and len(tested) < total
+
+    def test_thin_parallelogram_exhausts_budgets_quickly(self):
+        # about 2,000 lattice points two to a column; each search charges the
+        # subsets after a prefix of span > d - 1 at once, so all three spend
+        # the 200,000 default without testing them one by one
+        P = LatticePolygon.hull([(0, 0), (0, 1), (1000, 3000), (1000, 3001)])
+        start = time.monotonic()
+        assert assumptions.check_assumption1(P) == (
+            Verdict.UNKNOWN,
+            [
+                ("no-tritangents", 0, "budget exhausted"),
+                ("no-inflected-bitangents", 0, "budget exhausted"),
+                ("no-higher-flexes", 0, "budget exhausted"),
+                ("no-boundary-bitangents", 0, "bottom face is a vertex"),
+                ("no-inflections-at-infinity", 0, "not a thin triangle"),
+                ("no-boundary-bitangents", 1, "bottom face is a vertex"),
+                ("no-inflections-at-infinity", 1, "not a thin triangle"),
+                ("no-boundary-bitangents", 2,
+                 "two lattice points on a row at height >= 2 above the bottom edge"),
+                ("no-inflections-at-infinity", 2, "not a thin triangle"),
+                ("no-corner-bitangents", 0, "2-dimensional and not the unit triangle"),
+            ],
+        )
+        assert time.monotonic() - start < 1.0
+
     def test_5delta_has_q6(self):
         Q = _find_Qd(dilate(standard_triangle(), 5), 6, None, 200_000)[0]
         assert Q is not None and is_class_Qd(Q, 6)
@@ -419,6 +498,26 @@ class TestAssumption3:
         assert ("no-tangent-asymptotes", 0, "3 ordinates or top face is a vertex") in ev
         _, ev = check_assumption3(rectangle(9, 1))
         assert ("no-tangent-asymptotes", 0, "no condition fired") in ev
+
+    def test_many_ordinates_without_four_consecutive(self):
+        # two rotations have 8,002 ordinates and no four in a row
+        P = LatticePolygon.hull([(0, 0), (0, 1), (4000, 12000), (4000, 12001)])
+        start = time.monotonic()
+        assert check_assumption3(P) == (
+            Verdict.UNKNOWN,
+            [
+                ("no-vertical-bitangents", 0, "no condition fired"),
+                ("no-vertical-inflections", 0, "at least 3 ordinates"),
+                ("no-tangent-asymptotes", 0, "3 ordinates or top face is a vertex"),
+                ("no-vertical-bitangents", 1, "no condition fired"),
+                ("no-vertical-inflections", 1, "at least 3 ordinates"),
+                ("no-tangent-asymptotes", 1, "3 ordinates or top face is a vertex"),
+                ("no-vertical-bitangents", 2, "4 consecutive ordinates"),
+                ("no-vertical-inflections", 2, "at least 3 ordinates"),
+                ("no-tangent-asymptotes", 2, "3 ordinates or top face is a vertex"),
+            ],
+        )
+        assert time.monotonic() - start < 1.0
 
 
 class TestBoundaryBitangents:
