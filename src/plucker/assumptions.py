@@ -232,7 +232,11 @@ def _find_Qd(
     spends one budget unit per subset in that order.  The span only grows
     as points are added and every set of the class spans d - 1 (see
     is_class_Qd), so a prefix that spans more has no class completion: its
-    whole block of completions is charged at once and never generated.
+    whole block of completions is charged at once and never generated.  The
+    span is at least x_j minus the x of the prefix's first point, and pts is
+    sorted by x, so once that exceeds d - 1 at index j the blocks of j and
+    of every later index are charged as one, C(n - j, d - r) by the
+    hockey-stick identity, and the level returns.
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
@@ -267,6 +271,12 @@ def _find_Qd(
         r = len(prefix)
         for j in range(start, n - d + r + 1):
             x, y = pts[j]
+            if x - lo_x > d - 1:
+                # pts is sorted by x, so every index from j on is dead too
+                spent += math.comb(n - j, d - r)
+                if spent > budget:
+                    raise _BudgetExhausted
+                return None
             mx, my, ms = min(lo_x, x), min(lo_y, y), max(hi_s, x + y)
             if ms - mx - my > d - 1:
                 spent += math.comb(n - j - 1, d - r - 1)

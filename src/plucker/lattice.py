@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, Optional
 
 Point = tuple[int, int]
 
@@ -186,42 +187,55 @@ def rotate_r(P: LatticePolygon) -> LatticePolygon:
     return LatticePolygon.hull(rotate_point(v) for v in P.vertices).canonical()
 
 
+def _floors(c: int, dx: int, dy: int, xs: range) -> Iterator[int]:
+    """floor((c + dy*x) / dx) for each x in xs."""
+    return ((c + dy * x) // dx for x in xs)
+
+
+def _columns(P: LatticePolygon, Q: tuple[Point, ...]) -> Iterator[tuple[int, int, int]]:
+    """The translations t with Q + t inside P: (x, lo, hi) for each x of the
+    window where Q's bounding box fits in P's, the translations at x being
+    (x, lo..hi), none when lo > hi.  A CCW edge a -> b holds Q + t exactly
+    when it holds q + t for the q of Q minimising cross(a, b, q), so t obeys
+    the edge moved by -q: edges running right bound y from below, those
+    running left from above, within the boxes; vertical edges bound the window."""
+    (pxl, pyl), (pxh, pyh) = P.bounding_box()
+    qxl, qxh = min(x for x, _ in Q), max(x for x, _ in Q)
+    qyl, qyh = min(y for _, y in Q), max(y for _, y in Q)
+    if qxh - qxl > pxh - pxl or qyh - qyl > pyh - pyl:
+        return
+    xs = range(pxl - qxl, pxh - qxh + 1)
+    lows, highs = [repeat(pyl - qyl)], [repeat(pyh - qyh)]
+    # Edge a -> b with dx = bx - ax: its line has height (c + dy*x) / dx, c = ay*dx - dy*ax,
+    # and ceil(n / dx) = floor((n + dx - 1) / dx) when dx > 0.
+    for (ax, ay), (bx, by) in P.edges():
+        dx, dy = bx - ax, by - ay
+        if dx:
+            qx, qy = min(Q, key=lambda q: dx * q[1] - dy * q[0])
+            c = (ay - qy) * dx - dy * (ax - qx)
+            if dx > 0:
+                lows.append(_floors(c + dx - 1, dx, dy, xs))
+            else:
+                highs.append(_floors(c, dx, dy, xs))
+    yield from zip(xs, map(max, zip(*lows)), map(min, zip(*highs)))
+
+
 def contains_translate(
     P: LatticePolygon, Q: "LatticePolygon | Iterable[Point]"
 ) -> Optional[Point]:
-    """Some integer translation t with Q + t inside P, or None.
-
-    The search window is the difference of the bounding boxes; polygons at
-    desk scale are tiny, so exhaustive search is fine.
-    """
-    if isinstance(Q, LatticePolygon):
-        qpts: list[Point] = list(Q.vertices)
-    else:
-        qpts = list(Q)
-        if not qpts:
-            raise ValueError("empty point set")
-    (pxl, pyl), (pxh, pyh) = P.bounding_box()
-    qxl = min(p[0] for p in qpts)
-    qyl = min(p[1] for p in qpts)
-    qxh = max(p[0] for p in qpts)
-    qyh = max(p[1] for p in qpts)
-    if qxh - qxl > pxh - pxl or qyh - qyl > pyh - pyl:
-        return None
-    for tx in range(pxl - qxl, pxh - qxh + 1):
-        for ty in range(pyl - qyl, pyh - qyh + 1):
-            if all((qx + tx, qy + ty) in P for qx, qy in qpts):
-                return (tx, ty)
-    return None
+    """The lexicographically least integer translation t with Q + t inside
+    P, or None: the lowest translation of the first column of ``_columns``
+    that has one."""
+    qpts = Q.vertices if isinstance(Q, LatticePolygon) else tuple(Q)
+    if not qpts:
+        raise ValueError("empty point set")
+    return next(((x, lo) for x, lo, hi in _columns(P, qpts) if lo <= hi), None)
 
 
 @lru_cache(maxsize=3)
 def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
-    """All lattice points of P (boundary included), in lexicographic order.
-
-    P is listed column by column: at abscissa x the CCW edges running right
-    bound y from below, those running left from above. A non-vertical
-    segment has one edge each way on the same line; a vertical segment or a
-    point has neither, and its column is the bounding box's.
+    """All lattice points of P (boundary included), in lexicographic order:
+    the translations of the origin into P, listed by ``_columns``.
 
     The last three polygons listed are remembered by value: one command lists
     at most P, r(P) and r^2(P), and each search or sample asks again for the
@@ -229,22 +243,7 @@ def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     a caller that lists a huge polygon frees them with
     ``lattice_points.cache_clear()``.
     """
-    (xl, yl), (xh, yh) = P.bounding_box()
-    # Edge a -> b with dx = bx - ax: its line has height (ay*dx + dy*(x - ax)) / dx.
-    rising = [(a, sub(b, a)) for a, b in P.edges() if b[0] > a[0]]
-    falling = [(a, sub(b, a)) for a, b in P.edges() if b[0] < a[0]]
-    pts: list[Point] = []
-    for x in range(xl, xh + 1):
-        lo = max(
-            (-((-ay * dx - dy * (x - ax)) // dx) for (ax, ay), (dx, dy) in rising),
-            default=yl,
-        )
-        hi = min(
-            ((ay * dx + dy * (x - ax)) // dx for (ax, ay), (dx, dy) in falling),
-            default=yh,
-        )
-        pts.extend((x, y) for y in range(lo, hi + 1))
-    return tuple(pts)
+    return tuple((x, y) for x, lo, hi in _columns(P, ((0, 0),)) for y in range(lo, hi + 1))
 
 
 def interior_lattice_points(P: LatticePolygon) -> int:

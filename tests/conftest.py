@@ -29,6 +29,25 @@ def random_polygon(
             return P
 
 
+def window_scan_translate(P: LatticePolygon, Q) -> "Point | None":
+    """The least translation t, tx then ty, with Q + t inside P, by testing
+    every translate in the difference of the bounding boxes: a reference
+    for ``contains_translate`` that goes through ``LatticePolygon.contains_point``."""
+    qpts = list(Q.vertices) if isinstance(Q, LatticePolygon) else list(Q)
+    (pxl, pyl), (pxh, pyh) = P.bounding_box()
+    qxl = min(p[0] for p in qpts)
+    qyl = min(p[1] for p in qpts)
+    qxh = max(p[0] for p in qpts)
+    qyh = max(p[1] for p in qpts)
+    if qxh - qxl > pxh - pxl or qyh - qyl > pyh - pyl:
+        return None
+    for tx in range(pxl - qxl, pxh - qxh + 1):
+        for ty in range(pyl - qyl, pyh - qyh + 1):
+            if all((qx + tx, qy + ty) in P for qx, qy in qpts):
+                return (tx, ty)
+    return None
+
+
 def support_face(P: LatticePolygon, g: Point) -> tuple[Point, ...]:
     """The vertices of P on which <g, .> is maximal: one for a vertex face,
     two for an edge.  A plain vertex scan, kept independent of ``edge_fan``

@@ -358,6 +358,13 @@ class TestSubdiagramSearch:
             ([(0, 0), (1, 0), (2, 4), (0, 3)], 6, False),
             # the same, with prefixes of each size 2 to 5 pruned
             ([(0, 0), (3, 2), (6, 6), (3, 4)], 6, False),
+            # 9 wide against d - 1 = 4: the x-dead tail of a level is
+            # charged at each prefix size 1 to 4, the walk's last charge is
+            # one, and there is no class subset
+            ([(0, 0), (9, 5), (6, 4), (0, 1)], 5, False),
+            # 8 wide against d - 1 = 5: tails at each prefix size 1 to 5
+            # are charged before the first class subset
+            ([(0, 3), (8, 0), (7, 2), (1, 3)], 6, True),
         ),
     )
     def test_pruned_walk_matches_plain_walk_at_every_budget(self, monkeypatch, verts, d, found):
@@ -400,6 +407,16 @@ class TestSubdiagramSearch:
             ],
         )
         assert time.monotonic() - start < 1.0
+
+    def test_thin_parallelogram_decides_with_a_large_budget(self):
+        # with the budget out of the way each search ends with no subdiagram:
+        # the x-dead tail of every level is charged as one block, so the
+        # walk does not step through the dead indices of 2,002 points
+        P = LatticePolygon.hull([(0, 0), (0, 1), (1000, 3000), (1000, 3001)])
+        start = time.monotonic()
+        for d in (6, 5, 4):
+            assert _find_Qd(P, d, None, 10**40) == (None, False), d
+        assert time.monotonic() - start < 3.0
 
     def test_5delta_has_q6(self):
         Q = _find_Qd(dilate(standard_triangle(), 5), 6, None, 200_000)[0]
@@ -568,6 +585,30 @@ class TestFullReport:
             done += 1
             rep = full_assumption_report(P, fast_path=False)
             assert rep.all_verified, P.vertices
+
+    def test_wide_triangle_makes_no_membership_test(self, monkeypatch):
+        # the 5 * Delta fast path solves one interval per column of a window
+        # 10^5 columns wide, and no other part of the report tests a point
+        def no_membership_test(self, p):
+            raise AssertionError("the report tested a point for membership")
+
+        monkeypatch.setattr(LatticePolygon, "contains_point", no_membership_test)
+        rep = full_assumption_report(LatticePolygon.hull([(0, 0), (3, 0), (10**5, 7)]))
+        assert (rep.a1, rep.a2, rep.a3) == (Verdict.UNKNOWN, Verdict.VERIFIED, Verdict.VERIFIED)
+        assert rep.thin_witness is None
+        outcomes = [
+            "budget exhausted", "no Q5 subdiagram", "Q4 subdiagram found",
+            "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "bottom face is a vertex", "not a thin triangle",
+            "2-dimensional and not the unit triangle", "not in the thin orbit",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+        ]
+        assert rep.evidence == [
+            (name, k, outcome) for (name, k), outcome in zip(BATTERY_ROWS, outcomes, strict=True)
+        ]
 
     def test_evidence_nonempty(self):
         rep = full_assumption_report(rectangle(3, 4))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fan_sum, random_polygon
+from conftest import fan_sum, random_polygon, window_scan_translate
 from plucker.lattice import (
     DegeneratePolygonError,
     LatticePolygon,
@@ -224,6 +224,35 @@ class TestContainsTranslate:
             t = contains_translate(P, Q)
             if t is not None:
                 assert all((q[0] + t[0], q[1] + t[1]) in P for q in Q.vertices)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5),
+        st.booleans(),
+    )
+    def test_least_translation_matches_window_scan(self, pts, qpts, as_polygon):
+        # collinear draws make P a point or a segment; Q is a polygon or a
+        # raw point list, and the witness is the least translation either way
+        P = LatticePolygon.hull(pts)
+        Q = LatticePolygon.hull(qpts) if as_polygon else qpts
+        assert contains_translate(P, Q) == window_scan_translate(P, Q)
+
+    def test_empty_point_set_is_rejected(self):
+        with pytest.raises(ValueError, match="empty point set"):
+            contains_translate(D, [])
+
+    def test_wide_triangle_is_not_scanned(self, monkeypatch):
+        # the window of 5 * Delta in this triangle is 10^5 columns wide and 3
+        # rows tall; each column is one interval, with no membership test
+        P = LatticePolygon.hull([(0, 0), (3, 0), (10**5, 7)])
+
+        def no_membership_test(self, p):
+            raise AssertionError("contains_translate tested a point for membership")
+
+        monkeypatch.setattr(LatticePolygon, "contains_point", no_membership_test)
+        assert contains_translate(P, dilate(D, 5)) is None
+        assert contains_translate(P, [(0, 0), (1, 0)]) == (0, 0)
 
 
 class TestLatticeCounting:
