@@ -170,25 +170,30 @@ class SparsePoly:
 
 def sample_poly(P: LatticePolygon, cfg: OracleConfig) -> SparsePoly:
     """Random nonzero integer coefficient per lattice point of P, with the
-    support translated so every exponent is at least 2 (which is enough for
-    the Hessian support identity to hold)."""
+    support translated so that its lowest exponent is 0 in x and in y."""
     P.require_dim2()
     rng = random.Random(cfg.seed)
     (xl, yl), _ = P.bounding_box()
     terms: dict[Point, int] = {}
     for px, py in lattice_points(P):
         c = rng.randint(1, cfg.coeff_bound) * rng.choice((-1, 1))
-        terms[(px - xl + 2, py - yl + 2)] = c
+        terms[(px - xl, py - yl)] = c
     return SparsePoly(terms)
 
 
 def hessian_curve(f: SparsePoly) -> SparsePoly:
-    """x^2 y^2 times the bordered Hessian determinant of f.
+    """x^2 y^2 times the bordered Hessian determinant
+    B(f) = det [[f_xx, f_xy, f_x], [f_xy, f_yy, f_y], [f_x, f_y, 0]] of f.
 
-    For generic f with all exponents >= 2 the result has Newton polygon
-    3 * newt(f)."""
-    if any(ex < 2 or ey < 2 for ex, ey in f.terms):
-        raise ValueError("hessian_curve expects all exponents >= 2")
+    Its torus zeros on f = 0 do not depend on a monomial factor of f.  For
+    a monomial u, modulo f the gradient of u f is u grad f, and
+    Hess(u f) = u Hess f + grad u grad f^T + grad f grad u^T.  Subtracting
+    u_x / u and u_y / u times the border column from the first two
+    columns, and then the same multiples of the border row from the first
+    two rows, cancels the two rank-one terms, so B(u f) = u^3 B(f) mod f
+    in Laurent polynomials, and u is a unit in the torus.  So the sample
+    needs no shift: for generic f with every exponent at least 2 the
+    result has Newton polygon 3 newt(f), larger than the count needs."""
     fx = f.diff("x")
     fy = f.diff("y")
     fxx = fx.diff("x")
@@ -348,15 +353,12 @@ def _sqf_part(p: list[int]) -> list[int]:
     return _quotient(p, _gcd(p, [i * c for i, c in enumerate(p)][1:]))
 
 
-def _eliminate(F: list[int], G: list[int], k: int) -> tuple[list[int], list[int]]:
-    """The resultant of a packed pair and a(x) of its first subresultant
-    a(x) y + b(x), the last element of positive y-degree of the PRS."""
-    prs, res = _subresultants(F, G)
-    if not res:
-        raise DegenerateSampleError("identically-zero resultant (common factor)")
+def _linear_coeff(prs: list[list[int]], k: int) -> list[int]:
+    """a(x) of the first subresultant a(x) y + b(x) of a packed PRS that
+    ends in a constant: its last element of positive y-degree."""
     if len(prs[-2]) != 2:
         raise DegenerateSampleError(f"first subresultant has y-degree {len(prs[-2]) - 1}, not 1")
-    return _unpack(res, k), _unpack(prs[-2][0], k)
+    return _unpack(prs[-2][0], k)
 
 
 def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -372,21 +374,42 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     """Number of distinct common zeroes of f and g with both coordinates in
     the torus, counted exactly.
 
-    Each root x0 != 0 of the squarefree resultant carries a common zero at
-    finite y, or both y-leading coefficients vanish there (the roots of the
-    factor I, with a common zero at y = oo).  Z collects the roots with a
-    common zero at y = 0.  The first subresultant a y + b lies in the ideal
-    of f and g, so where a(x0) != 0 at most one common y exists: then each
-    root outside Z and I carries exactly one torus solution, and each root
-    of Z none.  The same test on the y-reversed pair shows the roots of I
-    carry none.  A sample that fails a test is degenerate.
+    With their monomial factors divided out: a zero polynomial shares every
+    factor, and one of y-degree 0 that is not a monomial cannot be
+    projected to x in this chart, so both are degenerate; a monomial has
+    no zero in the torus, so the count is 0.  So is it when the squarefree
+    resultant is a constant: every common zero at finite y, and every one
+    at y = oo, lies over a root of the resultant, and x = 0 is its only
+    possible root.  (For a conic the bordered Hessian is a constant modulo
+    f, so its PRS ends before a linear element.)
+
+    Otherwise each root x0 != 0 of the squarefree resultant carries a
+    common zero at finite y, or both y-leading coefficients vanish there
+    (the roots of the factor I, with a common zero at y = oo).  Z collects
+    the roots with a common zero at y = 0.  The first subresultant a y + b
+    lies in the ideal of f and g, so where a(x0) != 0 at most one common y
+    exists: then each root outside Z and I carries exactly one torus
+    solution, and each root of Z none.  The same test on the y-reversed
+    pair shows the roots of I carry none.  A sample that fails a test is
+    degenerate.
     """
-    F = _integral_terms(f.strip_monomial())
-    G = _integral_terms(g.strip_monomial())
+    f, g = f.strip_monomial(), g.strip_monomial()
+    if not f or not g:
+        raise DegenerateSampleError("identically-zero resultant (common factor)")
+    if any(len(p.terms) > 1 and p.degree_y() == 0 for p in (f, g)):
+        raise DegenerateSampleError("y-degree 0 after the monomial factor is divided out")
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        return 0
+    F, G = _integral_terms(f), _integral_terms(g)
     k = _packing_width(F, G)
     Fp, Gp = _pack_y(F, k), _pack_y(G, k)
-    R, a = _eliminate(Fp, Gp, k)
-    Rs = _sqf_part(R)
+    prs, res = _subresultants(Fp, Gp)
+    if not res:
+        raise DegenerateSampleError("identically-zero resultant (common factor)")
+    Rs = _sqf_part(_unpack(res, k))
+    if len(Rs) == 1:
+        return 0
+    a = _linear_coeff(prs, k)
     Z = _gcd(Rs, _gcd(_unpack(Fp[-1], k), _unpack(Gp[-1], k)))
     I = _gcd(Rs, _gcd(_unpack(Fp[0], k), _unpack(Gp[0], k)))
     if len(_gcd(Z, I)) > 1:
@@ -394,7 +417,9 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     if len(_gcd(_quotient(Rs, I), a)) > 1:
         raise DegenerateSampleError("two common zeroes over one root of the resultant")
     if len(I) > 1:
-        _, a_rev = _eliminate(Fp[::-1], Gp[::-1], k)
+        # the reversed pair's Sylvester matrix permutes this one's, so its
+        # PRS ends in a constant too
+        a_rev = _linear_coeff(_subresultants(Fp[::-1], Gp[::-1])[0], k)
         if len(_gcd(I, a_rev)) > 1:
             raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
     return len(Rs) - len(Z) - len(I) + 1

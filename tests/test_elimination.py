@@ -61,13 +61,21 @@ def _linear_coeff(prs: list) -> sympy.Poly:
 
 
 def sympy_count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
-    F = sympy_y_poly(f.strip_monomial())
-    G = sympy_y_poly(g.strip_monomial())
+    f, g = f.strip_monomial(), g.strip_monomial()
+    if not f or not g:
+        raise DegenerateSampleError("identically-zero resultant (common factor)")
+    if any(len(p.terms) > 1 and p.degree_y() == 0 for p in (f, g)):
+        raise DegenerateSampleError("y-degree 0 after the monomial factor is divided out")
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        return 0
+    F, G = sympy_y_poly(f), sympy_y_poly(g)
     R, prs = F.resultant(G, includePRS=True)
     if R.is_zero:
         raise DegenerateSampleError("identically-zero resultant (common factor)")
-    a = _linear_coeff(prs)
     _, Rs = R.sqf_part().terms_gcd()
+    if Rs.degree() == 0:
+        return 0
+    a = _linear_coeff(prs)
     Z = Rs.gcd(_y_coeff(F, 0)).gcd(_y_coeff(G, 0))
     I = Rs.gcd(_y_coeff(F, F.degree(0))).gcd(_y_coeff(G, G.degree(0)))
     if Z.gcd(I).degree() > 0:

@@ -78,13 +78,23 @@ class TestSamplePoly:
         assert sample_poly(P, CFG).terms == sample_poly(P, CFG).terms
 
     def test_term_count_and_shift(self):
-        f = sample_poly(rectangle(3, 4), CFG)
+        P = rectangle(3, 4)
+        f = sample_poly(P, CFG)
         assert len(f.terms) == 20
         assert all(type(c) is int for c in f.terms.values())
-        assert all(ex >= 2 and ey >= 2 for ex, ey in f.terms)
+        assert min(ex for ex, _ in f.terms) == min(ey for _, ey in f.terms) == 0
         assert all(
             1 <= abs(c) <= CFG.coeff_bound for c in f.terms.values()
         )
+        # one magnitude and one sign per lattice point, in listing order,
+        # at the lattice point minus the bounding box's lower corner
+        rng = random.Random(CFG.seed)
+        (xl, yl), _ = P.bounding_box()
+        expected = {}
+        for px, py in lattice_points(P):
+            expected[(px - xl, py - yl)] = rng.randint(1, CFG.coeff_bound) * rng.choice((-1, 1))
+        assert f.terms == expected
+        assert [f.terms[e] for e in ((0, 0), (0, 1), (0, 2), (0, 3))] == [-427, 840, 876, -955]
 
     def test_support_is_translate_of_polygon(self):
         P = dilate(standard_triangle(), 3)
@@ -103,16 +113,13 @@ class TestHessianCurve:
 
     def test_newton_polygon_triples(self):
         for P in (dilate(standard_triangle(), 2), rectangle(2, 3)):
-            f = sample_poly(P, CFG)
+            # with every exponent at least 2 the x^2 y^2 factor is exact
+            f = sample_poly(P, CFG).shift(2, 2)
             h = hessian_curve(f)
             assert (
                 h.newton_polygon().canonical().vertices
                 == dilate(f.newton_polygon(), 3).canonical().vertices
             )
-
-    def test_rejects_small_exponents(self):
-        with pytest.raises(ValueError):
-            hessian_curve(GOLDEN_POLY)
 
 
 class TestResultant:
@@ -231,6 +238,35 @@ class TestCountTorusSolutions:
         # the only intersection is (1, 0)
         assert count_torus_solutions(f, g) == 0
 
+    # four outcomes decided before the certificates, in the order tested
+
+    def test_line_has_a_zero_hessian_curve(self):
+        f = sample_poly(standard_triangle(), CFG)
+        assert not hessian_curve(f)
+        with pytest.raises(DegenerateSampleError, match="identically-zero resultant"):
+            count_torus_solutions(f, hessian_curve(f))
+
+    def test_y_degree_zero_is_degenerate_in_its_chart(self):
+        # a + b y + c x y has Hessian curve 2 c^2 x^2 y^3 (b + c x)
+        f = sample_poly(GOLDEN, CFG)
+        with pytest.raises(DegenerateSampleError, match="y-degree 0"):
+            count_torus_solutions(f, hessian_curve(f))
+        assert _count_in_charts(f, hessian_curve(f)) == 0
+
+    def test_monomial_has_no_torus_zero(self):
+        f = sample_poly(standard_triangle(), CFG)
+        assert len(f.diff("y").terms) == 1
+        assert count_torus_solutions(f, f.diff("y")) == 0
+
+    def test_constant_resultant_counts_zero(self):
+        # a conic's Hessian curve is a constant modulo the conic, so the PRS
+        # in y drops from degree 2 to a constant, past any linear element
+        f = sample_poly(dilate(standard_triangle(), 2), CFG)
+        g = hessian_curve(f).strip_monomial()
+        remainder = g.scale(f.terms[(0, 2)]) - f.scale(g.terms[(0, 2)])
+        assert list(remainder.terms) == [(0, 0)]
+        assert count_torus_solutions(f, g) == 0
+
 
 class TestOracleConfig:
     def test_root_tol_is_gone(self):
@@ -277,16 +313,52 @@ def test_exhausted_retries_keep_every_attempt():
 @pytest.mark.parametrize("vertices", [[(0, 0), (3, 0), (0, 2)], [(0, 0), (4, 0), (1, 2)]])
 def test_chart_fallback_certifies_paired_solutions(vertices):
     # every sample on these supports pairs two torus solutions of f and its
-    # Hessian curve over one x; the other charts separate them
+    # Hessian curve over one x, so the PRS in y has no linear element; the
+    # other charts separate them
     P = LatticePolygon.hull(vertices)
     f = sample_poly(P, CFG)
-    with pytest.raises(DegenerateSampleError, match="two common zeroes over one root"):
+    with pytest.raises(DegenerateSampleError, match="first subresultant has y-degree 2, not 1"):
         count_torus_solutions(f, hessian_curve(f))
     for seed in range(1, 6):
         # the first sample, with no resampling
         f = sample_poly(P, OracleConfig(seed=seed))
         assert _count_in_charts(f, hessian_curve(f)) == inflection_count(P)
         assert _count_in_charts(f, f.diff("y")) == vertical_tangent_count(P)
+
+
+def lattice_classes(side: int) -> set[LatticePolygon]:
+    """Every translation class of 2-dimensional lattice polygons in
+    [0, side]^2, in canonical form."""
+    box = list(product(range(side + 1), repeat=2))
+    classes = set()
+    for mask in range(1, 1 << len(box)):
+        P = LatticePolygon.hull(p for i, p in enumerate(box) if mask >> i & 1)
+        if P.dim == 2:
+            classes.add(P.canonical())
+    return classes
+
+
+def test_hessian_count_ignores_the_monomial_of_the_sample():
+    """B(u f) = u^3 B(f) modulo f for a monomial u (``hessian_curve``): on
+    every class in [0,2]^2 at seeds 1-5, each pair that certifies with the
+    sample moved by (2, 2) certifies unmoved, with the same count."""
+    start = time.monotonic()
+    classes = lattice_classes(2)
+    assert len(classes) == 119
+    compared = 0
+    for P in sorted(classes, key=lambda P: P.vertices):
+        for seed in range(1, 6):
+            f = sample_poly(P, OracleConfig(seed=seed))
+            moved = f.shift(2, 2)
+            try:
+                expected = _count_in_charts(moved, hessian_curve(moved))
+            except DegenerateSampleError:
+                continue
+            assert _count_in_charts(f, hessian_curve(f)) == expected, (P.vertices, seed)
+            compared += 1
+    # the unit triangle, a line, shares a factor with its Hessian curve
+    assert compared == 5 * 118
+    assert time.monotonic() - start < 20.0
 
 
 def test_formula_oracle_sweep():
@@ -311,12 +383,7 @@ def test_census_of_the_3x3_box():
     seed 1: the formulas hold on each all-Verified class, and the
     inflection formula fails on each FailsKnown one, so that verdict is
     falsifiable.  The unit triangle is a line, which no oracle counts."""
-    box = list(product(range(4), repeat=2))
-    classes = set()
-    for mask in range(1, 1 << len(box)):
-        P = LatticePolygon.hull(p for i, p in enumerate(box) if mask >> i & 1)
-        if P.dim == 2:
-            classes.add(P.canonical())
+    classes = lattice_classes(3)
     assert len(classes) == 1633
     cfg = OracleConfig(seed=1)
     verified, fails = 0, []
