@@ -310,16 +310,13 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
-    # the parallelogram is fixed up to translation by its edges up to sign
-    seen: set[tuple[Point, Point]] = set()
     for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
-        if abs(ux * vy - uy * vx) != 1:
-            continue
         u, v = (ux, uy), (vx, vy)
-        key = tuple(sorted((max(u, neg(u)), max(v, neg(v)))))
-        if key in seen:
+        # the parallelogram is fixed up to translation by its edges up to
+        # sign and order; test it at the first of those tuples in product
+        # order, the one with u < v, u <= -u and v <= -v
+        if not (u < v and u <= neg(u) and v <= neg(v)) or abs(ux * vy - uy * vx) != 1:
             continue
-        seen.add(key)
         corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
         if contains_translate(P, corners) is not None:
             return True, False

@@ -29,7 +29,10 @@ The dual equation is the discriminant of the pencil of lines
 a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
 the same width, with each coefficient in Z[a, b] keyed by its Kronecker
 exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w)
-(``_dual_equation``).
+(``_dual_equation``).  The bordered Hessian is built the same way: its
+derivatives are packed at x = 2**k, y = 2**(k*w) and multiplied as
+integers (``hessian_curve``), so every polynomial product in this module
+is a product of packed integers.
 
 Floating point enters only the numeric dual sampler
 ``sample_dual_points`` and the standalone root finder
@@ -109,23 +112,6 @@ class SparsePoly:
     def __repr__(self) -> str:
         return f"SparsePoly({self.terms!r})"
 
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return SparsePoly(out)
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out: dict[Point, object] = {}
-        for (ax, ay), ac in self.terms.items():
-            for (bx, by), bc in other.terms.items():
-                e = (ax + bx, ay + by)
-                out[e] = out.get(e, 0) + ac * bc
-        return SparsePoly(out)
-
-    def scale(self, c) -> "SparsePoly":
-        return SparsePoly({e: c * v for e, v in self.terms.items()})
-
     def diff(self, var: str) -> "SparsePoly":
         i = 0 if var == "x" else 1
         out: dict[Point, object] = {}
@@ -183,7 +169,19 @@ def sample_poly(P: LatticePolygon, cfg: OracleConfig) -> SparsePoly:
 
 def hessian_curve(f: SparsePoly) -> SparsePoly:
     """x^2 y^2 times the bordered Hessian determinant
-    B(f) = det [[f_xx, f_xy, f_x], [f_xy, f_yy, f_y], [f_x, f_y, 0]] of f.
+    B(f) = det [[f_xx, f_xy, f_x], [f_xy, f_yy, f_y], [f_x, f_y, 0]] of f,
+    for f with integer coefficients and nonnegative exponents.
+
+    B = 2 f_xy f_x f_y - f_xx f_y^2 - f_yy f_x^2 is one integer product of
+    the five derivatives, each packed at x = 2**k, y = 2**(k*w) as the dual
+    equation is (``_dual_equation``).  With ||p q||_1 <= ||p||_1 ||q||_1,
+    ||B||_oo <= ||B||_1 <= S = 2 ||f_xy||_1 ||f_x||_1 ||f_y||_1
+    + ||f_xx||_1 ||f_y||_1^2 + ||f_yy||_1 ||f_x||_1^2, so with
+    k = bitlen(S) + 2 every coefficient is one balanced base-2**k digit.
+    Each of the three products has x-degree at most 3 deg_x f - 2 < w - 1
+    for w = 3 deg_x f + 1, so a y-coefficient of B, packed at x = 2**k, is
+    below 2**(k*(w-1)) <= 2**(k*w - 1) in absolute value: one balanced
+    base-2**(k*w) digit.  So B unpacks exactly.
 
     Its torus zeros on f = 0 do not depend on a monomial factor of f.  For
     a monomial u, modulo f the gradient of u f is u grad f, and
@@ -194,13 +192,15 @@ def hessian_curve(f: SparsePoly) -> SparsePoly:
     in Laurent polynomials, and u is a unit in the torus.  So the sample
     needs no shift: for generic f with every exponent at least 2 the
     result has Newton polygon 3 newt(f), larger than the count needs."""
-    fx = f.diff("x")
-    fy = f.diff("y")
-    fxx = fx.diff("x")
-    fxy = fx.diff("y")
-    fyy = fy.diff("y")
-    h = (fxy * fx * fy).scale(2) - fxx * fy * fy - fyy * fx * fx
-    return h.shift(2, 2)
+    if any(type(c) is not int for c in f.terms.values()):
+        raise TypeError("the Hessian curve needs integer coefficients")
+    fx, fy = f.diff("x"), f.diff("y")
+    derivs = (fx.diff("x"), fx.diff("y"), fy.diff("y"), fx, fy)
+    nxx, nxy, nyy, nx, ny = (sum(map(abs, p.terms.values())) for p in derivs)
+    k = (2 * nxy * nx * ny + nxx * ny * ny + nyy * nx * nx).bit_length() + 2
+    w = 3 * max((ex for ex, _ in f.terms), default=0) + 1
+    xx, xy, yy, x, y = (sum(c << k * (i + w * j) for (i, j), c in p.terms.items()) for p in derivs)
+    return _unpack_ab(2 * xy * x * y - xx * y * y - yy * x * x, k, w).shift(2, 2)
 
 
 # Exact elimination over Z[x].  A bivariate polynomial is a list of its
@@ -538,7 +538,7 @@ def _retry_samples(
     P: LatticePolygon,
     cfg: OracleConfig,
     what: str,
-    attempt: Callable[[SparsePoly, OracleConfig], _T],
+    attempt: Callable[[SparsePoly], _T],
 ) -> _T:
     """Run ``attempt`` on a curve sampled on P under each reseeded config in
     turn, until one attempt meets no degenerate sample."""
@@ -546,7 +546,7 @@ def _retry_samples(
     for i in range(_RETRIES):
         acfg = _with_attempt_seed(cfg, i)
         try:
-            return attempt(sample_poly(P, acfg), acfg)
+            return attempt(sample_poly(P, acfg))
         except DegenerateSampleError as exc:
             failed.append((acfg.seed, str(exc)))
     raise RetriesExhaustedError(what, failed)
@@ -579,7 +579,7 @@ def inflection_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus intersections of a sampled curve with its Hessian curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "inflection oracle", lambda f, c: _count_in_charts(f, hessian_curve(f))
+        P, cfg, "inflection oracle", lambda f: _count_in_charts(f, hessian_curve(f))
     )
 
 
@@ -587,7 +587,7 @@ def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus solutions of f = df/dy = 0 for a sampled curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "vertical tangent oracle", lambda f, c: _count_in_charts(f, f.diff("y"))
+        P, cfg, "vertical tangent oracle", lambda f: _count_in_charts(f, f.diff("y"))
     )
 
 
@@ -639,7 +639,7 @@ def implicitize_dual(
     if poly is not None:
         # a given curve cannot be resampled: its first degeneracy is final
         return _implicitize_once(poly, predicted)
-    return _retry_samples(P, cfg, "implicitization", lambda f, c: _implicitize_once(f, predicted))
+    return _retry_samples(P, cfg, "implicitization", lambda f: _implicitize_once(f, predicted))
 
 
 def _implicitize_once(

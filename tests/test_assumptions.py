@@ -197,9 +197,10 @@ def hull_find_Qd(P, d, face_constraint, budget):
     return None, False
 
 
-def hull_contains_5R(P, budget):
+def hull_contains_5R(P, budget, calls):
     """The 5R search with each parallelogram told apart by its canonical
-    hull."""
+    hull.  Appends (P, canonical 5-fold dilate) to ``calls`` for each
+    containment test, in order."""
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
@@ -211,7 +212,9 @@ def hull_contains_5R(P, budget):
         if R.vertices in seen:
             continue
         seen.add(R.vertices)
-        if contains_translate(P, dilate(R, 5)) is not None:
+        R5 = dilate(R, 5)
+        calls.append((P, R5.canonical().vertices))
+        if contains_translate(P, R5) is not None:
             return True, False
     return False, len(coords) ** 4 > budget
 
@@ -456,26 +459,24 @@ class TestFiveR:
         assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
 
     def test_same_result_as_hull_dedup(self, monkeypatch):
-        # both searches test the same shapes in the same order
-        real, tested = contains_translate, []
+        # both searches make the same containment calls in the same order
+        real, calls = contains_translate, []
 
         def recorded(P, Q):
-            tested.append(LatticePolygon.hull(getattr(Q, "vertices", Q)).canonical().vertices)
+            calls.append((P, LatticePolygon.hull(Q).canonical().vertices))
             return real(P, Q)
 
         monkeypatch.setattr(assumptions, "contains_translate", recorded)
-        monkeypatch.setitem(globals(), "contains_translate", recorded)
         rng = random.Random(5)
         seen = set()
         for _ in range(40):
             P = random_polygon(rng, box=rng.randint(2, 14))
             for budget in (0, 1, 80, 81, 5000, 200_000):
+                calls.clear()
                 got = assumptions._contains_5R(P, budget)
-                shapes = tested[:]
-                tested.clear()
-                assert got == hull_contains_5R(P, budget), (P, budget)
-                assert shapes == tested, (P, budget)
-                tested.clear()
+                expected_calls = []
+                assert got == hull_contains_5R(P, budget, expected_calls), (P, budget)
+                assert calls == expected_calls, (P, budget)
                 seen.add(got)
         assert seen == {(True, False), (False, True), (False, False)}
 

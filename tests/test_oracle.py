@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import random_polygon
 from plucker.assumptions import Verdict, full_assumption_report
@@ -47,17 +49,23 @@ def poly(terms):
     return SparsePoly(terms)
 
 
+_RING, _X, _Y = sympy.ring("x, y", sympy.ZZ)
+
+
+def sympy_hessian_curve(f: SparsePoly) -> dict:
+    """x^2 y^2 times the determinant of the bordered Hessian matrix of f,
+    expanded by sympy."""
+    F = _RING.from_dict(dict(f.terms))
+    fx, fy = F.diff(_X), F.diff(_Y)
+    rows = [[fx.diff(_X), fx.diff(_Y), fx], [fy.diff(_X), fy.diff(_Y), fy], [fx, fy, _RING.zero]]
+    B = _X**2 * _Y**2 * DomainMatrix(rows, (3, 3), _RING.to_domain()).det()
+    return {e: int(c) for e, c in B.items()}
+
+
 class TestSparsePoly:
     def test_zero_coefficients_dropped(self):
         p = poly({(0, 0): 1, (1, 0): 0})
         assert (1, 0) not in p.terms
-
-    def test_arithmetic(self):
-        p = poly({(1, 0): 1})
-        q = poly({(0, 1): 1})
-        assert (p - q).terms == {(1, 0): 1, (0, 1): -1}
-        assert (p * q).terms == {(1, 1): 1}
-        assert not (p - p)
 
     def test_diff(self):
         p = poly({(3, 2): 5})
@@ -110,6 +118,28 @@ class TestHessianCurve:
         h = hessian_curve(poly({(alpha, beta): a}))
         coeff = Fraction(a ** 3 * alpha * beta * (alpha + beta))
         assert h.terms == {(3 * alpha - 2 + 2, 3 * beta - 2 + 2): coeff}
+
+    @pytest.mark.parametrize("coeff_bound", (1000, 10**30))
+    def test_matches_sympy_bordered_determinant(self, coeff_bound):
+        # 1 x d rectangles have f_xx = 0, and the unit triangle, a line, has
+        # B = 0
+        rng = random.Random(coeff_bound)
+        polygons = [dilate(standard_triangle(), 8), standard_triangle(), GOLDEN, rectangle(2, 3)]
+        polygons += [rectangle(1, d) for d in (1, 2, 3)]
+        polygons += [random_polygon(rng, box=5) for _ in range(6)]
+        for P in polygons:
+            for seed in (1, 2, 3):
+                f = sample_poly(P, OracleConfig(seed=seed, coeff_bound=coeff_bound))
+                assert hessian_curve(f).terms == sympy_hessian_curve(f), (P.vertices, seed)
+        f = poly({(3, 4): -coeff_bound})
+        assert hessian_curve(f).terms == sympy_hessian_curve(f)
+
+    def test_zero_polynomial(self):
+        assert hessian_curve(poly({})) == poly({})
+
+    def test_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError):
+            hessian_curve(poly({(1, 1): Fraction(1, 2), (0, 0): 1}))
 
     def test_newton_polygon_triples(self):
         for P in (dilate(standard_triangle(), 2), rectangle(2, 3)):
@@ -263,7 +293,8 @@ class TestCountTorusSolutions:
         # in y drops from degree 2 to a constant, past any linear element
         f = sample_poly(dilate(standard_triangle(), 2), CFG)
         g = hessian_curve(f).strip_monomial()
-        remainder = g.scale(f.terms[(0, 2)]) - f.scale(g.terms[(0, 2)])
+        a, b = f.terms[(0, 2)], g.terms[(0, 2)]
+        remainder = poly({e: a * g.terms.get(e, 0) - b * f.terms.get(e, 0) for e in f.terms | g.terms})
         assert list(remainder.terms) == [(0, 0)]
         assert count_torus_solutions(f, g) == 0
 
@@ -500,11 +531,11 @@ class TestDualEquation:
 
     def test_squarefree_needs_the_full_degree_on_a_line(self):
         # b - 2a is the constant 1 on the line b = 1 + 2a, where the square
-        # of it times a + b + 3 restricts to the squarefree 3a + 4
-        A = poly({(0, 1): 1, (1, 0): -2})
-        B = poly({(1, 0): 1, (0, 1): 1, (0, 0): 3})
-        assert _is_squarefree(A * B)
-        assert not _is_squarefree(A * A * B)
+        # of it times a + b + 3 restricts to the squarefree 3a + 4; the
+        # products are expanded by sympy, with (a, b) as (x, y)
+        A, B = _Y - 2 * _X, _X + _Y + 3
+        assert _is_squarefree(poly({e: int(c) for e, c in (A * B).items()}))
+        assert not _is_squarefree(poly({e: int(c) for e, c in (A * A * B).items()}))
 
     @pytest.mark.parametrize(
         "vertices",
