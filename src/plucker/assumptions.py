@@ -306,10 +306,16 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     parallelogram spanned by u, v with coordinates in [-b, b], b =
     ceil(w / 5) with w the larger side of P's bounding box.  Each tuple
     (u, v) visited costs one budget unit; the second return value reports
-    that the budget ran out first."""
+    that the budget ran out first.
+
+    A 5-fold dilate spans at least 5 on both axes, as neither (ux, vx) nor
+    (uy, vy) is (0, 0) when |ux vy - uy vx| = 1.  So a P narrower than 5
+    on either axis gets at once what the search would end with."""
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
+    if min(xh - xl, yh - yl) < 5:
+        return False, len(coords) ** 4 > budget
     for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
         u, v = (ux, uy), (vx, vy)
         # the parallelogram is fixed up to translation by its edges up to

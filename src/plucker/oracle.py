@@ -28,7 +28,9 @@ with the same PRS as fallback.
 The dual equation is the discriminant of the pencil of lines
 a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
 the same width, with each coefficient in Z[a, b] keyed by its Kronecker
-exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w)
+exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w).  The
+slot w of a power of b is 2 plus the sum of the largest a-degree in each
+column of the Sylvester matrix, which bounds the a-degree of every minor
 (``_dual_equation``).  The bordered Hessian is built the same way: its
 derivatives are packed at x = 2**k, y = 2**(k*w) and multiplied as
 integers (``hessian_curve``), so every polynomial product in this module
@@ -59,9 +61,14 @@ class OracleError(RuntimeError):
 
 
 class DegenerateSampleError(OracleError):
-    """The sampled curve hit a degeneracy (zero resultant, a root of the
-    resultant the count cannot certify, ambiguous root clusters, wrong
-    kernel dimension); the caller should resample."""
+    """The sampled curve hit a degeneracy; the caller should resample.  The
+    count raises it on a zero resultant (a common factor), on a polynomial
+    of y-degree 0 that is not a monomial, and on a resultant it cannot
+    certify (no linear subresultant, or two common zeroes over one root),
+    once every chart has failed; the dual equation on a zero discriminant,
+    on a Newton polygon that is not the predicted dual polygon, and on a
+    repeated factor; the numeric root finder on a repeated root or an
+    ambiguous root cluster."""
 
 
 class RetriesExhaustedError(OracleError):
@@ -453,15 +460,31 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
     lc_x(h) alone.  So Q = +-det M, M having m - 2 rows of h, that row and
     m - 1 rows of h_x, and ||Q||_1 <= m ||h||_1**(m-1) ||h_x||_1**(m-1)
     <= ||h||_1**(m-1) ||h_x||_1**m, as ||h_x||_1 >= m: the
-    ``_packing_width`` norm of h and h_x.  And deg_a Q <= deg_a D
-    <= n (2m - 1) < w - 1 for D = Res_x(h, h_x), so Q unpacks exactly.
+    ``_packing_width`` norm of h and h_x.
+
+    The slot of a power of b is w = 2 + the sum over the 2m - 1 columns of
+    the Sylvester matrix S of h and h_x of the largest a-degree in the
+    column.  The x**e coefficient of h has a-degree
+    max{t : (i, j) in supp f, t <= j, i + t = e}, and that of h_x the
+    a-degree of h's x**(e + 1) coefficient, so column p (of x**p) holds
+    the degrees of h's x**e coefficients for max(0, p - m + 2) <= e
+    <= min(m, p + 1).  Each term of a minor of S takes one entry from each
+    of its columns, and every entry's a-degree is >= 0, so every minor,
+    and D = Res_x(h, h_x) = det S, has a-degree at most that sum.  So
+    deg_a Q <= deg_a D <= w - 2, and Q unpacks exactly.  Every entry has
+    a-degree <= n, so w <= n (2m - 1) + 2, the width of the row-sum bound.
     """
     f = _integral_terms(f.strip_monomial())
     n = max(ey for _, ey in f)
     m = max(i + j for i, j in f)
-    w = n * (2 * m - 1) + 2  # deg_a h = n
     # each term c x**i y**j gives c (-1)**j C(j, t) x**(i + t) a**t b**(n - j),
-    # none shared with another
+    # none shared with another, so deg[e], the a-degree of h's x**e
+    # coefficient, is the largest such t with i + t = e
+    deg = [0] * (m + 1)
+    for i, j in f:
+        for e in range(i, i + j + 1):
+            deg[e] = max(deg[e], e - i)
+    w = 2 + sum(max(deg[max(0, p - m + 2) : p + 2]) for p in range(2 * m - 1))
     h = {
         (t + w * (n - j), i + t): (-1) ** j * math.comb(j, t) * c
         for (i, j), c in f.items()

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from plucker import lattice
-from plucker.lattice import LatticePolygon, Point, lattice_points, segment_length
+from plucker.lattice import LatticePolygon, Point, _ray_angle_cmp, lattice_points, segment_length
 
 # filled by the acceptance suite, echoed after the test run
 acceptance_lines: list[str] = []
@@ -27,6 +27,32 @@ def random_polygon(
         P = LatticePolygon.hull(pts)
         if P.dim == 2:
             return P
+
+
+def lattice_classes(side: int) -> set[LatticePolygon]:
+    """Every translation class of 2-dimensional lattice polygons in
+    [0, side]^2, in canonical form.  Each polygon in the box is the CCW walk
+    of its vertices from the lowest (then leftmost) one whose steps turn
+    strictly left, so the walks are listed by their vertex sets, not by
+    hulling every subset of the box."""
+    box = [(x, y) for y in range(side + 1) for x in range(side + 1)]
+    classes = set()
+
+    def walk(path: list[Point], last: "Point | None") -> None:
+        (sx, sy), (cx, cy) = path[0], path[-1]
+        if len(path) >= 3 and _ray_angle_cmp(last, (sx - cx, sy - cy)) < 0:
+            classes.add(LatticePolygon.hull(path).canonical())
+        for qx, qy in box:
+            step = (qx - cx, qy - cy)
+            if (qy, qx) <= (sy, sx) or (last is not None and _ray_angle_cmp(last, step) >= 0):
+                continue
+            # the start stays strictly left of every step, or the walk cannot close
+            if len(path) == 1 or step[0] * (sy - cy) - step[1] * (sx - cx) > 0:
+                walk(path + [(qx, qy)], step)
+
+    for start in box[: side + 1]:  # each class has a translate with its lowest vertex on y = 0
+        walk([start], None)
+    return classes
 
 
 def window_scan_translate(P: LatticePolygon, Q) -> "Point | None":

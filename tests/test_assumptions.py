@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polygon, support_face
+from conftest import lattice_classes, random_polygon, support_face
 from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
@@ -34,6 +34,7 @@ from plucker.lattice import (
     dilate,
     lattice_points,
     minkowski_sum,
+    neg,
     rectangle,
     rotate_r,
     standard_triangle,
@@ -450,8 +451,9 @@ def five_r_tuples(monkeypatch):
 class TestFiveR:
     @pytest.mark.parametrize("budget, exhausted", ((81, False), (80, True)))
     def test_budget_bounds_a_small_search(self, five_r_tuples, budget, exhausted):
-        # 3 * Delta has diameter 3, so b = 1 and 3**4 tuples; it fits no 5R
-        P = dilate(standard_triangle(), 3)
+        # 5 * Delta spans 5 on both axes, so the search runs, with b = 1 and
+        # 3**4 tuples; of area 25 / 2, it fits no 5R
+        P = dilate(standard_triangle(), 5)
         assert assumptions._contains_5R(P, budget) == (False, exhausted)
         assert len(five_r_tuples) == min(budget, 81)
 
@@ -459,7 +461,8 @@ class TestFiveR:
         assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
 
     def test_same_result_as_hull_dedup(self, monkeypatch):
-        # both searches make the same containment calls in the same order
+        # both searches make the same containment calls in the same order,
+        # except that a polygon narrower than 5 on an axis gets none
         real, calls = contains_translate, []
 
         def recorded(P, Q):
@@ -476,9 +479,32 @@ class TestFiveR:
                 got = assumptions._contains_5R(P, budget)
                 expected_calls = []
                 assert got == hull_contains_5R(P, budget, expected_calls), (P, budget)
-                assert calls == expected_calls, (P, budget)
+                (xl, yl), (xh, yh) = P.bounding_box()
+                assert calls == (expected_calls if min(xh - xl, yh - yl) >= 5 else []), (P, budget)
                 seen.add(got)
         assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_narrow_box_gets_what_the_search_ends_with(self):
+        # every polygon in [0,4]^2 is narrower than 5 on both axes, so the
+        # search returns before its loop; the loop, run in full, agrees
+        def searched(P, budget):
+            (xl, yl), (xh, yh) = P.bounding_box()
+            bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
+            coords = range(-bound, bound + 1)
+            for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
+                u, v = (ux, uy), (vx, vy)
+                if not (u < v and u <= neg(u) and v <= neg(v)) or abs(ux * vy - uy * vx) != 1:
+                    continue
+                corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
+                if contains_translate(P, corners) is not None:
+                    return True, False
+            return False, len(coords) ** 4 > budget
+
+        classes = lattice_classes(4)
+        assert len(classes) == 17978
+        for P in classes:
+            for budget in (-1, 0, 1, 81, 200_000):
+                assert assumptions._contains_5R(P, budget) == searched(P, budget), (P, budget)
 
     def test_builds_no_hull(self, monkeypatch):
         def no_hull(points):
@@ -489,9 +515,9 @@ class TestFiveR:
         assert assumptions._contains_5R(rectangle(9, 4), 200_000) == (False, False)
 
     def test_budget_bounds_a_long_search(self, five_r_tuples):
-        # three lattice points, no Q6 and no 5R; b = ceil(1000 / 5) = 200
-        # makes 401**4, about 2.6e10, tuples (u, v)
-        P = LatticePolygon.hull([(0, 0), (1, 0), (1000, 1)])
+        # seven lattice points, no Q6 and no 5R, 5 high so that the search
+        # runs; b = ceil(1000 / 5) = 200 makes 401**4, about 2.6e10, tuples
+        P = LatticePolygon.hull([(0, 0), (1, 0), (1000, 5)])
         rep = full_assumption_report(P, budget=5000)
         assert ("no-tritangents", 0, "budget exhausted") in rep.evidence
         assert len(five_r_tuples) == 5000

@@ -9,6 +9,7 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from conftest import random_polygon
 from plucker import oracle
@@ -247,3 +248,49 @@ def test_dual_equation_is_the_sympy_discriminant(vertices, cfg):
     h = sympy.expand(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()))
     disc = sympy.Poly(sympy.discriminant(h, _X), a, b).as_dict(native=True)
     assert _dual_equation(f).terms == _primitive_terms(disc)
+
+
+_WIDTH_CASES = {
+    "3delta": [(0, 0), (3, 0), (0, 3)],
+    "tri-slab": [(0, 0), (3, 0), (3, 2)],
+    "quad": [(0, 0), (2, 0), (3, 1), (3, 2)],
+    "rect1x3": [(0, 0), (1, 0), (1, 3), (0, 3)],
+    "thin1": [(1, 0), (2, 0), (0, 3)],
+    "pentagon": [(0, 0), (2, 0), (2, 1), (1, 2), (0, 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "vertices, cfg",
+    [(vertices, OracleConfig(seed=3)) for vertices in _WIDTH_CASES.values()]
+    + [(vertices, OracleConfig(seed=seed, coeff_bound=1)) for vertices in _TIGHT.values() for seed in (1, 2, 3)],
+    ids=list(_WIDTH_CASES) + [f"{name}-pm1-seed{seed}" for name in _TIGHT for seed in (1, 2, 3)],
+)
+def test_dual_slot_width_is_the_sylvester_column_bound(vertices, cfg, monkeypatch):
+    # the slot w of a power of b is 2 + the sum over the columns of the
+    # Sylvester matrix of h and h_x, over Z[a, b] in x, of the largest
+    # a-degree in the column; every subresultant coefficient and the
+    # discriminant Q stay within w - 2, and w is never wider than the
+    # row-sum width n (2m - 1) + 2
+    widths = []
+    unpack_ab = oracle._unpack_ab
+    monkeypatch.setattr(oracle, "_unpack_ab", lambda v, k, w: widths.append(w) or unpack_ab(v, k, w))
+    f = sample_poly(LatticePolygon.hull(vertices), cfg).strip_monomial()
+    _dual_equation(f)
+    (w,) = widths
+    a, b = sympy.symbols("a b")
+    n = f.degree_y()
+    h = sympy.Poly(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()), _X)
+    hx = h.diff(_X)
+    m = h.degree()
+    S = sylvester(h.as_expr(), hx.as_expr(), _X)
+    assert S.shape == (2 * m - 1, 2 * m - 1)
+    column_degrees = [
+        max((sympy.Poly(S[r, c], a).degree() for r in range(S.rows) if S[r, c] != 0), default=0)
+        for c in range(S.cols)
+    ]
+    assert w == 2 + sum(column_degrees)
+    assert w <= n * (2 * m - 1) + 2
+    for p in h.subresultants(hx):
+        assert all(sympy.Poly(c, a).degree() <= w - 2 for c in p.coeffs()), p
+    assert sympy.Poly(sympy.discriminant(h.as_expr(), _X), a).degree() <= w - 2

@@ -198,6 +198,19 @@ class TestBitangentCount:
         )
         assert inflection_count(quasihomog(c, d)) == 3 * cd - 2 * c - 2 * d
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=3, max_size=9)
+    )
+    def test_cusps_and_nodes_fill_the_dual_genus(self, pts):
+        # the dual curve's singular points are the cusps over inflections
+        # and the nodes over bitangents, and they make up the gap between
+        # the genus of a curve on P(dual) and that of the curve: I(P(dual)) - I(P)
+        rep = plucker_report(curve_polygon(pts))
+        assert rep.inflections + rep.bitangents == (
+            interior_lattice_points(rep.dual_polygon) - interior_lattice_points(rep.polygon)
+        )
+
 
 class TestOtherInvariants:
     def test_vertical_tangents(self):

@@ -1,7 +1,6 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
 
 import pytest
 import sympy
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import random_polygon
+from conftest import lattice_classes, random_polygon
 from plucker.assumptions import Verdict, full_assumption_report
 from plucker.formulas import dual_fan, dual_polygon, inflection_count, vertical_tangent_count
 from plucker.lattice import (
@@ -355,18 +354,6 @@ def test_chart_fallback_certifies_paired_solutions(vertices):
         f = sample_poly(P, OracleConfig(seed=seed))
         assert _count_in_charts(f, hessian_curve(f)) == inflection_count(P)
         assert _count_in_charts(f, f.diff("y")) == vertical_tangent_count(P)
-
-
-def lattice_classes(side: int) -> set[LatticePolygon]:
-    """Every translation class of 2-dimensional lattice polygons in
-    [0, side]^2, in canonical form."""
-    box = list(product(range(side + 1), repeat=2))
-    classes = set()
-    for mask in range(1, 1 << len(box)):
-        P = LatticePolygon.hull(p for i, p in enumerate(box) if mask >> i & 1)
-        if P.dim == 2:
-            classes.add(P.canonical())
-    return classes
 
 
 def test_hessian_count_ignores_the_monomial_of_the_sample():
