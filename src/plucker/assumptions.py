@@ -329,8 +329,10 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     return False, len(coords) ** 4 > budget
 
 
+@lru_cache(maxsize=1)
 def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, LatticePolygon]:
-    """P, r(P) and r^2(P): the three directions every check runs in."""
+    """P, r(P) and r^2(P): the three directions every check runs in, kept
+    for the last P only, as one report asks for P's three times in a row."""
     rP = rotate_r(P)
     return P, rP, rotate_r(rP)
 

@@ -1,9 +1,10 @@
-"""Command-line front end.
-
-Subcommands: report, dual, assumptions, verify, implicitize, render.
-Polygons are read as a JSON array of [x, y] integer pairs (the convex hull
-is taken on parse).  Exact rationals are serialized as "p/q" strings so
-they never pass through floating JSON numbers.
+"""Command-line front end: ``plucker COMMAND --polygon FILE [options]``, with
+the commands report, dual, assumptions, verify, implicitize and render
+(``plucker --help`` lists them).  Polygons are read as a JSON array of [x, y]
+integer pairs (the convex hull is taken on parse).  ``--format`` defaults to
+svg for render and text otherwise; ``--format json`` prints one compact line
+with sorted keys (``python3 -m json.tool`` indents it), and exact rationals
+as "p/q" strings so they never pass through floating JSON numbers.
 
 Exit codes: 0 success, 2 parse/usage error, 3 verification mismatch,
 4 oracle degeneracy after retries.
@@ -134,20 +135,18 @@ def assumptions_json(rep: AssumptionReport) -> dict:
 
 
 def report_text(r: PluckerReport) -> str:
-    return "\n".join(
-        [
-            f"polygon            {list(r.polygon.vertices)}",
-            f"vol                {r.vol}",
-            f"inflections        {r.inflections}",
-            f"bitangents         {r.bitangents}",
-            f"dual fan           {_fan_text(r.dual_fan)}",
-            f"dual polygon       {list(r.dual_polygon.vertices)}",
-            f"dual vol           {r.dual_vol}",
-            f"euler char         {r.euler_char}",
-            f"genus              {r.genus}",
-            f"vertical tangents  {r.vertical_tangents}",
-        ]
-    )
+    return "\n".join([
+        f"polygon            {list(r.polygon.vertices)}",
+        f"vol                {r.vol}",
+        f"inflections        {r.inflections}",
+        f"bitangents         {r.bitangents}",
+        f"dual fan           {_fan_text(r.dual_fan)}",
+        f"dual polygon       {list(r.dual_polygon.vertices)}",
+        f"dual vol           {r.dual_vol}",
+        f"euler char         {r.euler_char}",
+        f"genus              {r.genus}",
+        f"vertical tangents  {r.vertical_tangents}",
+    ])
 
 
 def assumptions_text(rep: AssumptionReport) -> str:
@@ -156,9 +155,7 @@ def assumptions_text(rep: AssumptionReport) -> str:
         lines.append(f"  [{name} r^{k}] {outcome}")
     if rep.thin_witness is not None:
         w = rep.thin_witness
-        lines.append(
-            f"  thin witness: k={w.k} translation={w.translation} rotation={w.rotation_power}"
-        )
+        lines.append(f"  thin witness: k={w.k} translation={w.translation} rotation={w.rotation_power}")
     return "\n".join(lines)
 
 
@@ -175,10 +172,6 @@ def _budget() -> int:
     raise CliError(f"PLUCKER_BUDGET must be a nonnegative integer, got {raw!r}", EXIT_PARSE)
 
 
-def _oracle_cfg(args) -> OracleConfig:
-    return OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound)
-
-
 def _require_verified_or_advisory(P: LatticePolygon, args) -> AssumptionReport:
     rep = full_assumption_report(P, budget=_budget())
     if not rep.all_verified and not args.advisory:
@@ -191,33 +184,38 @@ def _require_verified_or_advisory(P: LatticePolygon, args) -> AssumptionReport:
     return rep
 
 
-def cmd_report(P: LatticePolygon, args) -> tuple[object, str, int]:
+# each command returns (JSON payload, its text rendering on demand, exit code)
+_Result = tuple[object, Callable[[], str], int]
+
+
+def cmd_report(P: LatticePolygon, args) -> _Result:
     r = plucker_report(P)
-    return report_json(r), report_text(r), EXIT_OK
+    return report_json(r), lambda: report_text(r), EXIT_OK
 
 
-def cmd_dual(P: LatticePolygon, args) -> tuple[object, str, int]:
+def cmd_dual(P: LatticePolygon, args) -> _Result:
     r = plucker_report(P)
     payload = {
         "polygon": polygon_json(P),
         "dual_fan": fan_json(r.dual_fan),
         "dual_polygon": polygon_json(r.dual_polygon),
     }
-    text = f"dual fan      {_fan_text(r.dual_fan)}\ndual polygon  {list(r.dual_polygon.vertices)}"
-    return payload, text, EXIT_OK
+    return payload, lambda: (
+        f"dual fan      {_fan_text(r.dual_fan)}\ndual polygon  {list(r.dual_polygon.vertices)}"
+    ), EXIT_OK
 
 
-def cmd_assumptions(P: LatticePolygon, args) -> tuple[object, str, int]:
+def cmd_assumptions(P: LatticePolygon, args) -> _Result:
     rep = full_assumption_report(P, budget=_budget())
-    return assumptions_json(rep), assumptions_text(rep), EXIT_OK
+    return assumptions_json(rep), lambda: assumptions_text(rep), EXIT_OK
 
 
-def cmd_verify(P: LatticePolygon, args) -> tuple[object, str, int]:
+def cmd_verify(P: LatticePolygon, args) -> _Result:
     # a line lies on its own Hessian curve, so no sample could be counted:
     # the report rejects it before the gate and the oracle
     r = plucker_report(P)
     arep = _require_verified_or_advisory(P, args)
-    cfg = _oracle_cfg(args)
+    cfg = OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound)
     pairs = {
         "inflections": (r.inflections, inflection_oracle(P, cfg)),
         "vertical_tangents": (r.vertical_tangents, vertical_tangent_oracle(P, cfg)),
@@ -232,34 +230,40 @@ def cmd_verify(P: LatticePolygon, args) -> tuple[object, str, int]:
         },
         "match": ok,
     }
-    lines = [
-        f"{name:18} formula {f:4}  oracle {o:4}  {'ok' if f == o else 'MISMATCH'}"
-        for name, (f, o) in pairs.items()
-    ]
-    lines.append("PASS" if ok else "FAIL")
-    return payload, "\n".join(lines), EXIT_OK if ok else EXIT_MISMATCH
+
+    def text() -> str:
+        lines = [
+            f"{name:18} formula {f:4}  oracle {o:4}  {'ok' if f == o else 'MISMATCH'}"
+            for name, (f, o) in pairs.items()
+        ]
+        return "\n".join(lines + ["PASS" if ok else "FAIL"])
+
+    return payload, text, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_implicitize(P: LatticePolygon, args) -> tuple[object, str, int]:
+def cmd_implicitize(P: LatticePolygon, args) -> _Result:
     plucker_report(P)  # a line has no dual curve to implicitize
     _require_verified_or_advisory(P, args)
-    poly, observed = implicitize_dual(P, _oracle_cfg(args))
+    poly, observed = implicitize_dual(P, OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound))
+    terms = sorted(poly.terms.items())
     # exact integers, as [real, imaginary] pairs
-    coeffs = {f"{u},{v}": [c, 0] for (u, v), c in sorted(poly.terms.items())}
     payload = {
         "polygon": polygon_json(P),
-        "dual_coefficients": coeffs,
+        "dual_coefficients": {f"{u},{v}": [c, 0] for (u, v), c in terms},
         "observed_polygon": polygon_json(observed),
     }
-    lines = [f"a^{u} b^{v}  {c:+d}" for (u, v), c in sorted(poly.terms.items())]
-    lines.append(f"observed polygon {list(observed.vertices)}")
-    return payload, "\n".join(lines), EXIT_OK
+
+    def text() -> str:
+        lines = [f"a^{u} b^{v}  {c:+d}" for (u, v), c in terms]
+        return "\n".join(lines + [f"observed polygon {list(observed.vertices)}"])
+
+    return payload, text, EXIT_OK
 
 
-def cmd_render(P: LatticePolygon, args) -> tuple[object, str, int]:
+def cmd_render(P: LatticePolygon, args) -> _Result:
     r = plucker_report(P)
     svg = svg_report(P, r.dual_fan, r.dual_polygon)
-    return {"svg": svg}, svg, EXIT_OK
+    return {"svg": svg}, lambda: svg, EXIT_OK
 
 
 _COMMANDS = {
@@ -274,35 +278,29 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="plucker",
-        description=(
-            "Plucker-type invariants of a generic plane curve computed from "
-            "its Newton polygon, with analytic cross-checks"
-        ),
+        prog="plucker", usage="%(prog)s COMMAND --polygon FILE [options]",
+        description="Plucker-type invariants of a generic plane curve computed from\n"
+        "its Newton polygon, with analytic cross-checks",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, doc) in _COMMANDS.items():
-        p = sub.add_parser(name, help=doc)
-        p.add_argument(
-            "--polygon",
-            required=True,
-            metavar="FILE",
-            help="path to a JSON [[x,y],...] file, or - for stdin",
-        )
-        p.add_argument("--seed", type=int, default=1, help="oracle RNG seed")
-        p.add_argument(
-            "--coeff-bound", type=int, default=1000, help="oracle coefficient bound"
-        )
-        default_fmt = "svg" if name == "render" else "text"
-        p.add_argument(
-            "--format", choices=("json", "text", "svg"), default=default_fmt
-        )
-        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument(
-            "--advisory",
-            action="store_true",
-            help="run the oracle even when assumptions are not all Verified",
-        )
+    parser.add_argument(
+        "command",
+        choices=_COMMANDS,
+        metavar="COMMAND",
+        help="\n".join(f"{name:12} {doc}" for name, (_, doc) in _COMMANDS.items()),
+    )
+    parser.add_argument(
+        "--polygon", required=True, metavar="FILE", help="path to a JSON [[x,y],...] file, or - for stdin"
+    )
+    parser.add_argument("--seed", type=int, default=1, help="oracle RNG seed")
+    parser.add_argument("--coeff-bound", type=int, default=1000, help="oracle coefficient bound")
+    parser.add_argument(
+        "--format", choices=("json", "text", "svg"), help="default svg for render, text otherwise"
+    )
+    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    parser.add_argument(
+        "--advisory", action="store_true", help="run the oracle even when assumptions are not all Verified"
+    )
     return parser
 
 
@@ -322,22 +320,21 @@ def _parser_from(builder: Callable[[], argparse.ArgumentParser]) -> argparse.Arg
 
 def _result(args) -> tuple[str, int]:
     """The text to emit and the exit code of one parsed command line."""
-    if args.format == "svg" and args.command != "render":
+    fmt = args.format or ("svg" if args.command == "render" else "text")
+    if fmt == "svg" and args.command != "render":
         return json.dumps({"error": "svg format is only available for render"}), EXIT_PARSE
     try:
         P = read_polygon(args.polygon)
-        payload, text, code = _COMMANDS[args.command][0](P, args)
-        if args.format == "json":
-            # an int of more than sys.get_int_max_str_digits() digits
-            # raises ValueError here, as in a text format
-            text = json.dumps(payload, indent=2, sort_keys=True)
+        payload, render_text, code = _COMMANDS[args.command][0](P, args)
+        # an int of more than sys.get_int_max_str_digits() digits raises
+        # ValueError in either format
+        return json.dumps(payload, sort_keys=True) if fmt == "json" else render_text(), code
     except (CliError, RetriesExhaustedError, ValueError) as exc:
         msg = str(exc)
-        text = json.dumps({"error": msg}) if args.format == "json" else f"error: {msg}"
+        text = json.dumps({"error": msg}) if fmt == "json" else f"error: {msg}"
         if isinstance(exc, CliError):
             return text, exc.code
         return text, EXIT_DEGENERATE if isinstance(exc, RetriesExhaustedError) else EXIT_PARSE
-    return text, code
 
 
 def run(argv: Optional[list[str]] = None) -> int:

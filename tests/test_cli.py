@@ -11,6 +11,7 @@ from plucker.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
+    _COMMANDS,
     parse_polygon,
     run,
 )
@@ -375,3 +376,47 @@ def test_oracle_libraries_load_only_where_used():
         assert loaded[command] == [EXIT_OK, []], command
     assert loaded["implicitize"] == [EXIT_OK, []]
     assert loaded["verify"] == [EXIT_OK, []]
+
+
+_COMMAND_NAMES = ("report", "dual", "assumptions", "verify", "implicitize", "render")
+
+
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_json_is_one_canonical_line(command, polygon_file, capsys):
+    path = polygon_file([[0, 0], [3, 0], [3, 2]])
+    assert run([command, "--polygon", path, "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+class TestFlatParser:
+    TRIANGLE = [[0, 0], [2, 0], [0, 2]]
+
+    def test_default_formats(self, polygon_file, capsys):
+        path = polygon_file(self.TRIANGLE)
+        assert run(["render", "--polygon", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("<svg")
+        assert run(["report", "--polygon", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("polygon            [(0, 0), (2, 0), (0, 2)]\n")
+
+    def test_unknown_command(self, polygon_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["reprot", "--polygon", polygon_file(self.TRIANGLE)])
+        assert exc.value.code == EXIT_PARSE
+        assert "invalid choice: 'reprot'" in capsys.readouterr().err
+
+    def test_missing_polygon(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["report"])
+        assert exc.value.code == EXIT_PARSE
+        assert "the following arguments are required: --polygon" in capsys.readouterr().err
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == EXIT_OK
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert set(_COMMANDS) == set(_COMMAND_NAMES)
+        for name, (_, doc) in _COMMANDS.items():
+            words = [name, *doc.split()]
+            assert any(line[-len(words):] == words for line in lines), name
