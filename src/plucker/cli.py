@@ -322,7 +322,7 @@ def _result(args) -> tuple[str, int]:
     """The text to emit and the exit code of one parsed command line."""
     fmt = args.format or ("svg" if args.command == "render" else "text")
     if fmt == "svg" and args.command != "render":
-        return json.dumps({"error": "svg format is only available for render"}), EXIT_PARSE
+        return "error: svg format is only available for render", EXIT_PARSE
     try:
         P = read_polygon(args.polygon)
         payload, render_text, code = _COMMANDS[args.command][0](P, args)

@@ -5,10 +5,12 @@ doubled area A and its edge table ``edge_fan(P)`` (outer primitive normal
 -> lattice length).  ``plucker_report`` reads that pair once and derives
 every field from it: the headline counts (inflection points, bitangents),
 the tropical fan and Newton polygon of the dual curve with its area, the
-genus, the Euler characteristic and the vertical tangents.  The functions
-of one invariant that has no meaning on a line return the report's field;
-``dual_fan``, ``vertical_tangent_count`` and ``euler_characteristic`` stay
-defined on a line and read the pair themselves.
+genus, the Euler characteristic and the vertical tangents.
+``inflection_count``, ``bitangent_count`` and ``dual_area_closed`` return
+the report's field; ``dual_polygon`` walks ``dual_fan`` alone, without the
+closed area's cross-check.  ``dual_fan``, ``vertical_tangent_count`` and
+``euler_characteristic`` stay defined on a line and read the pair
+themselves.
 """
 from __future__ import annotations
 
@@ -202,8 +204,11 @@ def bitangent_count(P: LatticePolygon) -> Fraction:
 
 def dual_polygon(P: LatticePolygon) -> LatticePolygon:
     """Newton polygon of the dual curve, reconstructed from its normal fan
-    and anchored with its lexicographically minimal vertex at the origin."""
-    return plucker_report(P).dual_polygon
+    and anchored with its lexicographically minimal vertex at the origin.
+
+    Raises DegeneratePolygonError on a segment or a point, and on a line,
+    whose dual is a point."""
+    return _dual_polygon(P, dual_fan(P))
 
 
 def dual_area_closed(P: LatticePolygon) -> Fraction:

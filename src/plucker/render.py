@@ -1,5 +1,6 @@
 """Static SVG pictures: a polygon on the lattice grid and a weighted fan,
-placed side by side for the CLI."""
+placed side by side for the CLI.  The grid is one SVG pattern, so a
+picture's size depends on the vertex counts alone, not on the areas."""
 from __future__ import annotations
 
 import math
@@ -13,31 +14,16 @@ _STYLE = (
 )
 # A panel is its width, its height and the body lines of its picture.
 _Panel = tuple[int, int, list[str]]
-# a panel whose box holds more lattice points gets no grid: drawing one is
-# quadratic in the polygon's size (a 20*Delta dual alone has 146,689 points)
-_GRID_MAX_POINTS = 10_000
-
-
-def _grid_and_dots(
-    xl: int, yl: int, xh: int, yh: int, tx, ty
-) -> list[str]:
-    if (xh - xl + 1) * (yh - yl + 1) > _GRID_MAX_POINTS:
-        return []
-    out = []
-    for x in range(xl, xh + 1):
-        out.append(
-            f'<line x1="{tx(x)}" y1="{ty(yl)}" x2="{tx(x)}" y2="{ty(yh)}" '
-            'stroke="#ddd" stroke-width="1"/>'
-        )
-    for y in range(yl, yh + 1):
-        out.append(
-            f'<line x1="{tx(xl)}" y1="{ty(y)}" x2="{tx(xh)}" y2="{ty(y)}" '
-            'stroke="#ddd" stroke-width="1"/>'
-        )
-    for x in range(xl, xh + 1):
-        for y in range(yl, yh + 1):
-            out.append(f'<circle cx="{tx(x)}" cy="{ty(y)}" r="2" fill="#999"/>')
-    return out
+# One lattice cell.  A panel puts its box's lattice points at _PAD plus
+# multiples of _CELL, where the tile corners fall; a tile clips what it draws
+# to the inner half of its edge lines and a quarter of each corner dot.
+_GRID = (
+    f'<defs><pattern id="grid" x="{_PAD}" y="{_PAD}" width="{_CELL}" height="{_CELL}" '
+    f'patternUnits="userSpaceOnUse"><rect width="{_CELL}" height="{_CELL}" fill="none" '
+    'stroke="#ddd" stroke-width="1"/>'
+    + "".join(f'<circle cx="{x}" cy="{y}" r="2" fill="#999"/>' for x in (0, _CELL) for y in (0, _CELL))
+    + "</pattern></defs>"
+)
 
 
 def _polygon_panel(P: LatticePolygon, title: str) -> _Panel:
@@ -56,15 +42,14 @@ def _polygon_panel(P: LatticePolygon, title: str) -> _Panel:
     def ty(y):
         return h - _PAD - (y - yl) * _CELL
 
-    parts = [f'<rect width="{w}" height="{h}" fill="white"/>']
-    parts += _grid_and_dots(xl, yl, xh, yh, tx, ty)
     pts = " ".join(f"{tx(x)},{ty(y)}" for x, y in P.vertices)
-    if len(P.vertices) >= 3:
-        parts.append(f'<polygon points="{pts}" style="{_STYLE}"/>')
-    else:
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f4e79" stroke-width="2"/>'
-        )
+    parts = [
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        # the box's grid, a dot's radius wider on each side for whole edge dots
+        f'<rect x="{_PAD - 2}" y="{_PAD - 2}" width="{w - 2 * _PAD + 4}" '
+        f'height="{h - 2 * _PAD + 4}" fill="url(#grid)"/>',
+        f'<polygon points="{pts}" style="{_STYLE}"/>',
+    ]
     for x, y in P.vertices:
         parts.append(f'<circle cx="{tx(x)}" cy="{ty(y)}" r="4" fill="#1f4e79"/>')
     parts.append(
@@ -121,4 +106,4 @@ def svg_report(
         height = max(height, h)
     width = x - gap
     head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-    return "\n".join([head, f'<rect width="{width}" height="{height}" fill="white"/>'] + parts + ["</svg>"])
+    return "\n".join([head, _GRID, f'<rect width="{width}" height="{height}" fill="white"/>'] + parts + ["</svg>"])

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from plucker import cli, formulas
 from plucker.cli import (
     EXIT_DEGENERATE,
     EXIT_MISMATCH,
@@ -15,9 +17,14 @@ from plucker.cli import (
     parse_polygon,
     run,
 )
+from plucker.formulas import plucker_report
 from plucker.lattice import LatticePolygon, rotate_r
 from plucker.oracle import OracleConfig, implicitize_dual
-from plucker.render import _GRID_MAX_POINTS, _grid_and_dots
+from plucker.render import _CELL, _PAD, svg_report
+
+from conftest import random_polygon
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture
@@ -265,6 +272,20 @@ class TestImplicitize:
         assert exc.value.code == EXIT_PARSE
         assert "error: argument --coeff-bound: invalid int value" in capsys.readouterr().err
 
+    def test_one_report(self, polygon_file, monkeypatch):
+        # the line check builds the report; the predicted dual polygon is
+        # walked from the fan alone
+        calls = []
+
+        def counted(P):
+            calls.append(P)
+            return plucker_report(P)
+
+        for module in (cli, formulas):
+            monkeypatch.setattr(module, "plucker_report", counted)
+        assert run(["implicitize", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize("command", ["verify", "implicitize"])
 def test_each_polygon_listed_once(command, polygon_file, listed_once):
@@ -284,23 +305,60 @@ class TestRender:
         svg = out.read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
 
-    def test_large_polygon_renders_without_grid(self, polygon_file, tmp_path):
-        # the boxes of 400*Delta and of its dual hold about 1.6e5 and 2.5e10
-        # lattice points, one <circle> each if the grid were drawn
-        path = polygon_file([[0, 0], [400, 0], [0, 400]])
-        out = tmp_path / "big.svg"
-        assert run(["render", "--polygon", path, "--out", str(out)]) == EXIT_OK
-        root = ET.parse(out).getroot()
-        assert len(root.findall("{http://www.w3.org/2000/svg}g")) == 3
-        assert 'fill="#999"' not in out.read_text()
+    def test_size_depends_on_vertex_counts(self, polygon_file, tmp_path):
+        # 400*Delta's dual box holds about 2.5e10 lattice points; the grid
+        # pattern draws them all in the markup of 2*Delta's
+        roots = []
+        for d in (2, 400):
+            out = tmp_path / f"{d}.svg"
+            assert run(["render", "--polygon", polygon_file([[0, 0], [d, 0], [0, d]]), "--out", str(out)]) == EXIT_OK
+            roots.append(ET.parse(out).getroot())
+        small, big = ([e.tag for e in root.iter()] for root in roots)
+        assert small == big
+        assert len([e for e in roots[1].iter(SVG + "circle") if e.get("r") == "4"]) == 6
+        assert len((tmp_path / "400.svg").read_bytes()) < 4096
 
-    def test_grid_cap(self):
-        assert len(_grid_and_dots(0, 0, 99, 99, int, int)) == 200 + _GRID_MAX_POINTS
-        assert _grid_and_dots(0, 0, 100, 99, int, int) == []
+    def test_one_pattern_per_document(self, polygon_file, capsys):
+        assert run(["render", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
+        root = ET.fromstring(capsys.readouterr().out)
+        (pattern,) = root.iter(SVG + "pattern")
+        fills = [e.get("fill") for e in root.iter(SVG + "rect")]
+        assert fills.count(f"url(#{pattern.get('id')})") == 2
+
+    def test_grid_tiles_meet_the_lattice(self):
+        # in each polygon panel the tile corners inside the grid rect are
+        # the lattice points of the box with its one-cell margin, the
+        # vertex dots among them, and the rect reaches at most a dot's
+        # radius past the outermost ones
+        rng = random.Random(23)
+        for _ in range(60):
+            P = random_polygon(rng, box=rng.choice((3, 6, 12)))
+            if not formulas.dual_fan(P):
+                continue
+            r = plucker_report(P)
+            root = ET.fromstring(svg_report(P, r.dual_fan, r.dual_polygon))
+            (pattern,) = root.iter(SVG + "pattern")
+            assert pattern.get("patternUnits") == "userSpaceOnUse"
+            px, py, cell = (int(pattern.get(a)) for a in ("x", "y", "width"))
+            assert (px, py, cell, int(pattern.get("height"))) == (_PAD, _PAD, _CELL, _CELL)
+            panels = root.findall(SVG + "g")
+            for Q, g in ((P, panels[0]), (r.dual_polygon, panels[2])):
+                (grid,) = [e for e in g.iter(SVG + "rect") if e.get("fill", "").startswith("url(")]
+                x, y, w, h = (int(grid.get(a)) for a in ("x", "y", "width", "height"))
+                xs = [c for c in range(px % cell, x + w + 1, cell) if c >= x]
+                ys = [c for c in range(py % cell, y + h + 1, cell) if c >= y]
+                (xl, yl), (xh, yh) = Q.bounding_box()
+                assert (len(xs), len(ys)) == (xh - xl + 3, yh - yl + 3)
+                assert xs[0] - x <= 2 and x + w - xs[-1] <= 2
+                assert ys[0] - y <= 2 and y + h - ys[-1] <= 2
+                dots = [(int(e.get("cx")), int(e.get("cy"))) for e in g.iter(SVG + "circle") if e.get("r") == "4"]
+                assert all(cx % cell == cy % cell == _PAD for cx, cy in dots)
+                assert dots == [(xs[0] + cell * (vx - xl + 1), ys[-1] - cell * (vy - yl + 1)) for vx, vy in Q.vertices]
 
     def test_svg_only_for_render(self, polygon_file, capsys):
         path = polygon_file([[0, 0], [2, 0], [0, 2]])
         assert run(["report", "--polygon", path, "--format", "svg"]) == EXIT_PARSE
+        assert capsys.readouterr().out == "error: svg format is only available for render\n"
 
 
 class TestExitCodes:

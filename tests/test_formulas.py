@@ -223,6 +223,11 @@ class TestOtherInvariants:
         with pytest.raises(DegeneratePolygonError):
             vertical_tangent_count(LatticePolygon.hull(points))
 
+    @pytest.mark.parametrize("points", [[(0, 0), (3, 0)], [(2, 5)]], ids=["segment", "point"])
+    def test_dual_polygon_rejects_degenerate(self, points):
+        with pytest.raises(DegeneratePolygonError):
+            dual_polygon(LatticePolygon.hull(points))
+
     def test_euler(self):
         assert euler_characteristic(standard_triangle()) == 2
         assert euler_characteristic(dilate(standard_triangle(), 3)) == 0
