@@ -243,7 +243,10 @@ def cmd_verify(P: LatticePolygon, args) -> _Result:
 
 def cmd_implicitize(P: LatticePolygon, args) -> _Result:
     plucker_report(P)  # a line has no dual curve to implicitize
-    _require_verified_or_advisory(P, args)
+    if args.advisory:
+        _budget()  # the report is never printed, but a bad budget still exits 2
+    else:
+        _require_verified_or_advisory(P, args)
     poly, observed = implicitize_dual(P, OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound))
     terms = sorted(poly.terms.items())
     # exact integers, as [real, imaginary] pairs

@@ -19,18 +19,26 @@ it along its rows, with ||p q||_1 <= ||p||_1 ||q||_1, bounds its
 x-coefficients by ||F||_1^deg_y G * ||G||_1^deg_y F, so with k =
 bitlen(bound) + 2 each of them is one balanced base-2**k digit and a
 minor packs to 0 only if it is 0.  The intermediate pseudo-remainders are
-not minors, so only the minors are tested for zero or unpacked.  The
-univariate gcds use the heuristic gcd (Char, Geddes and
-Gonnet, "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
-computation", J. Symbolic Comput. 7, 1989), verified by exact division,
-with the same PRS as fallback.
+not minors, so only the minors are tested for zero or unpacked.  Each PRS
+element is held as p * 2**s, with s the trailing zero bits that its packed
+coefficients share, and the pseudo-remainders and exact divisions run on p
+alone: the pseudo-remainder is homogeneous, and the odd part of the
+divisor divides p's pseudo-remainder (``_subresultants``).  The dual
+equation gains most: a packed coefficient ends in k zero bits for each
+power of a that divides it, and in k*w for each power of b.  The
+univariate gcds use the heuristic gcd (Char, Geddes and Gonnet, "GCDHEU:
+heuristic polynomial GCD algorithm based on integer GCD computation",
+J. Symbolic Comput. 7, 1989), verified by exact division, with the same
+PRS as fallback.
 
 The dual equation is the discriminant of the pencil of lines
 a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
 the same width, with each coefficient in Z[a, b] keyed by its Kronecker
 exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w).  The
 slot w of a power of b is 2 plus the sum of the largest a-degree in each
-column of the Sylvester matrix, which bounds the a-degree of every minor
+column of the Sylvester matrix, which bounds the a-degree of every minor.
+When deg_x f < deg_y f, x and y are swapped first, which lowers the
+degree in b, and a and b are swapped back in the result
 (``_dual_equation``).  The bordered Hessian is built the same way: its
 derivatives are packed at x = 2**k, y = 2**(k*w) and multiplied as
 integers (``hessian_curve``), so every polynomial product in this module
@@ -282,29 +290,67 @@ def _strip(p: list[int]) -> list[int]:
     return p[i:]
 
 
+def _odd(p: list[int], s: int) -> tuple[list[int], int]:
+    """(q, s + z) with q * 2**(s + z) = p * 2**s, where z is the number of
+    trailing zero bits that every coefficient of the nonzero p shares."""
+    m = 0
+    for a in p:
+        m |= a
+    z = (m & -m).bit_length() - 1
+    return ([a >> z for a in p], s + z) if z else (p, s)
+
+
 def _subresultants(f: list[int], g: list[int]) -> tuple[list[list[int]], int]:
     """Subresultant PRS of f and g (Brown-Traub), the longer first, and their
     resultant (0 unless the sequence ends in a constant).  Every element is
     +-a subresultant, and c is +-a principal subresultant coefficient, so
-    after the exact division by b a leading zero is a zero polynomial."""
+    after the exact division by b a leading zero is a zero polynomial.
+
+    c starts at -1.  Each step divides prem(f, g) by b, where
+    d = deg f - deg g, b = (-1)**(d + 1) at the first step and
+    b = -lc(f) * c**d after it, and then sets c = (-lc(g))**d / c**(d - 1).
+    A pseudo-remainder by a constant is 0, so the last one is not formed;
+    c still takes that last gap d, which matters when d > 1.
+
+    Each element is held as (p, s), its value p * 2**s, with s the trailing
+    zero bits that its packed coefficients share, and prem and the exact
+    division run on p.  Two facts keep this exact:
+
+    1. ``_prem`` is homogeneous: each of its d + 1 steps forms
+       lc(g) f' - top(f') g, so by induction on the steps
+       prem(2**s f, 2**t g) = 2**(s + (d + 1) t) prem(f, g).
+    2. Write b = 2**v b_o with b_o odd, and E = s + (d + 1) t.  The next
+       element 2**E prem(f, g) / b has integer coefficients (the packing is
+       a ring homomorphism, so the exact division in Z[x] stays exact on
+       the packed values).  So b_o divides 2**E prem(f, g) and, being
+       coprime to 2**E, prem(f, g).  The element is then
+       (prem(f, g) // b_o) * 2**(E - v); when E - v < 0, its integrality
+       means the quotient's shared trailing zeros cover -(E - v), so the
+       shift of the normalized (p, s) is s >= 0.
+
+    The scalars lc, b, c and the resultant are full values, and every
+    returned element is shifted back to its value."""
     if len(f) < len(g):
         f, g = g, f
     prs = [f, g]
-    d = len(f) - len(g)
-    h = _strip([-a for a in _prem(f, g)] if d % 2 == 0 else _prem(f, g))
-    lc = g[0]
-    c = lc**d
-    res = c
-    c = -c
-    while h:
-        prs.append(h)
-        f, g, d = g, h, len(g) - len(h)
+    lc, d = g[0], len(f) - len(g)
+    (f, s), (g, t) = _odd(f, 0), _odd(g, 0)
+    b, c = (-1) ** (d + 1), -1
+    while True:
+        if len(g) > 1:
+            v = (b & -b).bit_length() - 1
+            b >>= v
+            h = _strip([a // b for a in _prem(f, g)])
+        else:
+            h = []
+        c = (-lc) ** d // c ** (d - 1) if d else c
+        if not h:
+            return prs, (-c if len(g) == 1 else 0)
+        h, u = _odd(h, s + (d + 1) * t - v)
+        prs.append([a << u for a in h])
+        f, s, g, t, d = g, t, h, u, len(g) - len(h)
         b = -lc * c**d
-        h = _strip([a // b for a in _prem(f, g)])
-        lc = g[0]
-        c = (-lc) ** d // c ** (d - 1) if d > 1 else -lc
-        res = -c
-    return prs, (res if len(prs[-1]) == 1 else 0)
+        lc = prs[-1][0]
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -448,10 +494,13 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
 
     Such a line is tangent where h(x) = b**n f(x, -(1 + a x)/b), n = deg_y f,
     has a double root, so G is the discriminant Q = Res_x(h, h_x) / lc_x(h)
-    with its monomial and integer content removed.  The PRS runs on the
-    kernel of ``count_torus_solutions``: h is keyed by (Kronecker exponent
-    of a after b -> a**w, x-degree), so its x-coefficients pack at
-    a = 2**k, b = 2**(k*w).
+    with its monomial and integer content removed.  When deg_x f < deg_y f,
+    x and y are swapped in f first, so that h has the lower b-degree.  The
+    swap is a linear change of coordinates of P**2, and its dual swaps a
+    and b, so a and b are swapped back in Q before the normalization.  The
+    PRS runs on the kernel of ``count_torus_solutions``: h is keyed by
+    (Kronecker exponent of a after b -> a**w, x-degree), so its
+    x-coefficients pack at a = 2**k, b = 2**(k*w).
 
     One width holds Q, though Q is not a minor.  With m = deg_x h,
     subtract m times the first h-row of the Sylvester matrix of h and h_x
@@ -475,6 +524,9 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
     a-degree <= n, so w <= n (2m - 1) + 2, the width of the row-sum bound.
     """
     f = _integral_terms(f.strip_monomial())
+    swap = max(i for i, _ in f) < max(j for _, j in f)
+    if swap:
+        f = {(j, i): c for (i, j), c in f.items()}
     n = max(ey for _, ey in f)
     m = max(i + j for i, j in f)
     # each term c x**i y**j gives c (-1)**j C(j, t) x**(i + t) a**t b**(n - j),
@@ -496,7 +548,10 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
     _, res = _subresultants(H, _pack_y(hx, k))
     if not res:
         raise DegenerateSampleError("identically-zero discriminant (the curve has a repeated factor)")
-    G = _unpack_ab(res // H[0], k, w).strip_monomial().terms
+    G = _unpack_ab(res // H[0], k, w)
+    if swap:
+        G = SparsePoly({(v, u): c for (u, v), c in G.terms.items()})
+    G = G.strip_monomial().terms
     g = math.gcd(*G.values()) * (1 if G[max(G)] > 0 else -1)
     return SparsePoly({e: c // g for e, c in G.items()})
 

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from plucker import cli, formulas
+from plucker.assumptions import full_assumption_report
 from plucker.cli import (
     EXIT_DEGENERATE,
     EXIT_MISMATCH,
@@ -285,6 +286,30 @@ class TestImplicitize:
             monkeypatch.setattr(module, "plucker_report", counted)
         assert run(["implicitize", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command, battery_runs", [("implicitize", 1), ("implicitize --advisory", 0), ("verify --advisory", 1)]
+    )
+    def test_battery_runs_only_where_it_decides_or_prints(
+        self, command, battery_runs, polygon_file, monkeypatch, capsys
+    ):
+        # implicitize --advisory neither gates on the battery nor prints it;
+        # verify --advisory prints the assumptions
+        calls = []
+
+        def counted(P, *args, **kwargs):
+            calls.append(P)
+            return full_assumption_report(P, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "full_assumption_report", counted)
+        assert run(command.split() + ["--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
+        assert len(calls) == battery_runs
+
+    def test_advisory_still_rejects_a_bad_budget(self, polygon_file, capsys, monkeypatch):
+        monkeypatch.setenv("PLUCKER_BUDGET", "x")
+        argv = ["implicitize", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]]), "--advisory"]
+        assert run(argv) == EXIT_PARSE
+        assert "PLUCKER_BUDGET must be a nonnegative integer, got 'x'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify", "implicitize"])

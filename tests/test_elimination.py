@@ -180,21 +180,41 @@ def _gapped_pair(rng):
     return terms
 
 
-def test_prs_matches_sympy_subresultants_on_gapped_pairs():
+def _check_gapped_pairs(shift):
+    """Compare the packed PRS and resultant of 30 gapped pairs, each side
+    multiplied by x**shift, with sympy's; return the PRS degree sequences."""
     rng = random.Random(5)
-    defective = 0
+    sequences = []
     for _ in range(30):
-        f, g = _gapped_pair(rng)
+        f, g = (p.shift(shift, 0) for p in _gapped_pair(rng))
         F, G = _integral_terms(f), _integral_terms(g)
         k = _packing_width(F, G)
-        prs, res = _subresultants(_pack_y(F, k), _pack_y(G, k))
+        Fp, Gp = _pack_y(F, k), _pack_y(G, k)
+        assert all(v % (1 << shift * k) == 0 for v in Fp + Gp)
+        prs, res = _subresultants(Fp, Gp)
         expected = sympy_y_poly(f).subresultants(sympy_y_poly(g))
         assert [_as_dict(p, k) for p in prs] == [p.as_dict(native=True) for p in expected]
-        degrees = [len(p) - 1 for p in prs]
-        defective += any(a - b > 1 for a, b in zip(degrees[1:], degrees[2:]))
         R = sympy_y_poly(f).resultant(sympy_y_poly(g))
-        assert resultant_y(f, g).terms == {(ex, 0): c for (ex,), c in R.as_dict(native=True).items()}
-    assert defective >= 10
+        R_terms = {(ex, 0): c for (ex,), c in R.as_dict(native=True).items()}
+        assert {(ex, 0): c for ex, c in enumerate(_unpack(res, k)) if c} == R_terms
+        assert resultant_y(f, g).terms == R_terms
+        sequences.append([len(p) - 1 for p in prs])
+    return sequences
+
+
+def test_prs_matches_sympy_subresultants_on_gapped_pairs():
+    sequences = _check_gapped_pairs(0)
+    assert sum(any(a - b > 1 for a, b in zip(d[1:], d[2:])) for d in sequences) >= 10
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_prs_matches_sympy_subresultants_with_shared_trailing_zeros(shift):
+    # x**shift puts shift * k zero bits under every packed coefficient, so
+    # the kernel holds each element as an odd part times a power of 2; a
+    # PRS that ends in a constant after a gap of at least 2 takes c from
+    # that gap without forming the last pseudo-remainder
+    sequences = _check_gapped_pairs(shift)
+    assert any(d[-1] == 0 and d[-2] - d[-1] >= 2 for d in sequences)
 
 
 def test_packing_width_below_the_bound_unpacks_a_wrong_resultant():
@@ -271,13 +291,16 @@ def test_dual_slot_width_is_the_sylvester_column_bound(vertices, cfg, monkeypatc
     # Sylvester matrix of h and h_x, over Z[a, b] in x, of the largest
     # a-degree in the column; every subresultant coefficient and the
     # discriminant Q stay within w - 2, and w is never wider than the
-    # row-sum width n (2m - 1) + 2
+    # row-sum width n (2m - 1) + 2; h is built in the chart that
+    # _dual_equation packs, with x and y swapped when deg_x f < deg_y f
     widths = []
     unpack_ab = oracle._unpack_ab
     monkeypatch.setattr(oracle, "_unpack_ab", lambda v, k, w: widths.append(w) or unpack_ab(v, k, w))
     f = sample_poly(LatticePolygon.hull(vertices), cfg).strip_monomial()
     _dual_equation(f)
     (w,) = widths
+    if max(i for i, _ in f.terms) < f.degree_y():
+        f = SparsePoly({(j, i): c for (i, j), c in f.terms.items()})
     a, b = sympy.symbols("a b")
     n = f.degree_y()
     h = sympy.Poly(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()), _X)
