@@ -47,7 +47,6 @@ from .oracle import (
     OracleConfig,
     OracleError,
     RetriesExhaustedError,
-    SparsePoly,
     count_torus_solutions,
     hessian_curve,
     implicitize_dual,

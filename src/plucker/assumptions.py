@@ -316,7 +316,10 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     coords = range(-bound, bound + 1)
     if min(xh - xl, yh - yl) < 5:
         return False, len(coords) ** 4 > budget
-    for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
+    n = max(budget, 0)
+    # a tuple of rank below n in product order has every index below n, so
+    # the cut range gives the same first n tuples, and product copies n ints
+    for ux, uy, vx, vy in islice(product(coords[:n], repeat=4), n):
         u, v = (ux, uy), (vx, vy)
         # the parallelogram is fixed up to translation by its edges up to
         # sign and order; test it at the first of those tuples in product

@@ -248,7 +248,7 @@ def cmd_implicitize(P: LatticePolygon, args) -> _Result:
     else:
         _require_verified_or_advisory(P, args)
     poly, observed = implicitize_dual(P, OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound))
-    terms = sorted(poly.terms.items())
+    terms = sorted(poly.items())
     # exact integers, as [real, imaginary] pairs
     payload = {
         "polygon": polygon_json(P),

@@ -5,6 +5,12 @@ its inflection points (via the bordered Hessian) and vertical tangents by
 exact elimination, and computes the dual curve's exact integer equation
 as a discriminant.
 
+A polynomial in two variables is a ``dict[Point, int]`` from exponents to
+coefficients that holds no zero coefficient (``Poly``).  The exact
+functions reject a caller's dict with a zero coefficient (``ValueError``),
+which would move the degrees and the Newton polygon they read, or a
+non-integer one (``TypeError``).
+
 The torus count is exact and uses only Python integers.  One subresultant
 PRS in y (Brown and Traub, "On Euclid's algorithm and the theory of
 subresultants", J. ACM 18, 1971) gives the resultant and a linear element
@@ -62,6 +68,7 @@ from .formulas import dual_polygon
 from .lattice import LatticePolygon, Point, edge_fan, interior_lattice_points, lattice_points
 
 _T = TypeVar("_T")
+Poly = dict[Point, int]
 
 
 class OracleError(RuntimeError):
@@ -106,83 +113,43 @@ class OracleConfig:
             raise ValueError("the coefficient bound must be positive")
 
 
-class SparsePoly:
-    """Bivariate polynomial as a map from lattice exponents to coefficients.
-
-    The oracle stores ints; other coefficients are kept as given.  Zero
-    coefficients are never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Point, object]):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SparsePoly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"SparsePoly({self.terms!r})"
-
-    def diff(self, var: str) -> "SparsePoly":
-        i = 0 if var == "x" else 1
-        out: dict[Point, object] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = (e[0] - 1, e[1]) if i == 0 else (e[0], e[1] - 1)
-            out[ne] = out.get(ne, 0) + c * e[i]
-        return SparsePoly(out)
-
-    def shift(self, dx: int, dy: int) -> "SparsePoly":
-        return SparsePoly({(e[0] + dx, e[1] + dy): c for e, c in self.terms.items()})
-
-    def strip_monomial(self) -> "SparsePoly":
-        """Divide out the largest common monomial factor; a no-op on the
-        curve inside the torus."""
-        if not self.terms:
-            return self
-        mx = min(e[0] for e in self.terms)
-        my = min(e[1] for e in self.terms)
-        return self.shift(-mx, -my)
-
-    def newton_polygon(self) -> LatticePolygon:
-        if not self.terms:
-            raise ValueError("zero polynomial has no Newton polygon")
-        return LatticePolygon.hull(self.terms.keys())
-
-    def evaluate(self, x: complex, y: complex) -> complex:
-        return sum(complex(c) * x ** ex * y ** ey for (ex, ey), c in self.terms.items())
-
-    def y_coeffs_at(self, x0: complex) -> list[complex]:
-        """Coefficients of self(x0, y) as a dense list, highest y-degree first."""
-        by_deg: dict[int, complex] = {}
-        for (ex, ey), c in self.terms.items():
-            by_deg[ey] = by_deg.get(ey, 0) + complex(c) * x0 ** ex
-        top = max(by_deg)
-        return [by_deg.get(d, 0j) for d in range(top, -1, -1)]
-
-    def degree_y(self) -> int:
-        return max(e[1] for e in self.terms)
+def _diff(f: Poly, var: str) -> Poly:
+    """df/dx or df/dy; distinct exponents stay distinct, so nothing adds up."""
+    if var == "x":
+        return {(ex - 1, ey): c * ex for (ex, ey), c in f.items() if ex}
+    return {(ex, ey - 1): c * ey for (ex, ey), c in f.items() if ey}
 
 
-def sample_poly(P: LatticePolygon, cfg: OracleConfig) -> SparsePoly:
+def _strip_monomial(f: Poly) -> Poly:
+    """f with its largest monomial factor divided out; a no-op on the curve
+    inside the torus."""
+    if not f:
+        return f
+    mx, my = min(ex for ex, _ in f), min(ey for _, ey in f)
+    return {(ex - mx, ey - my): c for (ex, ey), c in f.items()}
+
+
+def _require_coeffs(f: Poly) -> None:
+    """Reject a coefficient that is not a nonzero int (module docstring)."""
+    if any(type(c) is not int for c in f.values()):
+        raise TypeError("the oracle needs integer coefficients")
+    if not all(f.values()):
+        raise ValueError("the polynomial stores a zero coefficient")
+
+
+def sample_poly(P: LatticePolygon, cfg: OracleConfig) -> Poly:
     """Random nonzero integer coefficient per lattice point of P, with the
     support translated so that its lowest exponent is 0 in x and in y."""
     P.require_dim2()
     rng = random.Random(cfg.seed)
     (xl, yl), _ = P.bounding_box()
-    terms: dict[Point, int] = {}
-    for px, py in lattice_points(P):
-        c = rng.randint(1, cfg.coeff_bound) * rng.choice((-1, 1))
-        terms[(px - xl, py - yl)] = c
-    return SparsePoly(terms)
+    return {
+        (px - xl, py - yl): rng.randint(1, cfg.coeff_bound) * rng.choice((-1, 1))
+        for px, py in lattice_points(P)
+    }
 
 
-def hessian_curve(f: SparsePoly) -> SparsePoly:
+def hessian_curve(f: Poly) -> Poly:
     """x^2 y^2 times the bordered Hessian determinant
     B(f) = det [[f_xx, f_xy, f_x], [f_xy, f_yy, f_y], [f_x, f_y, 0]] of f,
     for f with integer coefficients and nonnegative exponents.
@@ -207,34 +174,33 @@ def hessian_curve(f: SparsePoly) -> SparsePoly:
     in Laurent polynomials, and u is a unit in the torus.  So the sample
     needs no shift: for generic f with every exponent at least 2 the
     result has Newton polygon 3 newt(f), larger than the count needs."""
-    if any(type(c) is not int for c in f.terms.values()):
-        raise TypeError("the Hessian curve needs integer coefficients")
-    fx, fy = f.diff("x"), f.diff("y")
-    derivs = (fx.diff("x"), fx.diff("y"), fy.diff("y"), fx, fy)
-    nxx, nxy, nyy, nx, ny = (sum(map(abs, p.terms.values())) for p in derivs)
+    _require_coeffs(f)
+    fx, fy = _diff(f, "x"), _diff(f, "y")
+    derivs = (_diff(fx, "x"), _diff(fx, "y"), _diff(fy, "y"), fx, fy)
+    nxx, nxy, nyy, nx, ny = (sum(map(abs, p.values())) for p in derivs)
     k = (2 * nxy * nx * ny + nxx * ny * ny + nyy * nx * nx).bit_length() + 2
-    w = 3 * max((ex for ex, _ in f.terms), default=0) + 1
-    xx, xy, yy, x, y = (sum(c << k * (i + w * j) for (i, j), c in p.terms.items()) for p in derivs)
-    return _unpack_ab(2 * xy * x * y - xx * y * y - yy * x * x, k, w).shift(2, 2)
+    w = 3 * max((ex for ex, _ in f), default=0) + 1
+    xx, xy, yy, x, y = (sum(c << k * (i + w * j) for (i, j), c in p.items()) for p in derivs)
+    B = _unpack_ab(2 * xy * x * y - xx * y * y - yy * x * x, k, w)
+    return {(i + 2, j + 2): c for (i, j), c in B.items()}
 
 
-# Exact elimination over Z[x].  A bivariate polynomial is a list of its
+# Exact elimination over Z[x].  A Poly is packed as the list of its
 # y-coefficients, highest degree first, each a polynomial in x packed into
 # one integer (its value at x = 2**k); a univariate polynomial is a list of
 # ints, lowest degree first, with no trailing zero.
 
 
-def _integral_terms(f: SparsePoly) -> dict[Point, int]:
+def _integral_terms(f: Poly) -> Poly:
     if not f:
         raise ValueError("resultant of a zero polynomial")
-    if f.degree_y() == 0:
+    if max(ey for _, ey in f) == 0:
         raise ValueError("resultant_y needs positive y-degree on both sides")
-    if any(type(c) is not int for c in f.terms.values()):
-        raise TypeError("elimination needs integer coefficients")
-    return f.terms
+    _require_coeffs(f)
+    return f
 
 
-def _packing_width(F: dict[Point, int], G: dict[Point, int]) -> int:
+def _packing_width(F: Poly, G: Poly) -> int:
     """Bits per packed x-coefficient that hold every Sylvester minor of F
     and G (module docstring), and, for F = h and G = h_x keyed by Kronecker
     exponents, the quotient Res_x(h, h_x) / lc_x(h) of ``_dual_equation``,
@@ -244,7 +210,7 @@ def _packing_width(F: dict[Point, int], G: dict[Point, int]) -> int:
     return norm.bit_length() + 2
 
 
-def _pack_y(F: dict[Point, int], k: int) -> list[int]:
+def _pack_y(F: Poly, k: int) -> list[int]:
     top = max(ey for _, ey in F)
     rows = [0] * (top + 1)
     for (ex, ey), c in F.items():
@@ -414,16 +380,16 @@ def _linear_coeff(prs: list[list[int]], k: int) -> list[int]:
     return _unpack(prs[-2][0], k)
 
 
-def resultant_y(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+def resultant_y(f: Poly, g: Poly) -> Poly:
     """Resultant of f and g with respect to y: a univariate polynomial in x
     with exact integer coefficients."""
     F, G = _integral_terms(f), _integral_terms(g)
     k = _packing_width(F, G)
     _, res = _subresultants(_pack_y(F, k), _pack_y(G, k))
-    return SparsePoly({(i, 0): c for i, c in enumerate(_unpack(res, k))})
+    return {(i, 0): c for i, c in enumerate(_unpack(res, k)) if c}
 
 
-def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
+def count_torus_solutions(f: Poly, g: Poly) -> int:
     """Number of distinct common zeroes of f and g with both coordinates in
     the torus, counted exactly.
 
@@ -446,16 +412,17 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     pair shows the roots of I carry none.  A sample that fails a test is
     degenerate.
     """
-    f, g = f.strip_monomial(), g.strip_monomial()
+    _require_coeffs(f)
+    _require_coeffs(g)
+    f, g = _strip_monomial(f), _strip_monomial(g)
     if not f or not g:
         raise DegenerateSampleError("identically-zero resultant (common factor)")
-    if any(len(p.terms) > 1 and p.degree_y() == 0 for p in (f, g)):
+    if any(len(p) > 1 and max(ey for _, ey in p) == 0 for p in (f, g)):
         raise DegenerateSampleError("y-degree 0 after the monomial factor is divided out")
-    if len(f.terms) == 1 or len(g.terms) == 1:
+    if len(f) == 1 or len(g) == 1:
         return 0
-    F, G = _integral_terms(f), _integral_terms(g)
-    k = _packing_width(F, G)
-    Fp, Gp = _pack_y(F, k), _pack_y(G, k)
+    k = _packing_width(f, g)
+    Fp, Gp = _pack_y(f, k), _pack_y(g, k)
     prs, res = _subresultants(Fp, Gp)
     if not res:
         raise DegenerateSampleError("identically-zero resultant (common factor)")
@@ -478,16 +445,14 @@ def count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
     return len(Rs) - len(Z) - len(I) + 1
 
 
-def _unpack_ab(v: int, k: int, w: int) -> SparsePoly:
+def _unpack_ab(v: int, k: int, w: int) -> Poly:
     """The polynomial in (a, b) whose b-coefficients are the balanced
     base-2**(k*w) digits of v and whose a-coefficients are theirs in base
     2**k."""
-    return SparsePoly(
-        {(u, j): c for j, row in enumerate(_unpack(v, k * w)) for u, c in enumerate(_unpack(row, k))}
-    )
+    return {(u, j): c for j, row in enumerate(_unpack(v, k * w)) for u, c in enumerate(_unpack(row, k)) if c}
 
 
-def _dual_equation(f: SparsePoly) -> SparsePoly:
+def _dual_equation(f: Poly) -> Poly:
     """The equation G(a, b) of the dual curve of f = 0, whose points are the
     lines a x + b y + 1 = 0 tangent to it: primitive, with no monomial
     factor and a positive coefficient at its largest exponent.
@@ -523,7 +488,7 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
     deg_a Q <= deg_a D <= w - 2, and Q unpacks exactly.  Every entry has
     a-degree <= n, so w <= n (2m - 1) + 2, the width of the row-sum bound.
     """
-    f = _integral_terms(f.strip_monomial())
+    f = _integral_terms(_strip_monomial(f))
     swap = max(i for i, _ in f) < max(j for _, j in f)
     if swap:
         f = {(j, i): c for (i, j), c in f.items()}
@@ -550,10 +515,10 @@ def _dual_equation(f: SparsePoly) -> SparsePoly:
         raise DegenerateSampleError("identically-zero discriminant (the curve has a repeated factor)")
     G = _unpack_ab(res // H[0], k, w)
     if swap:
-        G = SparsePoly({(v, u): c for (u, v), c in G.terms.items()})
-    G = G.strip_monomial().terms
+        G = {(v, u): c for (u, v), c in G.items()}
+    G = _strip_monomial(G)
     g = math.gcd(*G.values()) * (1 if G[max(G)] > 0 else -1)
-    return SparsePoly({e: c // g for e, c in G.items()})
+    return {e: c // g for e, c in G.items()}
 
 
 def _scaled_float(c: int, shift: int) -> float:
@@ -616,7 +581,7 @@ def _retry_samples(
     P: LatticePolygon,
     cfg: OracleConfig,
     what: str,
-    attempt: Callable[[SparsePoly], _T],
+    attempt: Callable[[Poly], _T],
 ) -> _T:
     """Run ``attempt`` on a curve sampled on P under each reseeded config in
     turn, until one attempt meets no degenerate sample."""
@@ -640,12 +605,12 @@ _CHARTS: tuple[tuple[str, Callable[[int, int], Point]], ...] = (
 )
 
 
-def _count_in_charts(f: SparsePoly, g: SparsePoly) -> int:
+def _count_in_charts(f: Poly, g: Poly) -> int:
     """count_torus_solutions of the pair in the first chart that certifies
     it; degenerate, naming each chart's reason, when none does."""
     failed = []
     for name, chart in _CHARTS:
-        pair = [SparsePoly({chart(*e): c for e, c in p.terms.items()}) for p in (f, g)]
+        pair = [{chart(*e): c for e, c in p.items()} for p in (f, g)]
         try:
             return count_torus_solutions(*pair)
         except DegenerateSampleError as exc:
@@ -665,21 +630,21 @@ def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
     """Count torus solutions of f = df/dy = 0 for a sampled curve."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "vertical tangent oracle", lambda f: _count_in_charts(f, f.diff("y"))
+        P, cfg, "vertical tangent oracle", lambda f: _count_in_charts(f, _diff(f, "y"))
     )
 
 
 def sample_dual_points(
-    f: SparsePoly, n: int, cfg: OracleConfig
+    f: Poly, n: int, cfg: OracleConfig
 ) -> tuple[tuple[complex, complex], ...]:
     """Points (a,b) on the dual curve: for random x near the unit circle,
     solve f(x,.) = 0 and map each torus root through the tangency
     parametrization (a,b) = -(f_x, f_y) / (x f_x + y f_y)."""
-    if not f or f.newton_polygon().dim != 2:
+    if not f or LatticePolygon.hull(f).dim != 2:
         raise ValueError("need a genuinely bivariate polynomial")
     rng = random.Random(cfg.seed ^ 0xD1A15A3B)
-    fx = f.diff("x")
-    fy = f.diff("y")
+    fx, fy = _diff(f, "x"), _diff(f, "y")
+    top = max(ey for _, ey in f)
     points: list[tuple[complex, complex]] = []
     tries = 0
     while len(points) < n:
@@ -688,13 +653,15 @@ def sample_dual_points(
             raise OracleError("insufficient valid dual samples")
         radius = 1 + 0.3 * (rng.random() - 0.5)
         x0 = radius * cmath.exp(2j * math.pi * rng.random())
-        for y0 in _polished_poly_roots(f.y_coeffs_at(x0)):
+        ys = [0j] * (top + 1)  # f(x0, y), highest y-degree first
+        for (ex, ey), c in f.items():
+            ys[top - ey] += complex(c) * x0**ex
+        for y0 in _polished_poly_roots(ys):
             if len(points) >= n:
                 break
             if abs(y0) <= _TORUS_TOL or abs(x0) <= _TORUS_TOL:
                 continue
-            vx = fx.evaluate(x0, y0)
-            vy = fy.evaluate(x0, y0)
+            vx, vy = (sum(complex(c) * x0**ex * y0**ey for (ex, ey), c in p.items()) for p in (fx, fy))
             den = x0 * vx + y0 * vy
             if abs(den) <= _TORUS_TOL:
                 continue
@@ -705,11 +672,13 @@ def sample_dual_points(
 def implicitize_dual(
     P: LatticePolygon,
     cfg: OracleConfig,
-    poly: Optional[SparsePoly] = None,
-) -> tuple[SparsePoly, LatticePolygon]:
+    poly: Optional[Poly] = None,
+) -> tuple[Poly, LatticePolygon]:
     """The exact dual equation of a curve sampled on P (or of ``poly``),
     with its Newton polygon, which must match the predicted dual polygon
-    up to translation."""
+    up to translation.  ``poly`` and the equation are ``dict[Point, int]``
+    maps from exponents (in x, y and in a, b) to coefficients that hold no
+    zero coefficient; a zero in ``poly`` raises ``ValueError``."""
     predicted = dual_polygon(P)
     # counted by Pick's theorem: the dual of d Delta holds O(d**4) points
     if interior_lattice_points(predicted) + sum(edge_fan(predicted).values()) > 40:
@@ -720,11 +689,9 @@ def implicitize_dual(
     return _retry_samples(P, cfg, "implicitization", lambda f: _implicitize_once(f, predicted))
 
 
-def _implicitize_once(
-    f: SparsePoly, predicted: LatticePolygon
-) -> tuple[SparsePoly, LatticePolygon]:
+def _implicitize_once(f: Poly, predicted: LatticePolygon) -> tuple[Poly, LatticePolygon]:
     G = _dual_equation(f)
-    observed = G.newton_polygon()
+    observed = LatticePolygon.hull(G)
     if observed.canonical().vertices != predicted.canonical().vertices:
         raise DegenerateSampleError(
             "observed dual support does not match the predicted polygon"
@@ -734,14 +701,14 @@ def _implicitize_once(
     return G, observed
 
 
-def _is_squarefree(G: SparsePoly) -> bool:
+def _is_squarefree(G: Poly) -> bool:
     """True when G(a, b0 + s a) has G's total degree and no repeated root
     on one of three lines.  That proves G squarefree: a factor A**2 of G
     restricts to one of degree 2 deg A there.  A singular curve, such as a
     pair of lines, has a square factor in its discriminant for each node."""
-    d = max(u + v for u, v in G.terms)
-    rows = [[0] * (d + 1) for _ in range(max(v for _, v in G.terms) + 1)]
-    for (u, v), c in G.terms.items():
+    d = max(u + v for u, v in G)
+    rows = [[0] * (d + 1) for _ in range(max(v for _, v in G) + 1)]
+    for (u, v), c in G.items():
         rows[v][u] = c
     for b0, s in ((1, 2), (3, 5), (7, 11)):
         g = [0] * (d + 1)

@@ -34,7 +34,6 @@ from plucker.lattice import (
 )
 from plucker.oracle import (
     OracleConfig,
-    SparsePoly,
     implicitize_dual,
     inflection_oracle,
     vertical_tangent_oracle,
@@ -42,7 +41,7 @@ from plucker.oracle import (
 
 D = standard_triangle()
 GOLDEN = LatticePolygon.hull([(0, 0), (0, 1), (1, 1)])
-GOLDEN_POLY = SparsePoly({(1, 1): 1, (0, 1): 1, (0, 0): 1})
+GOLDEN_POLY = {(1, 1): 1, (0, 1): 1, (0, 0): 1}
 
 
 class _Criterion:
@@ -125,11 +124,11 @@ def test_criterion_4_golden_example():
         rec, observed = implicitize_dual(
             GOLDEN, OracleConfig(seed=4), poly=GOLDEN_POLY
         )
-        scale = rec.terms[(1, 1)] / 4
+        scale = rec[(1, 1)] / 4
         target = {(2, 0): 1.0, (1, 1): 4.0, (1, 0): -2.0, (0, 0): 1.0}
-        assert set(rec.terms) == set(target)
+        assert set(rec) == set(target)
         for e, c in target.items():
-            assert abs(rec.terms[e] / scale - c) < 1e-6
+            assert abs(rec[e] / scale - c) < 1e-6
         assert observed.canonical().vertices == expected.vertices
 
 

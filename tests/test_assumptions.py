@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations, islice, product
 
 import pytest
@@ -521,6 +522,18 @@ class TestFiveR:
         rep = full_assumption_report(P, budget=5000)
         assert ("no-tritangents", 0, "budget exhausted") in rep.evidence
         assert len(five_r_tuples) == 5000
+
+    def test_memory_is_bounded_by_the_budget(self):
+        # b = 2 * 10**6 on this triangle: product copies the budget's first
+        # 200,000 coordinates, not all 4 * 10**6 + 1 of them (160 MB)
+        P = LatticePolygon.hull([(0, 0), (3, 0), (10**7, 7)])
+        tracemalloc.start()
+        try:
+            assert assumptions._contains_5R(P, 200_000) == (False, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 10**6
 
 
 class TestAssumption3:

@@ -248,8 +248,8 @@ class TestImplicitize:
         else:
             printed = {f"{m[2:]},{n[2:]}": int(c) for m, n, c in (line.split() for line in out.splitlines()[:-1])}
         G, _ = implicitize_dual(LatticePolygon.hull(self.SQUARE), OracleConfig(seed=1, coeff_bound=bound))
-        assert printed == {f"{u},{v}": c for (u, v), c in G.terms.items()}
-        assert max(abs(c) for c in G.terms.values()) > 10**700
+        assert printed == {f"{u},{v}": c for (u, v), c in G.items()}
+        assert max(abs(c) for c in G.values()) > 10**700
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_coefficients_past_the_digit_limit_exit_2(self, polygon_file, capsys, fmt):

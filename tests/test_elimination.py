@@ -17,12 +17,13 @@ from plucker.lattice import LatticePolygon
 from plucker.oracle import (
     DegenerateSampleError,
     OracleConfig,
-    SparsePoly,
+    _diff,
     _dual_equation,
     _gcd,
     _integral_terms,
     _pack_y,
     _packing_width,
+    _strip_monomial,
     _subresultants,
     _unpack,
     count_torus_solutions,
@@ -34,13 +35,13 @@ from plucker.oracle import (
 _Y, _X = sympy.symbols("y x")
 
 
-def sympy_y_poly(f: SparsePoly) -> sympy.Poly:
+def sympy_y_poly(f: dict) -> sympy.Poly:
     """f as a polynomial in y over Z[x]: generator 0 is y, generator 1 is x."""
     if not f:
         raise ValueError("resultant of a zero polynomial")
-    if f.degree_y() == 0:
+    if max(ey for _, ey in f) == 0:
         raise ValueError("resultant_y needs positive y-degree on both sides")
-    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in f.terms.items()}, _Y, _X)
+    return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in f.items()}, _Y, _X)
 
 
 def _y_coeff(p: sympy.Poly, k: int) -> sympy.Poly:
@@ -61,13 +62,13 @@ def _linear_coeff(prs: list) -> sympy.Poly:
     return _y_coeff(last, 1)
 
 
-def sympy_count_torus_solutions(f: SparsePoly, g: SparsePoly) -> int:
-    f, g = f.strip_monomial(), g.strip_monomial()
+def sympy_count_torus_solutions(f: dict, g: dict) -> int:
+    f, g = _strip_monomial(f), _strip_monomial(g)
     if not f or not g:
         raise DegenerateSampleError("identically-zero resultant (common factor)")
-    if any(len(p.terms) > 1 and p.degree_y() == 0 for p in (f, g)):
+    if any(len(p) > 1 and max(ey for _, ey in p) == 0 for p in (f, g)):
         raise DegenerateSampleError("y-degree 0 after the monomial factor is divided out")
-    if len(f.terms) == 1 or len(g.terms) == 1:
+    if len(f) == 1 or len(g) == 1:
         return 0
     F, G = sympy_y_poly(f), sympy_y_poly(g)
     R, prs = F.resultant(G, includePRS=True)
@@ -107,7 +108,7 @@ def _seeded_pairs(rng, n):
         P = random_polygon(rng, box=rng.randint(1, 4))
         cfg = OracleConfig(seed=rng.randint(0, 2**32), coeff_bound=rng.choice((2, 1000)))
         f = sample_poly(P, cfg)
-        pairs += [(f, hessian_curve(f)), (f, f.diff("y"))]
+        pairs += [(f, hessian_curve(f)), (f, _diff(f, "y"))]
     return pairs
 
 
@@ -176,7 +177,7 @@ def _gapped_pair(rng):
     for degree in rng.sample(range(1, 5), 2):
         t = {(ex, s * ey): rng.randint(-9, 9) for ex in range(3) for ey in range(degree)}
         t[(rng.randint(0, 2), s * degree)] = rng.choice((-1, 1)) * rng.randint(1, 9)
-        terms.append(SparsePoly(t))
+        terms.append({e: c for e, c in t.items() if c})
     return terms
 
 
@@ -186,7 +187,7 @@ def _check_gapped_pairs(shift):
     rng = random.Random(5)
     sequences = []
     for _ in range(30):
-        f, g = (p.shift(shift, 0) for p in _gapped_pair(rng))
+        f, g = ({(ex + shift, ey): c for (ex, ey), c in p.items()} for p in _gapped_pair(rng))
         F, G = _integral_terms(f), _integral_terms(g)
         k = _packing_width(F, G)
         Fp, Gp = _pack_y(F, k), _pack_y(G, k)
@@ -197,7 +198,7 @@ def _check_gapped_pairs(shift):
         R = sympy_y_poly(f).resultant(sympy_y_poly(g))
         R_terms = {(ex, 0): c for (ex,), c in R.as_dict(native=True).items()}
         assert {(ex, 0): c for ex, c in enumerate(_unpack(res, k)) if c} == R_terms
-        assert resultant_y(f, g).terms == R_terms
+        assert resultant_y(f, g) == R_terms
         sequences.append([len(p) - 1 for p in prs])
     return sequences
 
@@ -221,9 +222,9 @@ def test_packing_width_below_the_bound_unpacks_a_wrong_resultant():
     # Res_y(1000 y - x, y + 1000 x) = 1000001 x, which needs 21 bits per
     # digit; the bound 1001 * 1001 has 20 bits, so two bits less than the
     # packing width (bound + 2) unpack something else
-    f = SparsePoly({(0, 1): 1000, (1, 0): -1})
-    g = SparsePoly({(0, 1): 1, (1, 0): 1000})
-    assert resultant_y(f, g).terms == {(1, 0): 1000001}
+    f = {(0, 1): 1000, (1, 0): -1}
+    g = {(0, 1): 1, (1, 0): 1000}
+    assert resultant_y(f, g) == {(1, 0): 1000001}
     F, G = _integral_terms(f), _integral_terms(g)
     narrow = _packing_width(F, G) - 2
     _, res = _subresultants(_pack_y(F, narrow), _pack_y(G, narrow))
@@ -263,11 +264,11 @@ def test_dual_equation_is_the_sympy_discriminant(vertices, cfg):
     # constant times a monomial; the _TIGHT samples are the check on the
     # packing width besides its proof in _dual_equation
     a, b = sympy.symbols("a b")
-    f = sample_poly(LatticePolygon.hull(vertices), cfg).strip_monomial()
-    n = f.degree_y()
-    h = sympy.expand(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()))
+    f = _strip_monomial(sample_poly(LatticePolygon.hull(vertices), cfg))
+    n = max(j for _, j in f)
+    h = sympy.expand(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.items()))
     disc = sympy.Poly(sympy.discriminant(h, _X), a, b).as_dict(native=True)
-    assert _dual_equation(f).terms == _primitive_terms(disc)
+    assert _dual_equation(f) == _primitive_terms(disc)
 
 
 _WIDTH_CASES = {
@@ -296,14 +297,14 @@ def test_dual_slot_width_is_the_sylvester_column_bound(vertices, cfg, monkeypatc
     widths = []
     unpack_ab = oracle._unpack_ab
     monkeypatch.setattr(oracle, "_unpack_ab", lambda v, k, w: widths.append(w) or unpack_ab(v, k, w))
-    f = sample_poly(LatticePolygon.hull(vertices), cfg).strip_monomial()
+    f = _strip_monomial(sample_poly(LatticePolygon.hull(vertices), cfg))
     _dual_equation(f)
     (w,) = widths
-    if max(i for i, _ in f.terms) < f.degree_y():
-        f = SparsePoly({(j, i): c for (i, j), c in f.terms.items()})
+    if max(i for i, _ in f) < max(j for _, j in f):
+        f = {(j, i): c for (i, j), c in f.items()}
     a, b = sympy.symbols("a b")
-    n = f.degree_y()
-    h = sympy.Poly(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.terms.items()), _X)
+    n = max(j for _, j in f)
+    h = sympy.Poly(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.items()), _X)
     hx = h.diff(_X)
     m = h.degree()
     S = sylvester(h.as_expr(), hx.as_expr(), _X)
