@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import islice, product
 from typing import Iterable, Optional
 
 from .lattice import (
@@ -53,6 +52,7 @@ from .lattice import (
     edge_fan,
     lattice_points,
     neg,
+    rotate_point,
     rotate_r,
     standard_triangle,
     sub,
@@ -116,7 +116,7 @@ def assumption2_holds(
 ) -> tuple[Verdict, Optional[ThinTriangleWitness]]:
     """Exact classification: fails iff P, r(P) or r^2(P) is thin."""
     P.require_dim2()
-    for k, Pk in enumerate(_rotations(P)):
+    for k, (Pk, _) in enumerate(_listings(P)):
         w = is_thin(Pk)
         if w is not None:
             return Verdict.FAILS_KNOWN, replace(w, rotation_power=k)
@@ -216,14 +216,23 @@ class _BudgetExhausted(Exception):
 
 
 def _find_Qd(
-    P: LatticePolygon, d: int, face_constraint: Optional[Point], budget: int
+    P: LatticePolygon,
+    d: int,
+    face_constraint: Optional[Point],
+    budget: int,
+    pts: Optional[tuple[Point, ...]] = None,
 ) -> tuple[Optional[Diagram], bool]:
     """Search for a d-point no-line-class subdiagram of P.
 
     Staircase and segment candidates are tried first; a budget-capped
     exhaustive search over lattice-point subsets is the fallback.  The
     second return value reports budget exhaustion (result None then means
-    "not found within budget", not "does not exist").
+    "not found within budget", not "does not exist").  ``pts`` is P's
+    lattice listing, ``lattice_points(P)`` when not given; the report
+    passes the one listing of each direction from ``_listings``, and reads
+    some searches' answers off others instead of running them (see
+    check_assumption1).  With nothing to find, the search charges each
+    d-subset once, C(n, d) in all.
 
     An anchor builds its staircase candidates only after ``_path_fits``
     finds that some path of d points from it stays in P, so the first
@@ -240,7 +249,7 @@ def _find_Qd(
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
-    pts = lattice_points(P)
+    pts = lattice_points(P) if pts is None else pts
     (xl, yl), _ = P.bounding_box()
     if max(x + y for x, y in P.vertices) - xl - yl < d - 1:
         # every d-point set of the class spans d - 1 (see is_class_Qd), so
@@ -304,40 +313,89 @@ def _find_Qd(
 def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     """Appendix criterion: P contains a 5-fold dilate of some unimodular
     parallelogram spanned by u, v with coordinates in [-b, b], b =
-    ceil(w / 5) with w the larger side of P's bounding box.  Each tuple
-    (u, v) visited costs one budget unit; the second return value reports
-    that the budget ran out first.
+    ceil(w / 5) with w the larger side of P's bounding box.  The second
+    return value reports that the budget ran out first.
 
-    A 5-fold dilate spans at least 5 on both axes, as neither (ux, vx) nor
-    (uy, vy) is (0, 0) when |ux vy - uy vx| = 1.  So a P narrower than 5
-    on either axis gets at once what the search would end with."""
+    The budget ranks the tuples (u, v) = (ux, uy, vx, vy) of [-b, b]^4 in
+    ``product`` order, rank ((ux + b) m^3 + (uy + b) m^2 + (vx + b) m + vy + b)
+    with m = 2b + 1, and the search tests those of rank below the budget,
+    in rank order, until one fits.  A parallelogram is fixed up to
+    translation by its edges up to sign and order, so only the canonical
+    tuple is tested: u < v, u <= -u and v <= -v.  Its 5-fold dilate spans
+    5(|ux| + |vx|) by 5(|uy| + |vy|), so only tuples with |ux| + |vx| <= W
+    and |uy| + |vy| <= H can fit, W and H the box's sides floor-divided by
+    5; the rest are skipped untested.  v <= -v makes vx <= 0, and u < v
+    then makes ux < 0, as ux = 0 would need vx = 0 and |det| = 0.  For each
+    u with gcd(ux, uy) = 1 the v with ux vy - uy vx = +-1 are +-v0 + s u, v0
+    from the extended gcd; the s that keep vx in range and below the rank
+    bound form an interval, so a u costs at most two candidates per
+    column vx of rank below the budget.  The u loop runs in product order
+    and stops at the first u whose block of ranks starts at or past the
+    budget, so every tuple tested has its own rank below the budget: the
+    search makes at most ``budget`` containment tests, and returns the
+    (found, exhausted) of walking the first ``budget`` tuples of
+    ``product`` and testing each canonical unimodular one."""
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
-    coords = range(-bound, bound + 1)
-    if min(xh - xl, yh - yl) < 5:
-        return False, len(coords) ** 4 > budget
+    m = 2 * bound + 1
+    W, H = (xh - xl) // 5, (yh - yl) // 5
     n = max(budget, 0)
-    # a tuple of rank below n in product order has every index below n, so
-    # the cut range gives the same first n tuples, and product copies n ints
-    for ux, uy, vx, vy in islice(product(coords[:n], repeat=4), n):
-        u, v = (ux, uy), (vx, vy)
-        # the parallelogram is fixed up to translation by its edges up to
-        # sign and order; test it at the first of those tuples in product
-        # order, the one with u < v, u <= -u and v <= -v
-        if not (u < v and u <= neg(u) and v <= neg(v)) or abs(ux * vy - uy * vx) != 1:
-            continue
-        corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
-        if contains_translate(P, corners) is not None:
-            return True, False
-    return False, len(coords) ** 4 > budget
+    for ux in range(-W, 0):
+        for uy in range(-H, H + 1):
+            start = ((ux + bound) * m + uy + bound) * m * m
+            if start >= n:
+                return False, m**4 > budget
+            if math.gcd(ux, uy) != 1:
+                continue
+            for vx, vy in _partners((ux, uy), W + ux, H - abs(uy), (n - start - 1) // m - bound):
+                if start + (vx + bound) * m + vy + bound >= n:
+                    break
+                corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
+                if contains_translate(P, corners) is not None:
+                    return True, False
+    return False, m**4 > budget
+
+
+def _partners(u: Point, wx: int, hy: int, top: int) -> list[Point]:
+    """The v, in lexicographic order, with |ux vy - uy vx| = 1, u < v,
+    v <= -v, |vx| <= wx, |vy| <= hy and vx <= top, for u with ux < 0 and
+    gcd(ux, uy) = 1."""
+    ux, uy = u
+    # Euclid on (ux, uy) keeps the invariant r0 = ux*s0 + uy*t0, so once
+    # r0 = +-1 the vector v0 = (-t0, s0) / r0 has ux*v0y - uy*v0x = 1
+    r0, r1, s0, s1, t0, t1 = ux, uy, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    x0, y0 = -t0 * r0, s0 * r0
+    lo, hi = max(ux, -wx), min(0, top)
+    found = []
+    for e in (1, -1):
+        # vx = e*x0 + s*ux is in [lo, hi] for s in [ceil((e*x0 - hi) / -ux), floor((e*x0 - lo) / -ux)]
+        for s in range(-((hi - e * x0) // -ux), (e * x0 - lo) // -ux + 1):
+            v = (e * x0 + s * ux, e * y0 + s * uy)
+            if abs(v[1]) <= hy and u < v and v <= neg(v):
+                found.append(v)
+    return sorted(found)
+
+
+_Listing = tuple[LatticePolygon, tuple[Point, ...]]
 
 
 @lru_cache(maxsize=1)
-def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, LatticePolygon]:
-    """P, r(P) and r^2(P): the three directions every check runs in, kept
-    for the last P only, as one report asks for P's three times in a row."""
-    rP = rotate_r(P)
-    return P, rP, rotate_r(rP)
+def _listings(P: LatticePolygon) -> tuple[_Listing, _Listing, _Listing]:
+    """(r^k(P), its lattice points) for k = 0, 1, 2: the three directions
+    every check runs in, kept for the last P only, as one report asks for
+    them three times in a row.  Only P is listed.  rotate_r maps P's
+    points one to one onto those of r(P) by (a, b) -> (b, -a - b) followed
+    by the translation that moves the image's least vertex to the origin,
+    so r(P)'s listing is P's, mapped, shifted and sorted."""
+    listings = [(P, lattice_points(P))]
+    for _ in range(2):
+        Q, pts = listings[-1]
+        tx, ty = neg(min(rotate_point(v) for v in Q.vertices))
+        listings.append((rotate_r(Q), tuple(sorted([(b + tx, ty - a - b) for a, b in pts]))))
+    return listings[0], listings[1], listings[2]
 
 
 def _verdict(rows: list[_Row]) -> tuple[Verdict, Evidence]:
@@ -352,9 +410,37 @@ def check_assumption1(
     P: LatticePolygon, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[Verdict, Evidence]:
     """Nodes-and-cusps-only battery: subdiagram classes of size 6, 5, 4,
-    per-direction boundary-tangency exclusions, and the thin classification."""
+    per-direction boundary-tangency exclusions, and the thin classification.
+
+    The Q5 search runs first, and two searches are read off its answer
+    when that gives what they would return.  Dropping the point named in
+    is_class_Qd's induction from a set of the class leaves a set of the
+    class, so every Q6 set holds a Q5 set and every Q5 set a Q4 set.  With
+    n lattice points in P, a Q_d search that has nothing to find tries no
+    staircase (each is a set of the class) and charges every d-subset once,
+    C(n, d) in all, so it runs out exactly when C(n, d) > max(budget, 0);
+    a search that has a set to find and C(n, d) <= max(budget, 0) reaches
+    it before the budget runs out.  Hence a finished "no Q5" gives Q6's
+    (None, C(n, 6) > max(budget, 0)) and a Q5 found gives "Q4 found" when
+    C(n, 4) <= max(budget, 0).  And r is unimodular and maps Delta to a
+    translate of Delta, so it keeps the class and maps P's lattice points
+    onto a translate of r(P)'s: a finished "no Q4" on P means no Q4 in any
+    direction, and the three bottom-edge Q4 searches are skipped.
+    """
     P.require_dim2()
-    q6, exhausted = _find_Qd(P, 6, None, budget)
+    listings = _listings(P)
+    pts = listings[0][1]
+    room = max(budget, 0)
+    q5, exhausted5 = _find_Qd(P, 5, None, budget, pts)
+    if q5 is None and not exhausted5:
+        q6, exhausted6 = None, math.comb(len(pts), 6) > room
+    else:
+        q6, exhausted6 = _find_Qd(P, 6, None, budget, pts)
+    if q5 is not None and math.comb(len(pts), 4) <= room:
+        found4, exhausted4 = True, False
+    else:
+        q4, exhausted4 = _find_Qd(P, 4, None, budget, pts)
+        found4 = q4 is not None
     if q6 is not None:
         rows = [("no-tritangents", 0, True, "Q6-generalized subdiagram found")]
     else:
@@ -362,17 +448,19 @@ def check_assumption1(
         if has_5R:
             outcome = "contains 5R for a unimodular parallelogram"
         else:
-            outcome = "budget exhausted" if exhausted or exhausted5R else "no Q6 subdiagram, no 5R"
+            outcome = "budget exhausted" if exhausted6 or exhausted5R else "no Q6 subdiagram, no 5R"
         rows = [("no-tritangents", 0, has_5R, outcome)]
-    for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
-        qd, exhausted = _find_Qd(P, d, None, budget)
-        if qd is not None:
+    for d, name, found, exhausted in (
+        (5, "no-inflected-bitangents", q5 is not None, exhausted5),
+        (4, "no-higher-flexes", found4, exhausted4),
+    ):
+        if found:
             outcome = f"Q{d} subdiagram found"
         else:
             outcome = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
-        rows.append((name, 0, qd is not None, outcome))
-    for k, Pk in enumerate(_rotations(P)):
-        cond = _boundary_bitangent_excluded(Pk, budget)
+        rows.append((name, 0, found, outcome))
+    for k, (Pk, pts_k) in enumerate(listings):
+        cond = _boundary_bitangent_excluded(Pk, budget, pts_k, found4 or exhausted4)
         thin = is_thin(Pk) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
@@ -385,17 +473,24 @@ def check_assumption1(
     return _verdict(rows)
 
 
-def _boundary_bitangent_excluded(Pk: LatticePolygon, budget: int) -> Optional[str]:
+def _boundary_bitangent_excluded(
+    Pk: LatticePolygon,
+    budget: int,
+    pts: Optional[tuple[Point, ...]] = None,
+    q4_possible: bool = True,
+) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
-    escaping to the bottom boundary orbit."""
+    escaping to the bottom boundary orbit.  ``pts`` is Pk's listing, listed
+    here when not given; ``q4_possible=False`` says Pk has no Q4 at all,
+    and skips the bottom-edge search."""
     if DOWN not in edge_fan(Pk):
         return "bottom face is a vertex"
-    q4, _ = _find_Qd(Pk, 4, DOWN, budget)
-    if q4 is not None:
+    pts = lattice_points(Pk) if pts is None else pts
+    if q4_possible and _find_Qd(Pk, 4, DOWN, budget, pts)[0] is not None:
         return "Q4 subdiagram aligned with the bottom edge"
     y0 = min(y for _, y in Pk.vertices)
     rows: dict[int, int] = {}
-    for _, y in lattice_points(Pk):
+    for _, y in pts:
         rows[y] = rows.get(y, 0) + 1
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
         return "two lattice points on a row at height >= 2 above the bottom edge"
@@ -407,8 +502,8 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
     asymptote, checked in each of the three directions via the rotation."""
     P.require_dim2()
     rows: list[_Row] = []
-    for k, Pk in enumerate(_rotations(P)):
-        ys = {y for _, y in lattice_points(Pk)}
+    for k, (Pk, pts) in enumerate(_listings(P)):
+        ys = {y for _, y in pts}
         if any(all(y + i in ys for i in range(4)) for y in ys):
             rows.append(("no-vertical-bitangents", k, True, "4 consecutive ordinates"))
         elif max(ys) - min(ys) <= 3:

@@ -237,9 +237,10 @@ def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     """All lattice points of P (boundary included), in lexicographic order:
     the translations of the origin into P, listed by ``_columns``.
 
-    The last three polygons listed are remembered by value: one command lists
-    at most P, r(P) and r^2(P), and each search or sample asks again for the
-    points it needs.  The remembered listings stay alive after the call, so
+    The last three polygons listed are remembered by value, as each search
+    or sample asks again for the points it needs; a command lists P alone,
+    since the assumption battery maps r(P)'s and r^2(P)'s listings from
+    P's.  The remembered listings stay alive after the call, so
     a caller that lists a huge polygon frees them with
     ``lattice_points.cache_clear()``.
     """

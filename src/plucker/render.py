@@ -1,6 +1,7 @@
 """Static SVG pictures: a polygon on the lattice grid and a weighted fan,
 placed side by side for the CLI.  The grid is one SVG pattern, so a
-picture's size depends on the vertex counts alone, not on the areas."""
+picture's size depends on the vertex counts alone, not on the areas, and
+a panel larger than _MAX_SIDE on a side is scaled down to fit it."""
 from __future__ import annotations
 
 import math
@@ -9,6 +10,7 @@ from .lattice import LatticePolygon, Point
 
 _CELL = 28
 _PAD = 24
+_MAX_SIDE = 2048
 _STYLE = (
     "fill:#4a7fb5;fill-opacity:0.35;stroke:#1f4e79;stroke-width:2"
 )
@@ -90,7 +92,10 @@ def _fan_panel(fan: dict[Point, int], title: str) -> _Panel:
 def svg_report(
     P: LatticePolygon, fan: dict[Point, int], dual: LatticePolygon
 ) -> str:
-    """Polygon, dual fan and dual polygon side by side."""
+    """Polygon, dual fan and dual polygon side by side.  A panel whose
+    larger side M exceeds _MAX_SIDE is drawn at scale s = _MAX_SIDE / M
+    and declares its sides times s, rounded up; the grid tiles are in the
+    panel's user space, so they scale with it."""
     panels = [
         _polygon_panel(P, "Newton polygon"),
         _fan_panel(fan, "dual tropical fan"),
@@ -101,7 +106,12 @@ def svg_report(
     parts = []
     height = 0
     for w, h, body in panels:
-        parts.append(f'<g transform="translate({x},0)">' + "\n".join(body) + "\n</g>")
+        transform = f"translate({x},0)"
+        side = max(w, h)
+        if side > _MAX_SIDE:
+            transform += f" scale({_MAX_SIDE / side!r})"
+            w, h = -(-w * _MAX_SIDE // side), -(-h * _MAX_SIDE // side)
+        parts.append(f'<g transform="{transform}">' + "\n".join(body) + "\n</g>")
         x += w + gap
         height = max(height, h)
     width = x - gap

@@ -12,6 +12,7 @@ from conftest import lattice_classes, random_polygon, support_face
 from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
+    AssumptionReport,
     ThinTriangleWitness,
     Verdict,
     _boundary_bitangent_excluded,
@@ -37,6 +38,7 @@ from plucker.lattice import (
     minkowski_sum,
     neg,
     rectangle,
+    rotate_point,
     rotate_r,
     standard_triangle,
 )
@@ -207,7 +209,7 @@ def hull_contains_5R(P, budget, calls):
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
     seen = set()
-    for ux, uy, vx, vy in islice(product(coords, repeat=4), budget):
+    for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
         if abs(ux * vy - uy * vx) != 1:
             continue
         R = LatticePolygon.hull([(0, 0), (ux, uy), (vx, vy), (ux + vx, uy + vy)]).canonical()
@@ -436,52 +438,53 @@ class TestSubdiagramSearch:
 
 
 @pytest.fixture
-def five_r_tuples(monkeypatch):
-    """The tuples (u, v) the 5R search visits, in order."""
-    visited = []
+def five_r_tests(monkeypatch):
+    """The containment tests the 5R search makes, in order."""
+    real, tested = contains_translate, []
 
-    def counted(*args, **kwargs):
-        for t in product(*args, **kwargs):
-            visited.append(t)
-            yield t
+    def counted(P, Q):
+        tested.append(tuple(Q))
+        return real(P, Q)
 
-    monkeypatch.setattr(assumptions, "product", counted)
-    return visited
+    monkeypatch.setattr(assumptions, "contains_translate", counted)
+    return tested
+
+
+def fits_box(P, corners):
+    (xl, yl), (xh, yh) = P.bounding_box()
+    return (
+        max(x for x, _ in corners) - min(x for x, _ in corners) <= xh - xl
+        and max(y for _, y in corners) - min(y for _, y in corners) <= yh - yl
+    )
 
 
 class TestFiveR:
     @pytest.mark.parametrize("budget, exhausted", ((81, False), (80, True)))
-    def test_budget_bounds_a_small_search(self, five_r_tuples, budget, exhausted):
+    def test_budget_bounds_a_small_search(self, five_r_tests, budget, exhausted):
         # 5 * Delta spans 5 on both axes, so the search runs, with b = 1 and
-        # 3**4 tuples; of area 25 / 2, it fits no 5R
+        # 3**4 ranked tuples; of area 25 / 2, it fits no 5R
         P = dilate(standard_triangle(), 5)
         assert assumptions._contains_5R(P, budget) == (False, exhausted)
-        assert len(five_r_tuples) == min(budget, 81)
+        assert len(five_r_tests) <= budget
 
     def test_finds_5R_within_budget(self):
         assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
 
-    def test_same_result_as_hull_dedup(self, monkeypatch):
-        # both searches make the same containment calls in the same order,
-        # except that a polygon narrower than 5 on an axis gets none
-        real, calls = contains_translate, []
-
-        def recorded(P, Q):
-            calls.append((P, LatticePolygon.hull(Q).canonical().vertices))
-            return real(P, Q)
-
-        monkeypatch.setattr(assumptions, "contains_translate", recorded)
+    def test_same_result_as_hull_dedup(self, five_r_tests):
+        # the search makes the reference's containment calls, in the same
+        # order, for the parallelograms whose 5R fits P's box, and skips
+        # the others, which cannot fit
         rng = random.Random(5)
         seen = set()
         for _ in range(40):
             P = random_polygon(rng, box=rng.randint(2, 14))
-            for budget in (0, 1, 80, 81, 5000, 200_000):
-                calls.clear()
+            for budget in (-1, 0, 1, 80, 81, 5000, 200_000):
+                five_r_tests.clear()
                 got = assumptions._contains_5R(P, budget)
                 expected_calls = []
                 assert got == hull_contains_5R(P, budget, expected_calls), (P, budget)
-                (xl, yl), (xh, yh) = P.bounding_box()
-                assert calls == (expected_calls if min(xh - xl, yh - yl) >= 5 else []), (P, budget)
+                fitting = [R5 for Q, R5 in expected_calls if fits_box(P, R5)]
+                assert [LatticePolygon.hull(Q).canonical().vertices for Q in five_r_tests] == fitting, (P, budget)
                 seen.add(got)
         assert seen == {(True, False), (False, True), (False, False)}
 
@@ -515,13 +518,14 @@ class TestFiveR:
         assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
         assert assumptions._contains_5R(rectangle(9, 4), 200_000) == (False, False)
 
-    def test_budget_bounds_a_long_search(self, five_r_tuples):
+    def test_budget_bounds_a_long_search(self, five_r_tests):
         # seven lattice points, no Q6 and no 5R, 5 high so that the search
-        # runs; b = ceil(1000 / 5) = 200 makes 401**4, about 2.6e10, tuples
+        # runs; b = ceil(1000 / 5) = 200 makes 401**4, about 2.6e10, tuples.
+        # Without the fast path every containment test is the 5R search's.
         P = LatticePolygon.hull([(0, 0), (1, 0), (1000, 5)])
-        rep = full_assumption_report(P, budget=5000)
+        rep = full_assumption_report(P, budget=5000, fast_path=False)
         assert ("no-tritangents", 0, "budget exhausted") in rep.evidence
-        assert len(five_r_tuples) == 5000
+        assert len(five_r_tests) <= 5000
 
     def test_memory_is_bounded_by_the_budget(self):
         # b = 2 * 10**6 on this triangle: product copies the budget's first
@@ -601,10 +605,11 @@ class TestFullReport:
 
     @pytest.mark.parametrize("fast_path", (True, False))
     def test_each_rotation_listed_once(self, listed_once, fast_path):
-        # each listing of this long polygon holds 2,003 points
+        # each listing of this long polygon holds 2,003 points; only P's
+        # comes from lattice_points, its rotations' are mapped from it
         P = LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)])
         assert full_assumption_report(P, fast_path=fast_path).all_verified
-        listed_once(P, rotate_r(P), rotate_r(rotate_r(P)))
+        listed_once(P)
 
     def test_7delta_fast_path(self):
         rep = full_assumption_report(dilate(standard_triangle(), 7))
@@ -921,6 +926,90 @@ class TestEvidenceTable:
     def test_negative_budget_is_budget_zero(self, vertices):
         P = LatticePolygon.hull(vertices)
         assert full_assumption_report(P, -1) == full_assumption_report(P, 0)
+
+
+def assembled_report(P, budget):
+    """The battery report with every subdiagram search run on its own: Q6,
+    Q5 and Q4 on P, and the bottom-edge Q4 on r^k(P) inside a standalone
+    ``_boundary_bitangent_excluded``, each search listing its own polygon."""
+    q6, exhausted6 = _find_Qd(P, 6, None, budget)
+    if q6 is not None:
+        rows = [("no-tritangents", 0, True, "Q6-generalized subdiagram found")]
+    else:
+        has_5R, exhausted5R = assumptions._contains_5R(P, budget)
+        if has_5R:
+            outcome = "contains 5R for a unimodular parallelogram"
+        else:
+            outcome = "budget exhausted" if exhausted6 or exhausted5R else "no Q6 subdiagram, no 5R"
+        rows = [("no-tritangents", 0, has_5R, outcome)]
+    for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
+        qd, exhausted = _find_Qd(P, d, None, budget)
+        outcome = f"Q{d} subdiagram found" if qd else "budget exhausted" if exhausted else f"no Q{d} subdiagram"
+        rows.append((name, 0, qd is not None, outcome))
+    Pk = P
+    for k in range(3):
+        cond = _boundary_bitangent_excluded(Pk, budget)
+        thin = is_thin(Pk) is not None
+        rows += [
+            ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
+            ("no-inflections-at-infinity", k, not thin, "thin triangle" if thin else "not a thin triangle"),
+        ]
+        Pk = rotate_r(Pk)
+    unit = P.canonical().vertices == standard_triangle().vertices
+    rows.append(("no-corner-bitangents", 0, not unit,
+                 "polygon is the unit triangle" if unit else "2-dimensional and not the unit triangle"))
+    a1 = Verdict.VERIFIED if all(passed for _, _, passed, _ in rows) else Verdict.UNKNOWN
+    a2, witness = assumption2_holds(P)
+    thin_row = (witness.rotation_power, "thin triangle") if witness else (0, "not in the thin orbit")
+    a3, ev3 = check_assumption3(P)
+    evidence = [(name, k, outcome) for name, k, _, outcome in rows] + [("thin-classification", *thin_row)] + ev3
+    return AssumptionReport(a1=a1, a2=a2, a3=a3, evidence=evidence, thin_witness=witness)
+
+
+class TestSearchesInferredFromEachOther:
+    """The report runs the Q5 search first, reads Q6 off a finished "no
+    Q5" and Q4 off a Q5 found, and skips the bottom-edge Q4 searches after
+    a finished "no Q4"; each rotation's listing is mapped from P's."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(4, 6).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.sets(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), min_size=d, max_size=d),
+            )
+        ),
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    )
+    def test_class_is_rotation_invariant(self, case, t):
+        d, S = case
+        S = [add(p, t) for p in S]
+        assert is_class_Qd(S, d) == is_class_Qd([rotate_point(p) for p in S], d)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(5, 6).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.sets(st.sampled_from(lattice_points(dilate(standard_triangle(), d - 1))), min_size=d, max_size=d),
+            )
+        )
+    )
+    def test_every_class_set_holds_a_smaller_one(self, case):
+        d, S = case
+        assume(is_class_Qd(S, d))
+        assert any(is_class_Qd(S - {p}, d - 1) for p in S)
+
+    def test_same_report_as_independent_searches(self):
+        rng = random.Random(26)
+        for _ in range(200):
+            P = random_polygon(rng, box=rng.randint(2, 9))
+            Pk = P
+            for k in range(3):
+                assert assumptions._listings(P)[k] == (Pk, lattice_points(Pk))
+                Pk = rotate_r(Pk)
+            for budget in (-1, 0, 1, 10, 500, 200_000):
+                assert full_assumption_report(P, budget, fast_path=False) == assembled_report(P, budget), (P, budget)
 
 
 class TestTranslationInvariance:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from plucker.cli import (
     run,
 )
 from plucker.formulas import plucker_report
-from plucker.lattice import LatticePolygon, rotate_r
+from plucker.lattice import LatticePolygon
 from plucker.oracle import OracleConfig, implicitize_dual
 from plucker.render import _CELL, _PAD, svg_report
 
@@ -314,11 +315,12 @@ class TestImplicitize:
 
 @pytest.mark.parametrize("command", ["verify", "implicitize"])
 def test_each_polygon_listed_once(command, polygon_file, listed_once):
-    # the gate lists P, r(P) and r^2(P), and every oracle sample reuses P's
-    # points; implicitize counts the dual support without listing it
+    # the gate lists P and maps its points to r(P) and r^2(P), and every
+    # oracle sample reuses P's points; implicitize counts the dual support
+    # without listing it
     P = LatticePolygon.hull([(0, 0), (3, 0), (3, 2)])
     assert run([command, "--polygon", polygon_file(P.vertices), "--seed", "6"]) == EXIT_OK
-    listed_once(P, rotate_r(P), rotate_r(rotate_r(P)))
+    listed_once(P)
 
 
 class TestRender:
@@ -342,6 +344,28 @@ class TestRender:
         assert small == big
         assert len([e for e in roots[1].iter(SVG + "circle") if e.get("r") == "4"]) == 6
         assert len((tmp_path / "400.svg").read_bytes()) < 4096
+
+    def test_large_panels_scale_to_fit(self, polygon_file, capsys):
+        # 400*Delta's polygon panels are 11,304 and 4,480,472 px wide at
+        # 28 px per cell; each is scaled to 2,048 on its larger side and
+        # declares its scaled sides, rounded up; 5*Delta's stay unscaled
+        for d, scaled in ((5, False), (400, True)):
+            assert run(["render", "--polygon", polygon_file([[0, 0], [d, 0], [0, d]])]) == EXIT_OK
+            root = ET.fromstring(capsys.readouterr().out)
+            x, heights, panels = 0, [], root.findall(SVG + "g")
+            for g in panels:
+                w, h = (int(g.find(SVG + "rect").get(a)) for a in ("width", "height"))
+                side = max(w, h)
+                if side > 2048:
+                    assert g.get("transform") == f"translate({x},0) scale({2048 / side!r})"
+                    w, h = math.ceil(w * 2048 / side), math.ceil(h * 2048 / side)
+                else:
+                    assert g.get("transform") == f"translate({x},0)"
+                x += w + 12
+                heights.append(h)
+            assert any("scale(" in g.get("transform") for g in panels) == scaled
+            assert (int(root.get("width")), int(root.get("height"))) == (x - 12, max(heights))
+            assert x - 12 <= 4400 and max(heights) <= 2100
 
     def test_one_pattern_per_document(self, polygon_file, capsys):
         assert run(["render", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
