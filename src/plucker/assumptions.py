@@ -386,7 +386,8 @@ _Listing = tuple[LatticePolygon, tuple[Point, ...]]
 def _listings(P: LatticePolygon) -> tuple[_Listing, _Listing, _Listing]:
     """(r^k(P), its lattice points) for k = 0, 1, 2: the three directions
     every check runs in, kept for the last P only, as one report asks for
-    them three times in a row.  Only P is listed.  rotate_r maps P's
+    them three times in a row; ``full_assumption_report`` drops them when
+    it returns.  Only P is listed.  rotate_r maps P's
     points one to one onto those of r(P) by (a, b) -> (b, -a - b) followed
     by the translation that moves the image's least vertex to the origin,
     so r(P)'s listing is P's, mapped, shifted and sorted."""
@@ -540,10 +541,15 @@ def full_assumption_report(
             a3=Verdict.VERIFIED,
             evidence=[("contains-5-delta", 0, "contains a translate of 5*Delta")],
         )
-    a1, ev1 = check_assumption1(P, budget)
-    a2, witness = assumption2_holds(P)
+    try:
+        a1, ev1 = check_assumption1(P, budget)
+        a2, witness = assumption2_holds(P)
+        a3, ev3 = check_assumption3(P)
+    finally:
+        # the listings live as long as the report, so that
+        # lattice_points.cache_clear() frees a huge polygon's points
+        _listings.cache_clear()
     thin = (witness.rotation_power, "thin triangle") if witness else (0, "not in the thin orbit")
-    a3, ev3 = check_assumption3(P)
     return AssumptionReport(
         a1=a1, a2=a2, a3=a3, evidence=ev1 + [("thin-classification", *thin)] + ev3,
         thin_witness=witness,

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from plucker import assumptions, lattice
+from plucker import lattice
 from plucker.lattice import LatticePolygon, Point, _ray_angle_cmp, lattice_points, segment_length
 
 # filled by the acceptance suite, echoed after the test run
@@ -116,12 +116,10 @@ def edge_fan_calls(monkeypatch):
 
 @pytest.fixture
 def listed_once():
-    """Empties the lattice-point memo and the battery's cached listings;
-    the returned check then requires that exactly the given polygons were
-    listed since, each once: one memo miss per polygon, and each still
-    remembered."""
+    """Empties the lattice-point memo; the returned check then requires
+    that exactly the given polygons were listed since, each once: one memo
+    miss per polygon, and each still remembered."""
     lattice_points.cache_clear()
-    assumptions._listings.cache_clear()
 
     def check(*polygons):
         assert lattice_points.cache_info().misses == len(polygons)

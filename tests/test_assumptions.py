@@ -611,6 +611,12 @@ class TestFullReport:
         assert full_assumption_report(P, fast_path=fast_path).all_verified
         listed_once(P)
 
+    def test_report_keeps_no_listing(self):
+        # the rotations' listings go with the report, so that the only
+        # points left are P's in the lattice_points memo, which cache_clear frees
+        full_assumption_report(LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)]))
+        assert assumptions._listings.cache_info().currsize == 0
+
     def test_7delta_fast_path(self):
         rep = full_assumption_report(dilate(standard_triangle(), 7))
         assert rep.all_verified
