@@ -387,10 +387,10 @@ def _listings(P: LatticePolygon) -> tuple[_Listing, _Listing, _Listing]:
     """(r^k(P), its lattice points) for k = 0, 1, 2: the three directions
     every check runs in, kept for the last P only, as one report asks for
     them three times in a row; ``full_assumption_report`` drops them when
-    it returns.  Only P is listed.  rotate_r maps P's
-    points one to one onto those of r(P) by (a, b) -> (b, -a - b) followed
-    by the translation that moves the image's least vertex to the origin,
-    so r(P)'s listing is P's, mapped, shifted and sorted."""
+    it returns.  Only P is listed.  rotate_r maps P's points one to one
+    onto those of r(P) by (a, b) -> (b, -a - b) followed by the
+    translation that moves the image's least vertex to the origin, so
+    r(P)'s listing is P's, mapped, shifted and sorted."""
     listings = [(P, lattice_points(P))]
     for _ in range(2):
         Q, pts = listings[-1]

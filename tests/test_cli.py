@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -358,7 +359,7 @@ class TestRender:
                 side = max(w, h)
                 if side > 2048:
                     assert g.get("transform") == f"translate({x},0) scale({2048 / side!r})"
-                    w, h = math.ceil(w * 2048 / side), math.ceil(h * 2048 / side)
+                    w, h = math.ceil(Fraction(w * 2048, side)), math.ceil(Fraction(h * 2048, side))
                 else:
                     assert g.get("transform") == f"translate({x},0)"
                 x += w + 12
