@@ -27,6 +27,13 @@ Assumption 3, each in all three directions:
   no-vertical-inflections: at least 3 ordinates | fewer than 3 ordinates
   no-tangent-asymptotes: 3 ordinates or top face is a vertex | no condition fired
 
+Direction k is read off P: r(a, b) = (b, -a - b) and r^2(a, b) = (-a - b, a)
+give r^k(p) = (<UPPER_ARROWS[k - 1], p>, <UPPER_ARROWS[k], p>), so up to
+translation r^k(P)'s ordinate is <UPPER_ARROWS[k], .> on P, and r^k, being
+unimodular, maps P's faces at LOWER_ARROWS[k] = -UPPER_ARROWS[k] and at
+UPPER_ARROWS[k] onto its bottom and top faces.  Only the bottom-edge Q4
+search lists r^k(P).
+
 When P contains a translate of 5*Delta, ``full_assumption_report`` skips
 the battery: all three are Verified on the one line contains-5-delta,
 "contains a translate of 5*Delta".
@@ -34,6 +41,7 @@ the battery: all three are Verified on the one line contains-5-delta,
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -42,7 +50,7 @@ from typing import Iterable, Optional
 from .lattice import (
     DOWN,
     LOWER_ARROWS,
-    UP,
+    UPPER_ARROWS,
     Diagram,
     LatticePolygon,
     Point,
@@ -52,7 +60,6 @@ from .lattice import (
     edge_fan,
     lattice_points,
     neg,
-    rotate_point,
     rotate_r,
     standard_triangle,
     sub,
@@ -116,7 +123,7 @@ def assumption2_holds(
 ) -> tuple[Verdict, Optional[ThinTriangleWitness]]:
     """Exact classification: fails iff P, r(P) or r^2(P) is thin."""
     P.require_dim2()
-    for k, (Pk, _) in enumerate(_listings(P)):
+    for k, Pk in enumerate(_rotations(P)):
         w = is_thin(Pk)
         if w is not None:
             return Verdict.FAILS_KNOWN, replace(w, rotation_power=k)
@@ -229,8 +236,8 @@ def _find_Qd(
     second return value reports budget exhaustion (result None then means
     "not found within budget", not "does not exist").  ``pts`` is P's
     lattice listing, ``lattice_points(P)`` when not given; the report
-    passes the one listing of each direction from ``_listings``, and reads
-    some searches' answers off others instead of running them (see
+    passes P's listing, or in direction k its map ``_rotated_points``, and
+    reads some searches' answers off others instead of running them (see
     check_assumption1).  With nothing to find, the search charges each
     d-subset once, C(n, d) in all.
 
@@ -379,24 +386,20 @@ def _partners(u: Point, wx: int, hy: int, top: int) -> list[Point]:
     return sorted(found)
 
 
-_Listing = tuple[LatticePolygon, tuple[Point, ...]]
-
-
 @lru_cache(maxsize=1)
-def _listings(P: LatticePolygon) -> tuple[_Listing, _Listing, _Listing]:
-    """(r^k(P), its lattice points) for k = 0, 1, 2: the three directions
-    every check runs in, kept for the last P only, as one report asks for
-    them three times in a row; ``full_assumption_report`` drops them when
-    it returns.  Only P is listed.  rotate_r maps P's points one to one
-    onto those of r(P) by (a, b) -> (b, -a - b) followed by the
-    translation that moves the image's least vertex to the origin, so
-    r(P)'s listing is P's, mapped, shifted and sorted."""
-    listings = [(P, lattice_points(P))]
-    for _ in range(2):
-        Q, pts = listings[-1]
-        tx, ty = neg(min(rotate_point(v) for v in Q.vertices))
-        listings.append((rotate_r(Q), tuple(sorted([(b + tx, ty - a - b) for a, b in pts]))))
-    return listings[0], listings[1], listings[2]
+def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, LatticePolygon]:
+    """P, r(P) and r^2(P), kept for the last P only, as one report asks
+    for them in assumptions 1 and 2; three polygons and no points."""
+    R = rotate_r(P)
+    return P, R, rotate_r(R)
+
+
+def _rotated_points(P: LatticePolygon, k: int, pts: tuple[Point, ...]) -> tuple[Point, ...]:
+    """The sorted points of ``_rotations(P)[k]``, k = 1 or 2: P's points
+    ``pts`` under r^k, moved as rotate_r moves r^k(P) (module docstring)."""
+    (a, b), (c, d) = UPPER_ARROWS[k - 1], UPPER_ARROWS[k]
+    tx, ty = min((a * x + b * y, c * x + d * y) for x, y in P.vertices)
+    return tuple(sorted([(a * x + b * y - tx, c * x + d * y - ty) for x, y in pts]))
 
 
 def _verdict(rows: list[_Row]) -> tuple[Verdict, Evidence]:
@@ -429,8 +432,7 @@ def check_assumption1(
     direction, and the three bottom-edge Q4 searches are skipped.
     """
     P.require_dim2()
-    listings = _listings(P)
-    pts = listings[0][1]
+    pts = lattice_points(P)
     room = max(budget, 0)
     q5, exhausted5 = _find_Qd(P, 5, None, budget, pts)
     if q5 is None and not exhausted5:
@@ -460,8 +462,8 @@ def check_assumption1(
         else:
             outcome = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
         rows.append((name, 0, found, outcome))
-    for k, (Pk, pts_k) in enumerate(listings):
-        cond = _boundary_bitangent_excluded(Pk, budget, pts_k, found4 or exhausted4)
+    for k, Pk in enumerate(_rotations(P)):
+        cond = _boundary_bitangent_excluded(P, k, budget, pts, found4 or exhausted4)
         thin = is_thin(Pk) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
@@ -475,24 +477,27 @@ def check_assumption1(
 
 
 def _boundary_bitangent_excluded(
-    Pk: LatticePolygon,
+    P: LatticePolygon,
+    k: int,
     budget: int,
     pts: Optional[tuple[Point, ...]] = None,
     q4_possible: bool = True,
 ) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
-    escaping to the bottom boundary orbit.  ``pts`` is Pk's listing, listed
-    here when not given; ``q4_possible=False`` says Pk has no Q4 at all,
-    and skips the bottom-edge search."""
-    if DOWN not in edge_fan(Pk):
+    escaping to the bottom boundary orbit of r^k(P), read off P and its
+    listing ``pts`` (listed here when not given); only the bottom-edge Q4
+    search maps ``pts`` to r^k(P).  ``q4_possible=False`` says P has no Q4
+    at all, and skips that search."""
+    if LOWER_ARROWS[k] not in edge_fan(P):
         return "bottom face is a vertex"
-    pts = lattice_points(Pk) if pts is None else pts
-    if q4_possible and _find_Qd(Pk, 4, DOWN, budget, pts)[0] is not None:
-        return "Q4 subdiagram aligned with the bottom edge"
-    y0 = min(y for _, y in Pk.vertices)
-    rows: dict[int, int] = {}
-    for _, y in pts:
-        rows[y] = rows.get(y, 0) + 1
+    pts = lattice_points(P) if pts is None else pts
+    if q4_possible:
+        pts_k = _rotated_points(P, k, pts) if k else pts
+        if _find_Qd(_rotations(P)[k], 4, DOWN, budget, pts_k)[0] is not None:
+            return "Q4 subdiagram aligned with the bottom edge"
+    u, v = UPPER_ARROWS[k]
+    y0 = min(u * x + v * y for x, y in P.vertices)
+    rows = Counter(u * x + v * y for x, y in pts)
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
         return "two lattice points on a row at height >= 2 above the bottom edge"
     return None
@@ -500,11 +505,12 @@ def _boundary_bitangent_excluded(
 
 def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
     """No degenerate tangent is a bitangent, an inflection tangent, or an
-    asymptote, checked in each of the three directions via the rotation."""
+    asymptote, checked in each of the three directions, read off P."""
     P.require_dim2()
+    pts = lattice_points(P)
     rows: list[_Row] = []
-    for k, (Pk, pts) in enumerate(_listings(P)):
-        ys = {y for _, y in pts}
+    for k, (u, v) in enumerate(UPPER_ARROWS):
+        ys = {u * x + v * y for x, y in pts}
         if any(all(y + i in ys for i in range(4)) for y in ys):
             rows.append(("no-vertical-bitangents", k, True, "4 consecutive ordinates"))
         elif max(ys) - min(ys) <= 3:
@@ -512,7 +518,7 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
         else:
             rows.append(("no-vertical-bitangents", k, False, "no condition fired"))
         three = len(ys) >= 3
-        asymptotes = three or UP not in edge_fan(Pk)
+        asymptotes = three or (u, v) not in edge_fan(P)
         rows += [
             ("no-vertical-inflections", k, three,
              "at least 3 ordinates" if three else "fewer than 3 ordinates"),
@@ -541,14 +547,9 @@ def full_assumption_report(
             a3=Verdict.VERIFIED,
             evidence=[("contains-5-delta", 0, "contains a translate of 5*Delta")],
         )
-    try:
-        a1, ev1 = check_assumption1(P, budget)
-        a2, witness = assumption2_holds(P)
-        a3, ev3 = check_assumption3(P)
-    finally:
-        # the listings live as long as the report, so that
-        # lattice_points.cache_clear() frees a huge polygon's points
-        _listings.cache_clear()
+    a1, ev1 = check_assumption1(P, budget)
+    a2, witness = assumption2_holds(P)
+    a3, ev3 = check_assumption3(P)
     thin = (witness.rotation_power, "thin triangle") if witness else (0, "not in the thin orbit")
     return AssumptionReport(
         a1=a1, a2=a2, a3=a3, evidence=ev1 + [("thin-classification", *thin)] + ev3,

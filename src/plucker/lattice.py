@@ -232,17 +232,15 @@ def contains_translate(
     return next(((x, lo) for x, lo, hi in _columns(P, qpts) if lo <= hi), None)
 
 
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=1)
 def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     """All lattice points of P (boundary included), in lexicographic order:
     the translations of the origin into P, listed by ``_columns``.
 
-    The last three polygons listed are remembered by value, as each search
-    or sample asks again for the points it needs; a command lists P alone,
-    since the assumption battery maps r(P)'s and r^2(P)'s listings from
-    P's.  The remembered listings stay alive after the call, so
-    a caller that lists a huge polygon frees them with
-    ``lattice_points.cache_clear()``.
+    The last polygon listed is remembered by value, as each search or
+    sample asks again for the points it needs, and every command lists P
+    alone.  Its listing stays alive after the call, so a caller that lists
+    a huge polygon frees it with ``lattice_points.cache_clear()``.
     """
     return tuple((x, y) for x, lo, hi in _columns(P, ((0, 0),)) for y in range(lo, hi + 1))
 

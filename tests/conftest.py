@@ -117,14 +117,13 @@ def edge_fan_calls(monkeypatch):
 @pytest.fixture
 def listed_once():
     """Empties the lattice-point memo; the returned check then requires
-    that exactly the given polygons were listed since, each once: one memo
-    miss per polygon, and each still remembered."""
+    that the given polygon alone was listed since, once: one memo miss,
+    and the polygon still remembered."""
     lattice_points.cache_clear()
 
-    def check(*polygons):
-        assert lattice_points.cache_info().misses == len(polygons)
-        for P in polygons:
-            lattice_points(P)
-        assert lattice_points.cache_info().misses == len(polygons)
+    def check(P):
+        assert lattice_points.cache_info().misses == 1
+        lattice_points(P)
+        assert lattice_points.cache_info().misses == 1
 
     return check

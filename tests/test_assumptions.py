@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, product
 
 import pytest
@@ -34,6 +36,7 @@ from plucker.lattice import (
     add,
     contains_translate,
     dilate,
+    edge_fan,
     lattice_points,
     minkowski_sum,
     neg,
@@ -584,14 +587,14 @@ class TestAssumption3:
 class TestBoundaryBitangents:
     def test_bottom_vertex(self):
         P = LatticePolygon.hull([(1, 0), (0, 2), (3, 3)])
-        assert _boundary_bitangent_excluded(P, 100) == "bottom face is a vertex"
+        assert _boundary_bitangent_excluded(P, 0, 100) == "bottom face is a vertex"
 
     @pytest.mark.parametrize("t", [(0, 0), (3, -5)])
     def test_row_two_above_the_bottom_edge(self, t):
         # no Q4 on the bottom edge; the only row of two points above it is
         # at height exactly 2, measured from P's lowest row
         P = LatticePolygon.hull([(0, 0), (1, 0), (5, 2), (4, 3)]).translate(t)
-        assert _boundary_bitangent_excluded(P, 100) == (
+        assert _boundary_bitangent_excluded(P, 0, 100) == (
             "two lattice points on a row at height >= 2 above the bottom edge"
         )
 
@@ -605,17 +608,27 @@ class TestFullReport:
 
     @pytest.mark.parametrize("fast_path", (True, False))
     def test_each_rotation_listed_once(self, listed_once, fast_path):
-        # each listing of this long polygon holds 2,003 points; only P's
-        # comes from lattice_points, its rotations' are mapped from it
+        # this long polygon holds 2,003 points; only P is listed, and its
+        # rotations are read off its points
         P = LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)])
         assert full_assumption_report(P, fast_path=fast_path).all_verified
         listed_once(P)
 
-    def test_report_keeps_no_listing(self):
-        # the rotations' listings go with the report, so that the only
-        # points left are P's in the lattice_points memo, which cache_clear frees
-        full_assumption_report(LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)]))
-        assert assumptions._listings.cache_info().currsize == 0
+    def test_report_leaves_points_only_in_the_memo(self):
+        # no cache of the battery holds points: once the lattice_points memo
+        # is cleared, the 2,003 points of this long polygon are freed
+        P = LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)])
+        tracemalloc.start()
+        try:
+            lattice_points.cache_clear()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            full_assumption_report(P)
+            lattice_points.cache_clear()
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 64 * 1024
+        finally:
+            tracemalloc.stop()
 
     def test_7delta_fast_path(self):
         rep = full_assumption_report(dilate(standard_triangle(), 7))
@@ -934,10 +947,44 @@ class TestEvidenceTable:
         assert full_assumption_report(P, -1) == full_assumption_report(P, 0)
 
 
+def rotated_frame_boundary(Pk, budget):
+    """The boundary-bitangent test in the frame of r^k(P) itself: its own
+    bottom edge, its own listing and rows, and the bottom-edge Q4 search."""
+    if DOWN not in edge_fan(Pk):
+        return "bottom face is a vertex"
+    if _find_Qd(Pk, 4, DOWN, budget)[0] is not None:
+        return "Q4 subdiagram aligned with the bottom edge"
+    y0 = min(y for _, y in Pk.vertices)
+    if any(y >= y0 + 2 and n >= 2 for y, n in Counter(y for _, y in lattice_points(Pk)).items()):
+        return "two lattice points on a row at height >= 2 above the bottom edge"
+    return None
+
+
+def rotated_frame_assumption3(Ps):
+    """The rows of assumption 3 from each r^k(P)'s own ordinates and top face."""
+    rows = []
+    for k, Pk in enumerate(Ps):
+        ys = {y for _, y in lattice_points(Pk)}
+        if any(all(y + i in ys for i in range(4)) for y in ys):
+            rows.append(("no-vertical-bitangents", k, True, "4 consecutive ordinates"))
+        elif max(ys) - min(ys) <= 3:
+            rows.append(("no-vertical-bitangents", k, True, "vertical degree at most 3"))
+        else:
+            rows.append(("no-vertical-bitangents", k, False, "no condition fired"))
+        three = len(ys) >= 3
+        asymptotes = three or UP not in edge_fan(Pk)
+        rows += [
+            ("no-vertical-inflections", k, three, "at least 3 ordinates" if three else "fewer than 3 ordinates"),
+            ("no-tangent-asymptotes", k, asymptotes,
+             "3 ordinates or top face is a vertex" if asymptotes else "no condition fired"),
+        ]
+    return rows
+
+
 def assembled_report(P, budget):
-    """The battery report with every subdiagram search run on its own: Q6,
-    Q5 and Q4 on P, and the bottom-edge Q4 on r^k(P) inside a standalone
-    ``_boundary_bitangent_excluded``, each search listing its own polygon."""
+    """The battery report with every subdiagram search run on its own and
+    every direction in its own frame: Q6, Q5 and Q4 on P, and the boundary
+    and assumption-3 tests on r^k(P), each listing its own polygon."""
     q6, exhausted6 = _find_Qd(P, 6, None, budget)
     if q6 is not None:
         rows = [("no-tritangents", 0, True, "Q6-generalized subdiagram found")]
@@ -952,30 +999,36 @@ def assembled_report(P, budget):
         qd, exhausted = _find_Qd(P, d, None, budget)
         outcome = f"Q{d} subdiagram found" if qd else "budget exhausted" if exhausted else f"no Q{d} subdiagram"
         rows.append((name, 0, qd is not None, outcome))
-    Pk = P
-    for k in range(3):
-        cond = _boundary_bitangent_excluded(Pk, budget)
+    Ps = [P, rotate_r(P), rotate_r(rotate_r(P))]
+    for k, Pk in enumerate(Ps):
+        cond = rotated_frame_boundary(Pk, budget)
         thin = is_thin(Pk) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
             ("no-inflections-at-infinity", k, not thin, "thin triangle" if thin else "not a thin triangle"),
         ]
-        Pk = rotate_r(Pk)
     unit = P.canonical().vertices == standard_triangle().vertices
     rows.append(("no-corner-bitangents", 0, not unit,
                  "polygon is the unit triangle" if unit else "2-dimensional and not the unit triangle"))
     a1 = Verdict.VERIFIED if all(passed for _, _, passed, _ in rows) else Verdict.UNKNOWN
     a2, witness = assumption2_holds(P)
     thin_row = (witness.rotation_power, "thin triangle") if witness else (0, "not in the thin orbit")
-    a3, ev3 = check_assumption3(P)
-    evidence = [(name, k, outcome) for name, k, _, outcome in rows] + [("thin-classification", *thin_row)] + ev3
+    rows3 = rotated_frame_assumption3(Ps)
+    a3 = Verdict.VERIFIED if all(passed for _, _, passed, _ in rows3) else Verdict.UNKNOWN
+    evidence = (
+        [(name, k, outcome) for name, k, _, outcome in rows]
+        + [("thin-classification", *thin_row)]
+        + [(name, k, outcome) for name, k, _, outcome in rows3]
+    )
     return AssumptionReport(a1=a1, a2=a2, a3=a3, evidence=evidence, thin_witness=witness)
 
 
 class TestSearchesInferredFromEachOther:
     """The report runs the Q5 search first, reads Q6 off a finished "no
     Q5" and Q4 off a Q5 found, and skips the bottom-edge Q4 searches after
-    a finished "no Q4"; each rotation's listing is mapped from P's."""
+    a finished "no Q4"; it reads the boundary and assumption-3 tests of
+    r(P) and r^2(P) off P, and maps P's points to r^k(P) only for the
+    bottom-edge Q4 search."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -1011,9 +1064,10 @@ class TestSearchesInferredFromEachOther:
         for _ in range(200):
             P = random_polygon(rng, box=rng.randint(2, 9))
             Pk = P
-            for k in range(3):
-                assert assumptions._listings(P)[k] == (Pk, lattice_points(Pk))
+            for k in (1, 2):
                 Pk = rotate_r(Pk)
+                assert assumptions._rotations(P)[k] == Pk
+                assert assumptions._rotated_points(P, k, lattice_points(P)) == lattice_points(Pk)
             for budget in (-1, 0, 1, 10, 500, 200_000):
                 assert full_assumption_report(P, budget, fast_path=False) == assembled_report(P, budget), (P, budget)
 
@@ -1041,6 +1095,22 @@ class TestRotationInvariance:
         a = full_assumption_report(P)
         b = full_assumption_report(rotate_r(P))
         assert (a.a1, a.a2, a.a3, a.all_verified) == (b.a1, b.a2, b.a3, b.all_verified)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=8))
+    def test_direction_k_of_r_P_is_direction_k_plus_1_of_P(self, pts):
+        # in [0,5]^2 no per-direction row can hit the budget: a Q4 search
+        # charges at most C(36, 4) < 200,000 subsets
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2)
+        a = full_assumption_report(P, fast_path=False)
+        b = full_assumption_report(rotate_r(P), fast_path=False)
+        assert (a.a1, a.a2, a.a3) == (b.a1, b.a2, b.a3)
+        per_direction = {name for name, k in BATTERY_ROWS if k == 2}
+        rows_a = {(name, k): outcome for name, k, outcome in a.evidence if name in per_direction}
+        rows_b = {(name, k): outcome for name, k, outcome in b.evidence if name in per_direction}
+        assert len(rows_a) == 15
+        assert rows_b == {(name, (k - 1) % 3): outcome for (name, k), outcome in rows_a.items()}
 
 
 class TestBitangentIntegrality:

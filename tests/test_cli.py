@@ -316,8 +316,8 @@ class TestImplicitize:
 
 @pytest.mark.parametrize("command", ["verify", "implicitize"])
 def test_each_polygon_listed_once(command, polygon_file, listed_once):
-    # the gate lists P and maps its points to r(P) and r^2(P), and every
-    # oracle sample reuses P's points; implicitize counts the dual support
+    # the gate lists P and reads r(P) and r^2(P) off its points, and every
+    # oracle sample reuses them; implicitize counts the dual support
     # without listing it
     P = LatticePolygon.hull([(0, 0), (3, 0), (3, 2)])
     assert run([command, "--polygon", polygon_file(P.vertices), "--seed", "6"]) == EXIT_OK

@@ -329,17 +329,15 @@ class TestLatticePointsByColumns:
         assert lattice_points(P) == tuple((i, i) for i in range(10**5 + 1))
         assert lattice_points(Q) == ((0, 0), (10**5, 3 * 10**5 + 1))
 
-    def test_remembers_the_last_three_polygons_by_value(self):
-        polygons = [rectangle(1, k) for k in range(1, 5)]
+    def test_remembers_the_last_polygon_by_value(self):
+        P, Q = rectangle(1, 1), rectangle(1, 2)
         lattice_points.cache_clear()
-        first = lattice_points(polygons[0])
-        for P in polygons[1:3]:
-            lattice_points(P)
-        assert lattice_points(LatticePolygon(polygons[0].vertices)) is first
-        lattice_points(polygons[3])  # drops polygons[1], the least recently used
-        assert lattice_points.cache_info().misses == 4
-        lattice_points(polygons[1])
-        assert lattice_points.cache_info().misses == 5
+        first = lattice_points(P)
+        assert lattice_points(LatticePolygon(P.vertices)) is first
+        lattice_points(Q)  # drops P
+        assert lattice_points.cache_info().misses == 2
+        lattice_points(P)
+        assert lattice_points.cache_info().misses == 3
 
 
 class TestEdgeFan:
