@@ -8,10 +8,10 @@ of its criteria passed, and Unknown otherwise: failure of the battery never
 yields FailsKnown.  Assumption 2 has an exact classification (the
 thin-triangle family), so it is Verified or FailsKnown.
 
-The outcomes that pass, then "|" and those that fail; every search also
-fails on "budget exhausted".  Assumption 1, in direction 0 or (k) in all three:
+The outcomes that pass, then "|" and those that fail.  Assumption 1, in
+direction 0 or (k) in all three:
   no-tritangents: Q6-generalized subdiagram found; contains 5R for a unimodular
-    parallelogram | no Q6 subdiagram, no 5R
+    parallelogram | no Q6 subdiagram, no 5R; budget exhausted (the 5R search)
   no-inflected-bitangents: Q5 subdiagram found | no Q5 subdiagram
   no-higher-flexes: Q4 subdiagram found | no Q4 subdiagram
   no-boundary-bitangents (k): bottom face is a vertex; Q4 subdiagram aligned with the
@@ -32,7 +32,7 @@ give r^k(p) = (<UPPER_ARROWS[k - 1], p>, <UPPER_ARROWS[k], p>), so up to
 translation r^k(P)'s ordinate is <UPPER_ARROWS[k], .> on P, and r^k, being
 unimodular, maps P's faces at LOWER_ARROWS[k] = -UPPER_ARROWS[k] and at
 UPPER_ARROWS[k] onto its bottom and top faces.  Only the bottom-edge Q4
-search lists r^k(P).
+search maps points to r^k(P), those of its 4 lowest rows.
 
 When P contains a translate of 5*Delta, ``full_assumption_report`` skips
 the battery: all three are Verified on the one line contains-5-delta,
@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .lattice import (
     DOWN,
@@ -218,57 +218,59 @@ def _path_fits(ptset: set[Point], x: int, y: int, d: int, diagonal: bool = True)
     return diagonal and all((x + i, y - i) in ptset for i in range(1, d))
 
 
-class _BudgetExhausted(Exception):
-    """The subset walk of ``_find_Qd`` spent its budget before a hit."""
-
-
 def _find_Qd(
     P: LatticePolygon,
     d: int,
     face_constraint: Optional[Point],
-    budget: int,
-    pts: Optional[tuple[Point, ...]] = None,
-) -> tuple[Optional[Diagram], bool]:
-    """Search for a d-point no-line-class subdiagram of P.
+    pts: Optional[Sequence[Point]] = None,
+) -> Optional[Diagram]:
+    """A d-point no-line-class subdiagram of P, or None when P has none.
 
-    Staircase and segment candidates are tried first; a budget-capped
-    exhaustive search over lattice-point subsets is the fallback.  The
-    second return value reports budget exhaustion (result None then means
-    "not found within budget", not "does not exist").  ``pts`` is P's
-    lattice listing, ``lattice_points(P)`` when not given; the report
-    passes P's listing, or in direction k its map ``_rotated_points``, and
-    reads some searches' answers off others instead of running them (see
-    check_assumption1).  With nothing to find, the search charges each
-    d-subset once, C(n, d) in all.
+    ``pts`` is P's lattice listing sorted by x, ``lattice_points(P)`` when
+    not given; it may leave out points outside the band below.  Under a
+    face constraint g = (u, v) a diagram must have its support set at g on
+    P's face at g, that is reach P's maximum ``top`` of <g, .>.  A set of
+    the class lies in a translate of (d - 1)*Delta (see is_class_Qd), on
+    which <g, .> varies by at most (d - 1)(max(u, v, 0) - min(u, v, 0)), so
+    both passes keep only the band of points within that of ``top``.
 
-    An anchor builds its staircase candidates only after ``_path_fits``
-    finds that some path of d points from it stays in P, so the first
-    diagram found is the one the full loop would find.  The exhaustive
-    search walks index prefixes in ``combinations(pts, d)`` order and
-    spends one budget unit per subset in that order.  The span only grows
-    as points are added and every set of the class spans d - 1 (see
-    is_class_Qd), so a prefix that spans more has no class completion: its
-    whole block of completions is charged at once and never generated.  The
-    span is at least x_j minus the x of the prefix's first point, and pts is
-    sorted by x, so once that exceeds d - 1 at index j the blocks of j and
-    of every later index are charged as one, C(n - j, d - r) by the
-    hockey-stick identity, and the level returns.
+    Staircase and segment candidates, each a set of the class, are tried
+    first: anchor p tries the shapes s with <g, p> + max <g, s> = top (all
+    of them without g), and builds them only after ``_path_fits`` finds
+    that some path of d points from p stays in the band.  Then the walk
+    goes through index prefixes in ``combinations(pts, d)`` order and
+    returns the first subset of the class that reaches ``top``.  The span
+    only grows as points are added and every set of the class spans d - 1
+    (see is_class_Qd), so a prefix that spans more is dropped with all its
+    completions; the span is at least x_j minus the x of the prefix's first
+    point, and pts is sorted by x, so once that exceeds d - 1 the level
+    returns.  Each pass so returns the first hit of the unpruned pass.
+
+    The work is O(n) for n points in the band, with a constant that
+    depends on d alone: from a first point at x the walk extends prefixes
+    only by points of the d columns x to x + d - 1, so it costs at most the
+    subsets of those columns' points.  P is convex, so a column's points
+    are consecutive.  Without g a failed staircase pass leaves no column of
+    d points, as a vertical run is the all-up staircase, so the d columns
+    hold at most d(d - 1) points.  With g = DOWN, the only constraint the
+    report uses, the band is P's d lowest rows, so they hold at most d^2.
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
     pts = lattice_points(P) if pts is None else pts
     (xl, yl), _ = P.bounding_box()
     if max(x + y for x, y in P.vertices) - xl - yl < d - 1:
-        # every d-point set of the class spans d - 1 (see is_class_Qd), so
-        # the walk below would try every subset and find none
-        return None, math.comb(len(pts), d) > max(budget, 0)
-    ptset = set(pts)
-    # A candidate inside P has its support set at g = (u, v) on P's face
-    # exactly when its maximum of <g, .> is P's, so anchor p tries just the
-    # shapes s with <g, p> + max <g, s> = max_P <g, .>.  Without g every
-    # candidate reaches 0.
+        # every d-point set of the class spans d - 1 (see is_class_Qd)
+        return None
     u, v = face_constraint or (0, 0)
     top = max(u * x + v * y for x, y in P.vertices)
+    if face_constraint:
+        band = (d - 1) * (max(u, v, 0) - min(u, v, 0))
+        pts = [(x, y) for x, y in pts if top - u * x - v * y <= band]
+    ptset = set(pts)
+    # A candidate inside P has its support set at g on P's face exactly
+    # when its maximum of <g, .> is P's, so anchor p tries just the shapes
+    # s with <g, p> + max <g, s> = top.  Without g every candidate reaches 0.
     by_reach = _shapes_by_reach(d, (u, v))
     for p in pts:
         shapes = by_reach.get(top - u * p[0] - v * p[1], ())
@@ -277,44 +279,29 @@ def _find_Qd(
         for shape in shapes:
             cand = [add(p, s) for s in shape]
             if all(q in ptset for q in cand):
-                return frozenset(cand), False
+                return frozenset(cand)
     n = len(pts)
-    spent = 0
 
     def walk(start: int, prefix: tuple[Point, ...], lo_x, lo_y, hi_s) -> Optional[Diagram]:
         # the completions of prefix by indices >= start, in combinations order
-        nonlocal spent
         r = len(prefix)
         for j in range(start, n - d + r + 1):
             x, y = pts[j]
             if x - lo_x > d - 1:
-                # pts is sorted by x, so every index from j on is dead too
-                spent += math.comb(n - j, d - r)
-                if spent > budget:
-                    raise _BudgetExhausted
-                return None
+                return None  # pts is sorted by x, so every later index is dead too
             mx, my, ms = min(lo_x, x), min(lo_y, y), max(hi_s, x + y)
             if ms - mx - my > d - 1:
-                spent += math.comb(n - j - 1, d - r - 1)
-                if spent > budget:
-                    raise _BudgetExhausted
-            elif r + 1 < d:
-                found = walk(j + 1, prefix + (pts[j],), mx, my, ms)
+                continue
+            subset = prefix + (pts[j],)
+            if r + 1 < d:
+                found = walk(j + 1, subset, mx, my, ms)
                 if found is not None:
                     return found
-            else:
-                spent += 1
-                if spent > budget:
-                    raise _BudgetExhausted
-                subset = prefix + (pts[j],)
-                if max(u * a + v * b for a, b in subset) == top and is_class_Qd(subset, d):
-                    return frozenset(subset)
+            elif max(u * a + v * b for a, b in subset) == top and is_class_Qd(subset, d):
+                return frozenset(subset)
         return None
 
-    try:
-        return walk(0, (), math.inf, math.inf, -math.inf), False
-    except _BudgetExhausted:
-        return None, True
+    return walk(0, (), math.inf, math.inf, -math.inf)
 
 
 def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
@@ -394,9 +381,9 @@ def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, Latti
     return P, R, rotate_r(R)
 
 
-def _rotated_points(P: LatticePolygon, k: int, pts: tuple[Point, ...]) -> tuple[Point, ...]:
-    """The sorted points of ``_rotations(P)[k]``, k = 1 or 2: P's points
-    ``pts`` under r^k, moved as rotate_r moves r^k(P) (module docstring)."""
+def _rotated_points(P: LatticePolygon, k: int, pts: Sequence[Point]) -> tuple[Point, ...]:
+    """Points ``pts`` of P under r^k, k = 1 or 2, moved as rotate_r moves
+    r^k(P) onto ``_rotations(P)[k]`` (module docstring), and sorted."""
     (a, b), (c, d) = UPPER_ARROWS[k - 1], UPPER_ARROWS[k]
     tx, ty = min((a * x + b * y, c * x + d * y) for x, y in P.vertices)
     return tuple(sorted([(a * x + b * y - tx, c * x + d * y - ty) for x, y in pts]))
@@ -416,54 +403,34 @@ def check_assumption1(
     """Nodes-and-cusps-only battery: subdiagram classes of size 6, 5, 4,
     per-direction boundary-tangency exclusions, and the thin classification.
 
-    The Q5 search runs first, and two searches are read off its answer
-    when that gives what they would return.  Dropping the point named in
-    is_class_Qd's induction from a set of the class leaves a set of the
-    class, so every Q6 set holds a Q5 set and every Q5 set a Q4 set.  With
-    n lattice points in P, a Q_d search that has nothing to find tries no
-    staircase (each is a set of the class) and charges every d-subset once,
-    C(n, d) in all, so it runs out exactly when C(n, d) > max(budget, 0);
-    a search that has a set to find and C(n, d) <= max(budget, 0) reaches
-    it before the budget runs out.  Hence a finished "no Q5" gives Q6's
-    (None, C(n, 6) > max(budget, 0)) and a Q5 found gives "Q4 found" when
-    C(n, 4) <= max(budget, 0).  And r is unimodular and maps Delta to a
+    The subdiagram searches decide, and the Q5 search, run first, settles
+    some of the others.  Dropping the point named in is_class_Qd's
+    induction from a set of the class leaves a set of the class, so every
+    Q6 set holds a Q5 set and every Q5 set a Q4 set: no Q5 means no Q6,
+    and a Q5 means a Q4.  And r is unimodular and maps Delta to a
     translate of Delta, so it keeps the class and maps P's lattice points
-    onto a translate of r(P)'s: a finished "no Q4" on P means no Q4 in any
-    direction, and the three bottom-edge Q4 searches are skipped.
+    onto a translate of r(P)'s: no Q4 on P means no Q4 in any direction,
+    and the three bottom-edge Q4 searches are skipped.  ``budget`` bounds
+    the 5R search alone.
     """
     P.require_dim2()
     pts = lattice_points(P)
-    room = max(budget, 0)
-    q5, exhausted5 = _find_Qd(P, 5, None, budget, pts)
-    if q5 is None and not exhausted5:
-        q6, exhausted6 = None, math.comb(len(pts), 6) > room
-    else:
-        q6, exhausted6 = _find_Qd(P, 6, None, budget, pts)
-    if q5 is not None and math.comb(len(pts), 4) <= room:
-        found4, exhausted4 = True, False
-    else:
-        q4, exhausted4 = _find_Qd(P, 4, None, budget, pts)
-        found4 = q4 is not None
-    if q6 is not None:
+    found5 = _find_Qd(P, 5, None, pts) is not None
+    found6 = found5 and _find_Qd(P, 6, None, pts) is not None
+    found4 = found5 or _find_Qd(P, 4, None, pts) is not None
+    if found6:
         rows = [("no-tritangents", 0, True, "Q6-generalized subdiagram found")]
     else:
-        has_5R, exhausted5R = _contains_5R(P, budget)
+        has_5R, exhausted = _contains_5R(P, budget)
         if has_5R:
             outcome = "contains 5R for a unimodular parallelogram"
         else:
-            outcome = "budget exhausted" if exhausted6 or exhausted5R else "no Q6 subdiagram, no 5R"
+            outcome = "budget exhausted" if exhausted else "no Q6 subdiagram, no 5R"
         rows = [("no-tritangents", 0, has_5R, outcome)]
-    for d, name, found, exhausted in (
-        (5, "no-inflected-bitangents", q5 is not None, exhausted5),
-        (4, "no-higher-flexes", found4, exhausted4),
-    ):
-        if found:
-            outcome = f"Q{d} subdiagram found"
-        else:
-            outcome = "budget exhausted" if exhausted else f"no Q{d} subdiagram"
-        rows.append((name, 0, found, outcome))
+    for d, name, found in ((5, "no-inflected-bitangents", found5), (4, "no-higher-flexes", found4)):
+        rows.append((name, 0, found, f"Q{d} subdiagram found" if found else f"no Q{d} subdiagram"))
     for k, Pk in enumerate(_rotations(P)):
-        cond = _boundary_bitangent_excluded(P, k, budget, pts, found4 or exhausted4)
+        cond = _boundary_bitangent_excluded(P, k, pts, found4)
         thin = is_thin(Pk) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
@@ -479,24 +446,24 @@ def check_assumption1(
 def _boundary_bitangent_excluded(
     P: LatticePolygon,
     k: int,
-    budget: int,
     pts: Optional[tuple[Point, ...]] = None,
     q4_possible: bool = True,
 ) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
     escaping to the bottom boundary orbit of r^k(P), read off P and its
-    listing ``pts`` (listed here when not given); only the bottom-edge Q4
-    search maps ``pts`` to r^k(P).  ``q4_possible=False`` says P has no Q4
-    at all, and skips that search."""
+    listing ``pts`` (listed here when not given).  The bottom-edge Q4
+    search maps to r^k(P) only the points of its 4 lowest rows, the band
+    that ``_find_Qd`` walks under DOWN.  ``q4_possible=False`` says P has
+    no Q4 at all, and skips that search."""
     if LOWER_ARROWS[k] not in edge_fan(P):
         return "bottom face is a vertex"
     pts = lattice_points(P) if pts is None else pts
-    if q4_possible:
-        pts_k = _rotated_points(P, k, pts) if k else pts
-        if _find_Qd(_rotations(P)[k], 4, DOWN, budget, pts_k)[0] is not None:
-            return "Q4 subdiagram aligned with the bottom edge"
     u, v = UPPER_ARROWS[k]
     y0 = min(u * x + v * y for x, y in P.vertices)
+    if q4_possible:
+        band = [(x, y) for x, y in pts if u * x + v * y <= y0 + 3]
+        if _find_Qd(_rotations(P)[k], 4, DOWN, _rotated_points(P, k, band) if k else band) is not None:
+            return "Q4 subdiagram aligned with the bottom edge"
     rows = Counter(u * x + v * y for x, y in pts)
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
         return "two lattice points on a row at height >= 2 above the bottom edge"
@@ -536,8 +503,9 @@ def full_assumption_report(
     """Decide all three assumptions.
 
     If P contains a translate of 5*Delta all three hold; otherwise the
-    per-assumption batteries run.  ``fast_path=False`` forces the batteries
-    (used to cross-check the containment shortcut).
+    per-assumption batteries run.  ``budget`` bounds the 5R search (see
+    check_assumption1); ``fast_path=False`` forces the batteries (used to
+    cross-check the containment shortcut).
     """
     P.require_dim2()
     if fast_path and contains_translate(P, dilate(standard_triangle(), 5)) is not None:

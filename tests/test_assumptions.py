@@ -183,8 +183,9 @@ def face_ok(Q, P, g):
     return all(p in face for p in pts if u * p[0] + v * p[1] == best)
 
 
-def hull_find_Qd(P, d, face_constraint, budget):
-    """The subdiagram search with every candidate put through the hull test."""
+def hull_find_Qd(P, d, face_constraint):
+    """The subdiagram search with every candidate put through the hull test,
+    over all of P's points."""
     pts = lattice_points(P)
     ptset = set(pts)
     for p in pts:
@@ -193,15 +194,11 @@ def hull_find_Qd(P, d, face_constraint, budget):
             if not all(q in ptset for q in cand):
                 continue
             if face_ok(cand, P, face_constraint) and hull_class_Qd(cand, d):
-                return frozenset(cand), False
-    spent = 0
+                return frozenset(cand)
     for subset in combinations(pts, d):
-        spent += 1
-        if spent > budget:
-            return None, True
         if face_ok(subset, P, face_constraint) and hull_class_Qd(subset, d):
-            return frozenset(subset), False
-    return None, False
+            return frozenset(subset)
+    return None
 
 
 def hull_contains_5R(P, budget, calls):
@@ -230,10 +227,10 @@ def span(Q):
     return max(x + y for x, y in Q) - min(x for x, _ in Q) - min(y for _, y in Q)
 
 
-def plain_find_Qd(P, d, face_constraint, budget):
-    """The subdiagram search without pruning: every staircase shape at every
-    anchor, then every subset of ``combinations`` through the face test and
-    the class test, one budget unit each."""
+def plain_find_Qd(P, d, face_constraint):
+    """The subdiagram search without pruning or band: every staircase shape
+    at every anchor, then every subset of ``combinations`` through the face
+    test and the class test."""
     pts = lattice_points(P)
     ptset = set(pts)
     u, v = face_constraint or (0, 0)
@@ -242,15 +239,11 @@ def plain_find_Qd(P, d, face_constraint, budget):
         for shape in _staircase_shapes(d):
             cand = [add(p, s) for s in shape]
             if all(q in ptset for q in cand) and max(u * x + v * y for x, y in cand) == top:
-                return frozenset(cand), False
-    spent = 0
+                return frozenset(cand)
     for subset in combinations(pts, d):
-        spent += 1
-        if spent > budget:
-            return None, True
         if max(u * x + v * y for x, y in subset) == top and is_class_Qd(subset, d):
-            return frozenset(subset), False
-    return None, False
+            return frozenset(subset)
+    return None
 
 
 class TestClassQdAgainstHulls:
@@ -303,24 +296,21 @@ class TestClassQdAgainstHulls:
 class TestSubdiagramSearch:
     @pytest.mark.parametrize("box", (2, 3, 4, 5, 6, 7, 8))
     def test_same_result_as_hull_search(self, box):
-        # six draws per box reach every outcome: staircase, exhaustive hit,
-        # exhausted budget and a finished search with no subdiagram
+        # six draws per box reach every outcome: staircase, exhaustive hit
+        # and no subdiagram; the reference searches all of P, not the band
         rng = random.Random(100 + box)
         for _ in range(6):
             P = random_polygon(rng, box=box)
             for d in (4, 5, 6):
                 for g in (None, DOWN):
-                    for budget in (0, 1, 17, 500, 200_000):
-                        expected = hull_find_Qd(P, d, g, budget)
-                        assert _find_Qd(P, d, g, budget) == expected, (P, d, g, budget)
+                    assert _find_Qd(P, d, g) == hull_find_Qd(P, d, g), (P, d, g)
 
     def test_other_face_constraints_match_hull_search(self):
         rng = random.Random(7)
         for _ in range(8):
             P = random_polygon(rng, box=5)
             for g in (NE, LEFT, UP, (2, -1)):
-                for budget in (0, 500):
-                    assert _find_Qd(P, 5, g, budget) == hull_find_Qd(P, 5, g, budget), (P, g)
+                assert _find_Qd(P, 5, g) == hull_find_Qd(P, 5, g), (P, g)
 
     def test_face_staircase_tries_only_anchors_on_the_face(self, monkeypatch):
         # the bottom face of r^2 of a long thin triangle is its long edge, and
@@ -329,20 +319,19 @@ class TestSubdiagramSearch:
         # builds at least one per lattice point, 604 here, before reaching
         # it, and this one builds only that segment
         P = rotate_r(rotate_r(LatticePolygon.hull([(0, 0), (300, 0), (0, 3)])))
-        expected = hull_find_Qd(P, 4, DOWN, 0)
-        assert expected[0] is not None
+        expected = hull_find_Qd(P, 4, DOWN)
+        assert expected is not None
         assumptions._shapes_by_reach(4, DOWN)  # build the shapes outside the count
         built = []
         monkeypatch.setattr(assumptions, "add", lambda p, s: built.append(p) or add(p, s))
-        assert _find_Qd(P, 4, DOWN, 0) == expected
+        assert _find_Qd(P, 4, DOWN) == expected
         assert len(built) == 4
 
     def test_exhaustive_search_on_4delta(self):
-        # no staircase fits; all C(15, 6) subsets are tried and none is in class
+        # no staircase fits and none of the C(15, 6) subsets is in the class
         P = dilate(standard_triangle(), 4)
-        assert _find_Qd(P, 6, None, 200_000) == hull_find_Qd(P, 6, None, 200_000)
-        assert _find_Qd(P, 6, None, 5004) == (None, True)
-        assert _find_Qd(P, 6, None, 5005) == (None, False)
+        assert _find_Qd(P, 6, None) is None
+        assert hull_find_Qd(P, 6, None) is None
 
     def test_short_span_searches_nothing(self, monkeypatch):
         # 4 * Delta spans 4 < 6 - 1, so no subset of it is a Q6 and the
@@ -353,7 +342,7 @@ class TestSubdiagramSearch:
             assumptions, "is_class_Qd", lambda Q, d: tested.append(Q) or is_class_Qd(Q, d)
         )
         monkeypatch.setattr(assumptions, "add", lambda p, s: built.append(p) or add(p, s))
-        assert _find_Qd(P, 6, None, 200_000) == (None, False)
+        assert _find_Qd(P, 6, None) is None
         assert tested == [] and built == []
 
     @pytest.mark.parametrize(
@@ -368,18 +357,18 @@ class TestSubdiagramSearch:
             ([(0, 0), (1, 0), (2, 4), (0, 3)], 6, False),
             # the same, with prefixes of each size 2 to 5 pruned
             ([(0, 0), (3, 2), (6, 6), (3, 4)], 6, False),
-            # 9 wide against d - 1 = 4: the x-dead tail of a level is
-            # charged at each prefix size 1 to 4, the walk's last charge is
-            # one, and there is no class subset
+            # 9 wide against d - 1 = 4: the walk leaves a level at its
+            # x-dead tail at each prefix size 1 to 4, and there is no class
+            # subset
             ([(0, 0), (9, 5), (6, 4), (0, 1)], 5, False),
-            # 8 wide against d - 1 = 5: tails at each prefix size 1 to 5
-            # are charged before the first class subset
+            # 8 wide against d - 1 = 5: x-dead tails at each prefix size 1
+            # to 5 come before the first class subset
             ([(0, 3), (8, 0), (7, 2), (1, 3)], 6, True),
         ),
     )
-    def test_pruned_walk_matches_plain_walk_at_every_budget(self, monkeypatch, verts, d, found):
-        # each budget edge, also one that falls inside a block the pruned
-        # walk charges without generating it
+    def test_pruned_walk_matches_plain_walk(self, monkeypatch, verts, d, found):
+        # the same first subset as the plain walk, which tests all C(n, d),
+        # from class tests of fewer subsets, each spanning at most d - 1
         P = LatticePolygon.hull(verts)
         total = math.comb(len(lattice_points(P)), d)
         tested = []
@@ -387,25 +376,27 @@ class TestSubdiagramSearch:
             assumptions, "is_class_Qd", lambda Q, d: tested.append(Q) or is_class_Qd(Q, d)
         )
         for g in (None, DOWN):
-            for budget in range(-1, total + 2):
-                expected = plain_find_Qd(P, d, g, budget)
-                tested.clear()
-                assert _find_Qd(P, d, g, budget) == expected, (g, budget)
-            assert (expected[0] is not None) is found and not expected[1]
+            expected = plain_find_Qd(P, d, g)
+            tested.clear()
+            assert _find_Qd(P, d, g) == expected, g
             assert all(span(Q) <= d - 1 for Q in tested) and len(tested) < total
+        assert (expected is not None) is found
 
-    def test_thin_parallelogram_exhausts_budgets_quickly(self):
-        # about 2,000 lattice points two to a column; each search charges the
-        # subsets after a prefix of span > d - 1 at once, so all three spend
-        # the 200,000 default without testing them one by one
+    def test_thin_parallelogram_decides_quickly(self):
+        # about 2,000 lattice points two to a column: no staircase fits, and
+        # from each first point the walk scans only the d columns to its
+        # right, so each search ends with no subdiagram at once; the
+        # no-tritangents row is the 5R search's, whose budget runs out
         P = LatticePolygon.hull([(0, 0), (0, 1), (1000, 3000), (1000, 3001)])
         start = time.monotonic()
+        for d in (6, 5, 4):
+            assert _find_Qd(P, d, None) is None, d
         assert assumptions.check_assumption1(P) == (
             Verdict.UNKNOWN,
             [
                 ("no-tritangents", 0, "budget exhausted"),
-                ("no-inflected-bitangents", 0, "budget exhausted"),
-                ("no-higher-flexes", 0, "budget exhausted"),
+                ("no-inflected-bitangents", 0, "no Q5 subdiagram"),
+                ("no-higher-flexes", 0, "no Q4 subdiagram"),
                 ("no-boundary-bitangents", 0, "bottom face is a vertex"),
                 ("no-inflections-at-infinity", 0, "not a thin triangle"),
                 ("no-boundary-bitangents", 1, "bottom face is a vertex"),
@@ -416,28 +407,36 @@ class TestSubdiagramSearch:
                 ("no-corner-bitangents", 0, "2-dimensional and not the unit triangle"),
             ],
         )
-        assert time.monotonic() - start < 1.0
+        assert time.monotonic() - start < 2.0
 
-    def test_thin_parallelogram_decides_with_a_large_budget(self):
-        # with the budget out of the way each search ends with no subdiagram:
-        # the x-dead tail of every level is charged as one block, so the
-        # walk does not step through the dead indices of 2,002 points
-        P = LatticePolygon.hull([(0, 0), (0, 1), (1000, 3000), (1000, 3001)])
-        start = time.monotonic()
-        for d in (6, 5, 4):
-            assert _find_Qd(P, d, None, 10**40) == (None, False), d
-        assert time.monotonic() - start < 3.0
+    def test_bottom_edge_search_walks_only_the_face_band(self, monkeypatch):
+        # 13,015 points in columns up to 110 high, of which 53 lie in the 4
+        # lowest rows, the only rows a Q4 on the bottom edge can reach.
+        # Each step of the walk takes two mins, counted here: the band takes
+        # about 3,200 steps, and a walk over all of P passes 5,000 within
+        # its first 10 ms.
+        P = LatticePolygon.hull([(0, 0), (1, 0), (296, 30), (219, 110)])
+        assert len(lattice_points(P)) == 13_015
+        steps = []
+
+        def counted_min(*args):
+            steps.append(1)
+            assert len(steps) <= 10_000, "the walk left the face band"
+            return min(*args)
+
+        monkeypatch.setattr(assumptions, "min", counted_min, raising=False)
+        assert _find_Qd(P, 4, DOWN) is None
 
     def test_5delta_has_q6(self):
-        Q = _find_Qd(dilate(standard_triangle(), 5), 6, None, 200_000)[0]
+        Q = _find_Qd(dilate(standard_triangle(), 5), 6, None)
         assert Q is not None and is_class_Qd(Q, 6)
 
     def test_rectangle_has_q6(self):
-        Q = _find_Qd(rectangle(3, 4), 6, None, 200_000)[0]
+        Q = _find_Qd(rectangle(3, 4), 6, None)
         assert Q is not None and is_class_Qd(Q, 6)
 
     def test_delta_has_no_q4(self):
-        assert _find_Qd(standard_triangle(), 4, None, 200_000) == (None, False)
+        assert _find_Qd(standard_triangle(), 4, None) is None
 
 
 @pytest.fixture
@@ -587,16 +586,28 @@ class TestAssumption3:
 class TestBoundaryBitangents:
     def test_bottom_vertex(self):
         P = LatticePolygon.hull([(1, 0), (0, 2), (3, 3)])
-        assert _boundary_bitangent_excluded(P, 0, 100) == "bottom face is a vertex"
+        assert _boundary_bitangent_excluded(P, 0) == "bottom face is a vertex"
 
     @pytest.mark.parametrize("t", [(0, 0), (3, -5)])
     def test_row_two_above_the_bottom_edge(self, t):
         # no Q4 on the bottom edge; the only row of two points above it is
         # at height exactly 2, measured from P's lowest row
         P = LatticePolygon.hull([(0, 0), (1, 0), (5, 2), (4, 3)]).translate(t)
-        assert _boundary_bitangent_excluded(P, 0, 100) == (
+        assert _boundary_bitangent_excluded(P, 0) == (
             "two lattice points on a row at height >= 2 above the bottom edge"
         )
+
+    def test_maps_only_the_band_above_the_bottom_edge(self, monkeypatch):
+        # r^2's bottom edge is P's face at LEFT, the column x = 0; the
+        # bottom-edge Q4 search maps the 13 points of the 4 columns x <= 3,
+        # not all 200,003, and direction 1's bottom face is a vertex
+        P = LatticePolygon.hull([(0, 0), (100000, 0), (0, 3)])
+        real, mapped = assumptions._rotated_points, []
+        monkeypatch.setattr(
+            assumptions, "_rotated_points", lambda P, k, pts: mapped.append((k, len(pts))) or real(P, k, pts)
+        )
+        assert assumptions.check_assumption1(P)[0] is Verdict.VERIFIED
+        assert mapped == [(2, 13)]
 
 
 class TestFullReport:
@@ -701,7 +712,8 @@ BATTERY_ROWS = [
     ("no-vertical-bitangents", 2), ("no-vertical-inflections", 2), ("no-tangent-asymptotes", 2),
 ]
 
-# P is 5R for u = (1, -2), v = (-2, 5); no staircase Q6 fits in it
+# P is 5R for u = (1, -2), v = (-2, 5); no staircase Q6 fits in it, but
+# the exhaustive walk finds one
 FIVE_R = [(0, 0), (5, -10), (-10, 25), (-5, 15)]
 
 # vertices, budget, (a1, a2, a3), thin witness, outcomes in BATTERY_ROWS order
@@ -736,6 +748,7 @@ EVIDENCE_TABLE = [
         ],
         id="no-search-fires",
     ),
+    # the 5R search, the only one with a budget, ranks 3**4 = 81 tuples, more than 10
     pytest.param(
         [(0, 0), (1, -2), (0, 1)], 10,
         ("Unknown", "Verified", "Unknown"), None,
@@ -841,11 +854,12 @@ EVIDENCE_TABLE = [
         ],
         id="vertical-bitangents-unknown",
     ),
+    # 2 * Delta spans 2 < 4 - 1, so the Q4 search decides at once
     pytest.param(
         [(0, 0), (2, 0), (0, 2)], 10,
         ("Unknown", "Verified", "Verified"), None,
         [
-            "budget exhausted", "no Q5 subdiagram", "budget exhausted",
+            "budget exhausted", "no Q5 subdiagram", "no Q4 subdiagram",
             "no condition fired", "not a thin triangle",
             "no condition fired", "not a thin triangle",
             "no condition fired", "not a thin triangle",
@@ -854,13 +868,14 @@ EVIDENCE_TABLE = [
             "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
             "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
         ],
-        id="2delta-q4-budget-exhausted",
+        id="2delta-no-q4",
     ),
+    # a Q4 on two bottom edges, and none on the third, which is a vertex
     pytest.param(
         [(0, 0), (1, -1), (2, 0), (0, 2)], 10,
         ("Unknown", "Verified", "Verified"), None,
         [
-            "budget exhausted", "budget exhausted", "Q4 subdiagram found",
+            "budget exhausted", "no Q5 subdiagram", "Q4 subdiagram found",
             "bottom face is a vertex", "not a thin triangle",
             "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
             "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
@@ -869,19 +884,20 @@ EVIDENCE_TABLE = [
             "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
             "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
         ],
-        id="q5-budget-exhausted",
+        id="q4-on-two-bottom-edges",
     ),
+    # a 5R and no Q6; the 5R is u = (1, 1), v = (6, 7)
     pytest.param(
-        FIVE_R, 20_000,
-        ("Unknown", "Verified", "Verified"), None,
+        [(0, 0), (5, 5), (35, 40), (30, 35)], 200_000,
+        ("Unknown", "Verified", "Unknown"), None,
         [
-            "contains 5R for a unimodular parallelogram", "budget exhausted", "Q4 subdiagram found",
+            "contains 5R for a unimodular parallelogram", "no Q5 subdiagram", "no Q4 subdiagram",
             "bottom face is a vertex", "not a thin triangle",
             "bottom face is a vertex", "not a thin triangle",
             "bottom face is a vertex", "not a thin triangle",
             "2-dimensional and not the unit triangle", "not in the thin orbit",
             "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
-            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "no condition fired", "at least 3 ordinates", "3 ordinates or top face is a vertex",
             "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
         ],
         id="5R",
@@ -902,14 +918,15 @@ EVIDENCE_TABLE = [
         ],
         id="boundary-bitangents-decide",
     ),
-    # 5R decides a1; the exhaustive search finds a Q5 after 98,739 subsets
+    # the 5R search runs, on a 5 by 5 box with one containment test, and
+    # decides that no 5R fits; that row alone keeps a1 Unknown
     pytest.param(
-        FIVE_R, 100_000,
-        ("Verified", "Verified", "Verified"), None,
+        [(0, 0), (5, 3), (3, 5)], 200_000,
+        ("Unknown", "Verified", "Verified"), None,
         [
-            "contains 5R for a unimodular parallelogram", "Q5 subdiagram found", "Q4 subdiagram found",
+            "no Q6 subdiagram, no 5R", "Q5 subdiagram found", "Q4 subdiagram found",
             "bottom face is a vertex", "not a thin triangle",
-            "bottom face is a vertex", "not a thin triangle",
+            "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
             "bottom face is a vertex", "not a thin triangle",
             "2-dimensional and not the unit triangle", "not in the thin orbit",
             "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
@@ -947,12 +964,12 @@ class TestEvidenceTable:
         assert full_assumption_report(P, -1) == full_assumption_report(P, 0)
 
 
-def rotated_frame_boundary(Pk, budget):
+def rotated_frame_boundary(Pk):
     """The boundary-bitangent test in the frame of r^k(P) itself: its own
     bottom edge, its own listing and rows, and the bottom-edge Q4 search."""
     if DOWN not in edge_fan(Pk):
         return "bottom face is a vertex"
-    if _find_Qd(Pk, 4, DOWN, budget)[0] is not None:
+    if _find_Qd(Pk, 4, DOWN) is not None:
         return "Q4 subdiagram aligned with the bottom edge"
     y0 = min(y for _, y in Pk.vertices)
     if any(y >= y0 + 2 and n >= 2 for y, n in Counter(y for _, y in lattice_points(Pk)).items()):
@@ -984,24 +1001,23 @@ def rotated_frame_assumption3(Ps):
 def assembled_report(P, budget):
     """The battery report with every subdiagram search run on its own and
     every direction in its own frame: Q6, Q5 and Q4 on P, and the boundary
-    and assumption-3 tests on r^k(P), each listing its own polygon."""
-    q6, exhausted6 = _find_Qd(P, 6, None, budget)
-    if q6 is not None:
+    and assumption-3 tests on r^k(P), each listing its own polygon.  The
+    budget bounds the 5R search alone."""
+    if _find_Qd(P, 6, None) is not None:
         rows = [("no-tritangents", 0, True, "Q6-generalized subdiagram found")]
     else:
         has_5R, exhausted5R = assumptions._contains_5R(P, budget)
         if has_5R:
             outcome = "contains 5R for a unimodular parallelogram"
         else:
-            outcome = "budget exhausted" if exhausted6 or exhausted5R else "no Q6 subdiagram, no 5R"
+            outcome = "budget exhausted" if exhausted5R else "no Q6 subdiagram, no 5R"
         rows = [("no-tritangents", 0, has_5R, outcome)]
     for d, name in ((5, "no-inflected-bitangents"), (4, "no-higher-flexes")):
-        qd, exhausted = _find_Qd(P, d, None, budget)
-        outcome = f"Q{d} subdiagram found" if qd else "budget exhausted" if exhausted else f"no Q{d} subdiagram"
-        rows.append((name, 0, qd is not None, outcome))
+        qd = _find_Qd(P, d, None)
+        rows.append((name, 0, qd is not None, f"Q{d} subdiagram found" if qd else f"no Q{d} subdiagram"))
     Ps = [P, rotate_r(P), rotate_r(rotate_r(P))]
     for k, Pk in enumerate(Ps):
-        cond = rotated_frame_boundary(Pk, budget)
+        cond = rotated_frame_boundary(Pk)
         thin = is_thin(Pk) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
@@ -1024,11 +1040,10 @@ def assembled_report(P, budget):
 
 
 class TestSearchesInferredFromEachOther:
-    """The report runs the Q5 search first, reads Q6 off a finished "no
-    Q5" and Q4 off a Q5 found, and skips the bottom-edge Q4 searches after
-    a finished "no Q4"; it reads the boundary and assumption-3 tests of
-    r(P) and r^2(P) off P, and maps P's points to r^k(P) only for the
-    bottom-edge Q4 search."""
+    """The report runs the Q5 search first, reads Q6 off "no Q5" and Q4 off
+    a Q5 found, and skips the bottom-edge Q4 searches after "no Q4"; it
+    reads the boundary and assumption-3 tests of r(P) and r^2(P) off P, and
+    maps P's points to r^k(P) only for the bottom-edge Q4 search."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -1099,8 +1114,6 @@ class TestRotationInvariance:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=8))
     def test_direction_k_of_r_P_is_direction_k_plus_1_of_P(self, pts):
-        # in [0,5]^2 no per-direction row can hit the budget: a Q4 search
-        # charges at most C(36, 4) < 200,000 subsets
         P = LatticePolygon.hull(pts)
         assume(P.dim == 2)
         a = full_assumption_report(P, fast_path=False)

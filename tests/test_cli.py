@@ -182,11 +182,16 @@ class TestAssumptions:
         assert f"PLUCKER_BUDGET must be a nonnegative integer, got {raw!r}" in out
 
     def test_zero_budget_is_accepted(self, polygon_file, capsys, monkeypatch):
+        # the budget bounds the 5R search alone; the subdiagram searches decide
         monkeypatch.setenv("PLUCKER_BUDGET", "0")
         path = polygon_file([[0, 0], [3, 0], [0, 3]])
         code, payload = run_json(capsys, ["assumptions", "--polygon", path, "--format", "json"])
         assert code == EXIT_OK
-        assert ["no-tritangents", 0, "budget exhausted"] in payload["evidence"]
+        assert payload["evidence"][:3] == [
+            ["no-tritangents", 0, "budget exhausted"],
+            ["no-inflected-bitangents", 0, "no Q5 subdiagram"],
+            ["no-higher-flexes", 0, "Q4 subdiagram found"],
+        ]
 
 
 class TestVerify:
