@@ -382,15 +382,12 @@ class TestSubdiagramSearch:
             assert all(span(Q) <= d - 1 for Q in tested) and len(tested) < total
         assert (expected is not None) is found
 
-    def test_thin_parallelogram_decides_quickly(self):
-        # about 2,000 lattice points two to a column: no staircase fits, and
-        # from each first point the walk scans only the d columns to its
-        # right, so each search ends with no subdiagram at once; the
-        # no-tritangents row is the 5R search's, whose budget runs out
+    def test_thin_parallelogram_exhausts_budgets_quickly(self):
+        # about 2,000 lattice points two to a column: the Q_d searches decide
+        # (see the next test), so the only budget left to run out is the 5R
+        # search's, in the no-tritangents row, and the battery ends quickly
         P = LatticePolygon.hull([(0, 0), (0, 1), (1000, 3000), (1000, 3001)])
         start = time.monotonic()
-        for d in (6, 5, 4):
-            assert _find_Qd(P, d, None) is None, d
         assert assumptions.check_assumption1(P) == (
             Verdict.UNKNOWN,
             [
@@ -408,6 +405,25 @@ class TestSubdiagramSearch:
             ],
         )
         assert time.monotonic() - start < 2.0
+
+    def test_thin_parallelogram_decides_with_a_large_budget(self):
+        # the Q_d searches take no budget: each ends with no subdiagram, as a
+        # search with an unbounded budget would.  No staircase fits, and from
+        # each first point the walk scans only the d columns to its right.
+        # The budget bounds the 5R search alone, so the Q rows read the same
+        # at budget 0 as at the default
+        P = LatticePolygon.hull([(0, 0), (0, 1), (1000, 3000), (1000, 3001)])
+        start = time.monotonic()
+        for d in (6, 5, 4):
+            assert _find_Qd(P, d, None) is None, d
+        assert time.monotonic() - start < 2.0
+        at_zero = assumptions.check_assumption1(P, budget=0)[1]
+        at_default = assumptions.check_assumption1(P)[1]
+        assert at_zero[1:] == at_default[1:]
+        assert at_zero[1:3] == [
+            ("no-inflected-bitangents", 0, "no Q5 subdiagram"),
+            ("no-higher-flexes", 0, "no Q4 subdiagram"),
+        ]
 
     def test_bottom_edge_search_walks_only_the_face_band(self, monkeypatch):
         # 13,015 points in columns up to 110 high, of which 53 lie in the 4
