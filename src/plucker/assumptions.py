@@ -328,11 +328,16 @@ def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
     budget, so every tuple tested has its own rank below the budget: the
     search makes at most ``budget`` containment tests, and returns the
     (found, exhausted) of walking the first ``budget`` tuples of
-    ``product`` and testing each canonical unimodular one."""
+    ``product`` and testing each canonical unimodular one.  The one
+    exception is W = 0 or H = 0: a unimodular pair has |ux| + |vx| >= 1
+    and |uy| + |vy| >= 1, so no 5R fits, and the search returns (False,
+    False) at any budget."""
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     m = 2 * bound + 1
     W, H = (xh - xl) // 5, (yh - yl) // 5
+    if W == 0 or H == 0:
+        return False, False
     n = max(budget, 0)
     for ux in range(-W, 0):
         for uy in range(-H, H + 1):

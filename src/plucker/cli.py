@@ -6,8 +6,11 @@ svg for render and text otherwise; ``--format json`` prints one compact line
 with sorted keys (``python3 -m json.tool`` indents it), and exact rationals
 as "p/q" strings so they never pass through floating JSON numbers.
 
-Exit codes: 0 success, 2 parse/usage error, 3 verification mismatch,
-4 oracle degeneracy after retries.
+``--coeff-bound`` defaults to 10 for verify and 1000 for implicitize.
+
+Exit codes: 0 success, 2 parse/usage error, 3 verification mismatch (an
+oracle count above the formula, or below it on every sample that
+certified), 4 oracle degeneracy after retries.
 """
 from __future__ import annotations
 
@@ -184,6 +187,19 @@ def _require_verified_or_advisory(P: LatticePolygon, args) -> AssumptionReport:
     return rep
 
 
+# verify redraws a sample that counts short (_retry_samples), so it samples
+# small coefficients; implicitize prints its sample's dual equation, and
+# keeps OracleConfig's bound
+_COEFF_BOUND = {"verify": 10}
+
+
+def _oracle_config(args) -> OracleConfig:
+    bound = args.coeff_bound
+    if bound is None:
+        bound = _COEFF_BOUND.get(args.command, OracleConfig.coeff_bound)
+    return OracleConfig(seed=args.seed, coeff_bound=bound)
+
+
 # each command returns (JSON payload, its text rendering on demand, exit code)
 _Result = tuple[object, Callable[[], str], int]
 
@@ -215,26 +231,39 @@ def cmd_verify(P: LatticePolygon, args) -> _Result:
     # the report rejects it before the gate and the oracle
     r = plucker_report(P)
     arep = _require_verified_or_advisory(P, args)
-    cfg = OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound)
-    pairs = {
-        "inflections": (r.inflections, inflection_oracle(P, cfg)),
-        "vertical_tangents": (r.vertical_tangents, vertical_tangent_oracle(P, cfg)),
-    }
-    ok = all(formula == oracle for formula, oracle in pairs.values())
+    cfg = _oracle_config(args)
+    checks = {}
+    for name, formula, oracle in (
+        ("inflections", r.inflections, inflection_oracle),
+        ("vertical_tangents", r.vertical_tangents, vertical_tangent_oracle),
+    ):
+        # a certified count is at most the generic one (_retry_samples), so
+        # the oracle redraws a sample that falls short of the formula
+        samples: list = []
+        count = oracle(P, cfg, reach=formula, samples=samples)
+        checks[name] = {
+            "formula": formula,
+            "oracle": count,
+            "match": formula == count,
+            "mismatch": None if formula == count else "surplus" if count > formula else "deficit",
+            "samples": [
+                {"seed": seed, "count" if isinstance(outcome, int) else "degenerate": outcome}
+                for seed, outcome in samples
+            ],
+        }
+    ok = all(row["match"] for row in checks.values())
     payload = {
         "polygon": polygon_json(P),
         "assumptions": assumptions_json(arep),
-        "checks": {
-            name: {"formula": f, "oracle": o, "match": f == o}
-            for name, (f, o) in pairs.items()
-        },
+        "checks": checks,
         "match": ok,
     }
 
     def text() -> str:
         lines = [
-            f"{name:18} formula {f:4}  oracle {o:4}  {'ok' if f == o else 'MISMATCH'}"
-            for name, (f, o) in pairs.items()
+            f"{name:18} formula {row['formula']:4}  oracle {row['oracle']:4}  "
+            + ("ok" if row["match"] else f"MISMATCH ({row['mismatch']})")
+            for name, row in checks.items()
         ]
         return "\n".join(lines + ["PASS" if ok else "FAIL"])
 
@@ -247,7 +276,7 @@ def cmd_implicitize(P: LatticePolygon, args) -> _Result:
         _budget()  # the report is never printed, but a bad budget still exits 2
     else:
         _require_verified_or_advisory(P, args)
-    poly, observed = implicitize_dual(P, OracleConfig(seed=args.seed, coeff_bound=args.coeff_bound))
+    poly, observed = implicitize_dual(P, _oracle_config(args))
     terms = sorted(poly.items())
     # exact integers, as [real, imaginary] pairs
     payload = {
@@ -296,7 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--polygon", required=True, metavar="FILE", help="path to a JSON [[x,y],...] file, or - for stdin"
     )
     parser.add_argument("--seed", type=int, default=1, help="oracle RNG seed")
-    parser.add_argument("--coeff-bound", type=int, default=1000, help="oracle coefficient bound")
+    parser.add_argument(
+        "--coeff-bound",
+        type=int,
+        help="largest |coefficient| of the oracle's sampled curve;\n"
+        f"default {_COEFF_BOUND['verify']} for verify, {OracleConfig.coeff_bound} for implicitize",
+    )
     parser.add_argument(
         "--format", choices=("json", "text", "svg"), help="default svg for render, text otherwise"
     )

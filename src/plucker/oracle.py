@@ -37,6 +37,16 @@ heuristic polynomial GCD algorithm based on integer GCD computation",
 J. Symbolic Comput. 7, 1989), verified by exact division, with the same
 PRS as fallback.
 
+Each oracle draws up to ``_RETRIES`` samples, at the seeds that
+``_with_attempt_seed`` derives from the configured one.  A degenerate
+sample uses up an attempt, and when every attempt is degenerate the
+oracle raises ``RetriesExhaustedError`` with the seed and reason of each.
+Otherwise the first certified count is the answer, unless the caller
+gives a ``reach``: a certified count is never above the count of a
+generic curve (proof in ``_retry_samples``), so a count below ``reach``
+is redrawn, and the oracle returns the first count that reaches it, or
+the largest of its samples.
+
 The dual equation is the discriminant of the pencil of lines
 a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
 the same width, with each coefficient in Z[a, b] keyed by its Kronecker
@@ -582,17 +592,68 @@ def _retry_samples(
     cfg: OracleConfig,
     what: str,
     attempt: Callable[[Poly], _T],
+    reach: Optional[int] = None,
+    samples: Optional[list[tuple[int, object]]] = None,
 ) -> _T:
     """Run ``attempt`` on a curve sampled on P under each reseeded config in
-    turn, until one attempt meets no degenerate sample."""
-    failed: list[tuple[int, str]] = []
+    turn.  Without ``reach`` the result is that of the first attempt that
+    meets no degenerate sample.  With it, the attempts are counts, and the
+    result is the first count >= ``reach``, or else the largest count of the
+    ``_RETRIES`` samples.  ``samples`` receives (seed, count or degeneracy
+    reason) for each sample drawn.
+
+    Stopping short of ``reach`` only on a larger count is sound because a
+    certified count is a lower bound for the generic one.  Let S be the
+    lattice points of P, A = C^S the coefficients c, f_c = sum c_s x^s, and
+    g_c either the bordered Hessian curve of f_c or df_c/dy, both
+    polynomial in (c, x, y).  Let X = {(c, p) in A x (C*)^2 : f_c(p) =
+    g_c(p) = 0} and pi: X -> A the projection; the generic fibre of pi has
+    n points, the generic count, which the formula gives when P's
+    assumptions hold.  A count is certified when the resultant is nonzero,
+    so that f_c0 and g_c0 share finitely many zeros, and each root of its
+    squarefree part is shown to carry one torus zero or none
+    (``count_torus_solutions``).  It is then the number of points of the
+    finite fibre pi^-1(c0), and #pi^-1(c0) <= n:
+
+    1. X is cut by two equations in the smooth (|S| + 2)-fold A x (C*)^2,
+       so each of its components has dimension >= |S| (Krull).
+    2. The points of X isolated in their fibre form an open set U (upper
+       semicontinuity of fibre dimension), and pi^-1(c0) lies in U.  pi is
+       quasi-finite on U, so each component of U has the dimension of its
+       image's closure, hence exactly |S|: it dominates A.
+    3. By Zariski's main theorem U -> A factors as an open immersion into
+       a finite V -> A, V the closure of U.  Each component of V is finite
+       and dominant onto the normal variety A, so none has more points
+       over c0 than its degree, which in characteristic 0 is the size of
+       its generic fibre (Shafarevich, Basic Algebraic Geometry 1, ch. II,
+       section 6.3).  Two components meet in a set that does not dominate
+       A, and neither does the rest of V outside U, so the degrees add up
+       to the size of U's generic fibre, which is at most n.
+
+    The argument holds for any complex c0 with a finite fibre, for the
+    pair (f, f_y) as for (f, B(f)).  So a certified count above the formula
+    refutes the formula, and one below it may be the sample's fault alone:
+    c0 lies on the proper closed set where zeros merge or leave the torus.
+    A count mod p is a further specialisation, which this argument over C
+    does not cover."""
+    drawn: list[tuple[int, object]] = []
+    best: Optional[_T] = None
     for i in range(_RETRIES):
         acfg = _with_attempt_seed(cfg, i)
         try:
-            return attempt(sample_poly(P, acfg))
+            result = attempt(sample_poly(P, acfg))
         except DegenerateSampleError as exc:
-            failed.append((acfg.seed, str(exc)))
-    raise RetriesExhaustedError(what, failed)
+            drawn.append((acfg.seed, str(exc)))
+            continue
+        drawn.append((acfg.seed, result))
+        best = result if best is None else max(best, result)
+        if reach is None or result >= reach:
+            break
+    if samples is not None:
+        samples += drawn
+    if best is None:
+        raise RetriesExhaustedError(what, drawn)
+    return best
 
 
 # Monomial changes of coordinates (i, j) -> chart(i, j).  Each is an
@@ -618,19 +679,31 @@ def _count_in_charts(f: Poly, g: Poly) -> int:
     raise DegenerateSampleError(", ".join(failed))
 
 
-def inflection_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
-    """Count torus intersections of a sampled curve with its Hessian curve."""
+def inflection_oracle(
+    P: LatticePolygon,
+    cfg: OracleConfig,
+    reach: Optional[int] = None,
+    samples: Optional[list[tuple[int, object]]] = None,
+) -> int:
+    """Count torus intersections of a sampled curve with its Hessian curve,
+    redrawing a count below ``reach`` (``_retry_samples``)."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "inflection oracle", lambda f: _count_in_charts(f, hessian_curve(f))
+        P, cfg, "inflection oracle", lambda f: _count_in_charts(f, hessian_curve(f)), reach, samples
     )
 
 
-def vertical_tangent_oracle(P: LatticePolygon, cfg: OracleConfig) -> int:
-    """Count torus solutions of f = df/dy = 0 for a sampled curve."""
+def vertical_tangent_oracle(
+    P: LatticePolygon,
+    cfg: OracleConfig,
+    reach: Optional[int] = None,
+    samples: Optional[list[tuple[int, object]]] = None,
+) -> int:
+    """Count torus solutions of f = df/dy = 0 for a sampled curve,
+    redrawing a count below ``reach`` (``_retry_samples``)."""
     P.require_dim2()
     return _retry_samples(
-        P, cfg, "vertical tangent oracle", lambda f: _count_in_charts(f, _diff(f, "y"))
+        P, cfg, "vertical tangent oracle", lambda f: _count_in_charts(f, _diff(f, "y")), reach, samples
     )
 
 

@@ -500,7 +500,14 @@ class TestFiveR:
                 five_r_tests.clear()
                 got = assumptions._contains_5R(P, budget)
                 expected_calls = []
-                assert got == hull_contains_5R(P, budget, expected_calls), (P, budget)
+                expected = hull_contains_5R(P, budget, expected_calls)
+                (xl, yl), (xh, yh) = P.bounding_box()
+                if min(xh - xl, yh - yl) < 5:
+                    # no 5R fits a box narrower than 5, so the search
+                    # decides where the walk may run out of budget
+                    assert not expected[0]
+                    expected = (False, False)
+                assert got == expected, (P, budget)
                 fitting = [R5 for Q, R5 in expected_calls if fits_box(P, R5)]
                 assert [LatticePolygon.hull(Q).canonical().vertices for Q in five_r_tests] == fitting, (P, budget)
                 seen.add(got)
@@ -508,25 +515,27 @@ class TestFiveR:
 
     def test_narrow_box_gets_what_the_search_ends_with(self):
         # every polygon in [0,4]^2 is narrower than 5 on both axes, so the
-        # search returns before its loop; the loop, run in full, agrees
-        def searched(P, budget):
+        # search returns before its loop, decided at every budget; the loop,
+        # run in full, finds no 5R either
+        def searched(P):
             (xl, yl), (xh, yh) = P.bounding_box()
             bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
             coords = range(-bound, bound + 1)
-            for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
+            for ux, uy, vx, vy in product(coords, repeat=4):
                 u, v = (ux, uy), (vx, vy)
                 if not (u < v and u <= neg(u) and v <= neg(v)) or abs(ux * vy - uy * vx) != 1:
                     continue
                 corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
                 if contains_translate(P, corners) is not None:
-                    return True, False
-            return False, len(coords) ** 4 > budget
+                    return True
+            return False
 
         classes = lattice_classes(4)
         assert len(classes) == 17978
         for P in classes:
+            assert not searched(P), P
             for budget in (-1, 0, 1, 81, 200_000):
-                assert assumptions._contains_5R(P, budget) == searched(P, budget), (P, budget)
+                assert assumptions._contains_5R(P, budget) == (False, False), (P, budget)
 
     def test_builds_no_hull(self, monkeypatch):
         def no_hull(points):
@@ -764,19 +773,20 @@ EVIDENCE_TABLE = [
         ],
         id="no-search-fires",
     ),
-    # the 5R search, the only one with a budget, ranks 3**4 = 81 tuples, more than 10
+    # the 5R search, the only one with a budget, runs on a box 5 wide on
+    # both sides and ranks 3**4 = 81 tuples, more than 10
     pytest.param(
-        [(0, 0), (1, -2), (0, 1)], 10,
-        ("Unknown", "Verified", "Unknown"), None,
+        [(0, 0), (5, 1), (1, 5)], 10,
+        ("Unknown", "Verified", "Verified"), None,
         [
-            "budget exhausted", "no Q5 subdiagram", "no Q4 subdiagram",
+            "budget exhausted", "Q5 subdiagram found", "Q4 subdiagram found",
             "bottom face is a vertex", "not a thin triangle",
+            "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
             "bottom face is a vertex", "not a thin triangle",
-            "no condition fired", "not a thin triangle",
             "2-dimensional and not the unit triangle", "not in the thin orbit",
-            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
-            "vertical degree at most 3", "at least 3 ordinates", "3 ordinates or top face is a vertex",
-            "vertical degree at most 3", "fewer than 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
+            "4 consecutive ordinates", "at least 3 ordinates", "3 ordinates or top face is a vertex",
         ],
         id="q6-budget-exhausted",
     ),
@@ -870,12 +880,13 @@ EVIDENCE_TABLE = [
         ],
         id="vertical-bitangents-unknown",
     ),
-    # 2 * Delta spans 2 < 4 - 1, so the Q4 search decides at once
+    # 2 * Delta spans 2 < 4 - 1, so the Q4 search decides at once; its box
+    # is narrower than 5, so the 5R search decides at any budget
     pytest.param(
         [(0, 0), (2, 0), (0, 2)], 10,
         ("Unknown", "Verified", "Verified"), None,
         [
-            "budget exhausted", "no Q5 subdiagram", "no Q4 subdiagram",
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "no Q4 subdiagram",
             "no condition fired", "not a thin triangle",
             "no condition fired", "not a thin triangle",
             "no condition fired", "not a thin triangle",
@@ -891,7 +902,7 @@ EVIDENCE_TABLE = [
         [(0, 0), (1, -1), (2, 0), (0, 2)], 10,
         ("Unknown", "Verified", "Verified"), None,
         [
-            "budget exhausted", "no Q5 subdiagram", "Q4 subdiagram found",
+            "no Q6 subdiagram, no 5R", "no Q5 subdiagram", "Q4 subdiagram found",
             "bottom face is a vertex", "not a thin triangle",
             "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",
             "Q4 subdiagram aligned with the bottom edge", "not a thin triangle",

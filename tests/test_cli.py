@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -182,13 +183,14 @@ class TestAssumptions:
         assert f"PLUCKER_BUDGET must be a nonnegative integer, got {raw!r}" in out
 
     def test_zero_budget_is_accepted(self, polygon_file, capsys, monkeypatch):
-        # the budget bounds the 5R search alone; the subdiagram searches decide
+        # the budget bounds the 5R search alone; the subdiagram searches
+        # decide, and so does the 5R search on a box narrower than 5
         monkeypatch.setenv("PLUCKER_BUDGET", "0")
         path = polygon_file([[0, 0], [3, 0], [0, 3]])
         code, payload = run_json(capsys, ["assumptions", "--polygon", path, "--format", "json"])
         assert code == EXIT_OK
         assert payload["evidence"][:3] == [
-            ["no-tritangents", 0, "budget exhausted"],
+            ["no-tritangents", 0, "no Q6 subdiagram, no 5R"],
             ["no-inflected-bitangents", 0, "no Q5 subdiagram"],
             ["no-higher-flexes", 0, "Q4 subdiagram found"],
         ]
@@ -225,6 +227,66 @@ class TestVerify:
         msg = payload["error"]
         assert msg.startswith("inflection oracle retries exhausted after 5 attempts: seed 1: chart (i, j): ")
         assert msg.count("identically-zero resultant (common factor)") == 15
+
+    RECT = [[0, 0], [2, 0], [2, 3], [0, 3]]
+    STRIDE = 0x9E3779B9
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_short_sample_is_redrawn(self, polygon_file, capsys, seed):
+        # with coefficients +-1 the first sample counts 11 of 21 inflections
+        # and 2 of 8 vertical tangents; a count is at most the generic one,
+        # so the oracle redraws, and the second sample reaches both
+        argv = ["verify", "--polygon", polygon_file(self.RECT), "--coeff-bound", "1", "--seed", str(seed)]
+        code, payload = run_json(capsys, argv + ["--format", "json"])
+        assert code == EXIT_OK and payload["match"] is True
+        seeds = [seed, seed + self.STRIDE]
+        for name, short, formula in (("inflections", 11, 21), ("vertical_tangents", 2, 8)):
+            assert payload["checks"][name] == {
+                "formula": formula,
+                "oracle": formula,
+                "match": True,
+                "mismatch": None,
+                "samples": [{"seed": s, "count": n} for s, n in zip(seeds, (short, formula))],
+            }
+
+    def test_a_short_first_sample_on_the_slab_is_redrawn(self, polygon_file, capsys):
+        argv = ["verify", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]]), "--coeff-bound", "1", "--seed", "2"]
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out.endswith("PASS\n")
+
+    def test_a_deficit_on_every_sample_is_a_mismatch(self, polygon_file, capsys):
+        argv = ["verify", "--polygon", polygon_file(self.RECT), "--coeff-bound", "1", "--seed", "3"]
+        code, payload = run_json(capsys, argv + ["--format", "json"])
+        assert code == EXIT_MISMATCH and payload["match"] is False
+        assert payload["checks"]["inflections"]["match"] is True
+        row = payload["checks"]["vertical_tangents"]
+        assert (row["formula"], row["oracle"], row["mismatch"]) == (8, 7, "deficit")
+        assert row["samples"] == [{"seed": 3 + i * self.STRIDE, "count": n} for i, n in enumerate((7, 4, 6, 4, 4))]
+        assert run(argv) == EXIT_MISMATCH
+        assert "vertical_tangents  formula    8  oracle    7  MISMATCH (deficit)" in capsys.readouterr().out
+
+    def test_a_surplus_is_a_mismatch_after_one_sample(self, polygon_file, capsys, monkeypatch):
+        # a formula one below the truth is refuted by the first count
+        def low(P):
+            r = plucker_report(P)
+            return dataclasses.replace(r, inflections=r.inflections - 1)
+
+        monkeypatch.setattr(cli, "plucker_report", low)
+        argv = ["verify", "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]]), "--format", "json"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_MISMATCH
+        row = payload["checks"]["inflections"]
+        assert (row["formula"], row["oracle"], row["mismatch"]) == (9, 10, "surplus")
+        assert row["samples"] == [{"seed": 1, "count": 10}]
+
+    @pytest.mark.parametrize("command, bound", [("verify", 10), ("implicitize", 1000)])
+    def test_coefficient_bound_defaults_per_command(self, polygon_file, monkeypatch, command, bound):
+        seen = []
+        for name in ("inflection_oracle", "vertical_tangent_oracle", "implicitize_dual"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda P, cfg, *a, real=real, **kw: seen.append(cfg) or real(P, cfg, *a, **kw))
+        assert run([command, "--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
+        assert seen and all(cfg.coeff_bound == bound for cfg in seen)
 
     @pytest.mark.parametrize("vertices", [[[0, 0], [3, 0], [0, 2]], [[0, 0], [4, 0], [1, 2]]])
     def test_second_chart_certifies(self, polygon_file, capsys, vertices):

@@ -423,6 +423,61 @@ def test_torus_count_is_invariant_under_a_unimodular_monomial_change(polygon_see
         assert counts[0] == counts[1], (P.vertices, seed, M)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2**32), st.integers(1, 3))
+def test_no_certified_sample_counts_above_the_formula(polygon_seed, seed, bound):
+    """A certified count is at most the generic one (``_retry_samples``):
+    on all-Verified polygons in [0,3]^2, with coefficients of at most 3,
+    where samples are often special, no sample counts above the formula."""
+    P = random_polygon(random.Random(polygon_seed), box=3)
+    assume(full_assumption_report(P).all_verified)
+    f = sample_poly(P, OracleConfig(seed=seed, coeff_bound=bound))
+    for g, formula in ((hessian_curve(f), inflection_count(P)), (_diff(f, "y"), vertical_tangent_count(P))):
+        try:
+            count = _count_in_charts(f, g)
+        except DegenerateSampleError:
+            continue
+        assert count <= formula, (P.vertices, seed, bound)
+
+
+class TestRedraw:
+    # on the 2 x 3 rectangle with coefficients +-1, the sample at seed 1
+    # counts 11 of 21 inflections and 2 of 8 vertical tangents; the next
+    # attempt seed reaches both
+    P = rectangle(2, 3)
+    CFG = OracleConfig(seed=1, coeff_bound=1)
+    STRIDE = 0x9E3779B9
+
+    def test_without_reach_the_first_certified_sample_counts(self):
+        assert inflection_oracle(self.P, self.CFG) == 11
+        assert vertical_tangent_oracle(self.P, self.CFG) == 2
+
+    def test_a_deficit_is_redrawn_until_it_reaches(self):
+        samples = []
+        assert inflection_oracle(self.P, self.CFG, reach=21, samples=samples) == 21
+        assert samples == [(1, 11), (1 + self.STRIDE, 21)]
+
+    def test_a_count_at_or_above_reach_stops(self):
+        samples = []
+        assert vertical_tangent_oracle(self.P, self.CFG, reach=1, samples=samples) == 2
+        assert samples == [(1, 2)]
+
+    def test_every_sample_short_keeps_the_largest(self):
+        # at seed 3 the five samples count 7, 4, 6, 4 and 4 of 8
+        samples = []
+        cfg = OracleConfig(seed=3, coeff_bound=1)
+        assert vertical_tangent_oracle(self.P, cfg, reach=8, samples=samples) == 7
+        assert samples == [(3 + i * self.STRIDE, n) for i, n in enumerate((7, 4, 6, 4, 4))]
+
+    def test_degenerate_samples_are_listed_and_use_up_attempts(self):
+        # a sampled line shares a factor with its Hessian curve
+        samples = []
+        with pytest.raises(RetriesExhaustedError) as info:
+            inflection_oracle(standard_triangle(), OracleConfig(seed=7), reach=0, samples=samples)
+        assert samples == list(info.value.attempts)
+        assert len(samples) == 5
+
+
 def test_formula_oracle_sweep():
     """Formula against oracle on random all-Verified polygons in a 5x5 box."""
     start = time.monotonic()
