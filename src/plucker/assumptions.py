@@ -45,7 +45,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .lattice import (
     DOWN,
@@ -54,6 +55,7 @@ from .lattice import (
     Diagram,
     LatticePolygon,
     Point,
+    _columns,
     add,
     contains_translate,
     dilate,
@@ -65,7 +67,7 @@ from .lattice import (
     sub,
 )
 
-DEFAULT_SEARCH_BUDGET = 200_000
+DEFAULT_SEARCH_BUDGET = 200_000  # units of the 5R search's work (see _contains_5R)
 
 
 class Verdict(str, Enum):
@@ -305,77 +307,66 @@ def _find_Qd(
 
 
 def _contains_5R(P: LatticePolygon, budget: int) -> tuple[bool, bool]:
-    """Appendix criterion: P contains a 5-fold dilate of some unimodular
-    parallelogram spanned by u, v with coordinates in [-b, b], b =
-    ceil(w / 5) with w the larger side of P's bounding box.  The second
-    return value reports that the budget ran out first.
+    """Appendix criterion: P contains 5R for some unimodular parallelogram
+    R.  The second return value reports that the budget ran out first.
 
-    The budget ranks the tuples (u, v) = (ux, uy, vx, vy) of [-b, b]^4 in
-    ``product`` order, rank ((ux + b) m^3 + (uy + b) m^2 + (vx + b) m + vy + b)
-    with m = 2b + 1, and the search tests those of rank below the budget,
-    in rank order, until one fits.  A parallelogram is fixed up to
-    translation by its edges up to sign and order, so only the canonical
-    tuple is tested: u < v, u <= -u and v <= -v.  Its 5-fold dilate spans
-    5(|ux| + |vx|) by 5(|uy| + |vy|), so only tuples with |ux| + |vx| <= W
-    and |uy| + |vy| <= H can fit, W and H the box's sides floor-divided by
-    5; the rest are skipped untested.  v <= -v makes vx <= 0, and u < v
-    then makes ux < 0, as ux = 0 would need vx = 0 and |det| = 0.  For each
-    u with gcd(ux, uy) = 1 the v with ux vy - uy vx = +-1 are +-v0 + s u, v0
-    from the extended gcd; the s that keep vx in range and below the rank
-    bound form an interval, so a u costs at most two candidates per
-    column vx of rank below the budget.  The u loop runs in product order
-    and stops at the first u whose block of ranks starts at or past the
-    budget, so every tuple tested has its own rank below the budget: the
-    search makes at most ``budget`` containment tests, and returns the
-    (found, exhausted) of walking the first ``budget`` tuples of
-    ``product`` and testing each canonical unimodular one.  The one
-    exception is W = 0 or H = 0: a unimodular pair has |ux| + |vx| >= 1
-    and |uy| + |vy| >= 1, so no 5R fits, and the search returns (False,
-    False) at any budget."""
+    R is fixed up to translation by its edges u, v up to sign and order, so
+    only the canonical pair is tried: u < v, u <= -u and v <= -v.  Its
+    5-fold dilate spans 5(|ux| + |vx|) by 5(|uy| + |vy|), so only pairs with
+    |ux| + |vx| <= W and |uy| + |vy| <= H can fit, W and H the box's sides
+    floor-divided by 5.  v <= -v makes vx <= 0, and u < v then makes ux < 0,
+    as ux = 0 would need vx = 0 and a zero determinant.  The search visits
+    u with ux from -W to -1, then uy from -H to H, and scans for each of
+    u's partners v (``_partners``, lexicographic order) the columns of
+    translations that ``_columns`` reads off P, until one column holds a
+    translation of 5R inside P.
+
+    ``budget`` counts the units of work: one for each u visited and one
+    for each column scanned, checked before each unit is spent, so the
+    search returns (False, True) exactly when some unit is left undone.
+    Beyond its unit a u costs a gcd, a modular inverse and O(1) rejected
+    candidates, and every partner it yields has at least one column.  A
+    unimodular pair has |ux| + |vx| >= 1 and |uy| + |vy| >= 1, so when
+    W = 0 or H = 0 no 5R fits, and the search returns (False, False) at
+    any budget."""
     (xl, yl), (xh, yh) = P.bounding_box()
-    bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
-    m = 2 * bound + 1
     W, H = (xh - xl) // 5, (yh - yl) // 5
     if W == 0 or H == 0:
         return False, False
-    n = max(budget, 0)
+    left = budget
     for ux in range(-W, 0):
         for uy in range(-H, H + 1):
-            start = ((ux + bound) * m + uy + bound) * m * m
-            if start >= n:
-                return False, m**4 > budget
-            if math.gcd(ux, uy) != 1:
-                continue
-            for vx, vy in _partners((ux, uy), W + ux, H - abs(uy), (n - start - 1) // m - bound):
-                if start + (vx + bound) * m + vy + bound >= n:
-                    break
-                corners = [(0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy))]
-                if contains_translate(P, corners) is not None:
+            if left <= 0:
+                return False, True
+            left -= 1
+            for vx, vy in _partners((ux, uy), W + ux, H - abs(uy)):
+                corners = ((0, 0), (5 * ux, 5 * uy), (5 * vx, 5 * vy), (5 * (ux + vx), 5 * (uy + vy)))
+                if any(lo <= hi for _, lo, hi in islice(_columns(P, corners), left)):
                     return True, False
-    return False, m**4 > budget
+                left -= xh - xl + 5 * (ux + vx) + 1  # the columns of 5R's window
+                if left < 0:
+                    return False, True
+    return False, False
 
 
-def _partners(u: Point, wx: int, hy: int, top: int) -> list[Point]:
+def _partners(u: Point, wx: int, hy: int) -> Iterator[Point]:
     """The v, in lexicographic order, with |ux vy - uy vx| = 1, u < v,
-    v <= -v, |vx| <= wx, |vy| <= hy and vx <= top, for u with ux < 0 and
-    gcd(ux, uy) = 1."""
+    v <= -v, |vx| <= wx and |vy| <= hy, for u with ux < 0; none when
+    gcd(ux, uy) > 1.  Made one at a time, after O(1) rejected candidates."""
     ux, uy = u
-    # Euclid on (ux, uy) keeps the invariant r0 = ux*s0 + uy*t0, so once
-    # r0 = +-1 the vector v0 = (-t0, s0) / r0 has ux*v0y - uy*v0x = 1
-    r0, r1, s0, s1, t0, t1 = ux, uy, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
-    x0, y0 = -t0 * r0, s0 * r0
-    lo, hi = max(ux, -wx), min(0, top)
-    found = []
-    for e in (1, -1):
-        # vx = e*x0 + s*ux is in [lo, hi] for s in [ceil((e*x0 - hi) / -ux), floor((e*x0 - lo) / -ux)]
-        for s in range(-((hi - e * x0) // -ux), (e * x0 - lo) // -ux + 1):
-            v = (e * x0 + s * ux, e * y0 + s * uy)
+    m = -ux
+    if math.gcd(m, uy) != 1:
+        return
+    # ux*vy - uy*vx = e, e = +-1, exactly when vx = -e/uy mod m and vy = (uy*vx
+    # + e) / ux, and |vy| <= hy needs |uy*vx| <= hy*m + 1.  Each block of m
+    # consecutive columns holds one vx for each e, and the blocks go upward
+    c = pow(uy, -1, m)
+    lo = max(ux, -wx, -((hy * m + 1) // abs(uy)) if uy else ux)
+    for base in range(lo, 1, m):
+        block = [(vx, (uy * vx + e) // ux) for e in (1, -1) if (vx := base + (-e * c - base) % m) <= 0]
+        for v in sorted(block):
             if abs(v[1]) <= hy and u < v and v <= neg(v):
-                found.append(v)
-    return sorted(found)
+                yield v
 
 
 @lru_cache(maxsize=1)
@@ -416,7 +407,8 @@ def check_assumption1(
     translate of Delta, so it keeps the class and maps P's lattice points
     onto a translate of r(P)'s: no Q4 on P means no Q4 in any direction,
     and the three bottom-edge Q4 searches are skipped.  ``budget`` bounds
-    the 5R search alone.
+    the 5R search alone, in units of its work: one for each u visited and
+    one for each column scanned (see _contains_5R).
     """
     P.require_dim2()
     pts = lattice_points(P)
@@ -508,8 +500,9 @@ def full_assumption_report(
     """Decide all three assumptions.
 
     If P contains a translate of 5*Delta all three hold; otherwise the
-    per-assumption batteries run.  ``budget`` bounds the 5R search (see
-    check_assumption1); ``fast_path=False`` forces the batteries (used to
+    per-assumption batteries run.  ``budget`` bounds the 5R search, one
+    unit for each u visited and one for each column scanned (see
+    _contains_5R); ``fast_path=False`` forces the batteries (used to
     cross-check the containment shortcut).
     """
     P.require_dim2()

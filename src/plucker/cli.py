@@ -65,7 +65,7 @@ def read_polygon(source: str) -> LatticePolygon:
 def parse_polygon(text: str) -> LatticePolygon:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise CliError(f"polygon is not valid JSON: {exc}", EXIT_PARSE)
     if not isinstance(data, list) or not data:
         raise CliError("polygon must be a nonempty JSON array of [x,y] pairs", EXIT_PARSE)

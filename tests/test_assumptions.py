@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -201,15 +201,15 @@ def hull_find_Qd(P, d, face_constraint):
     return None
 
 
-def hull_contains_5R(P, budget, calls):
-    """The 5R search with each parallelogram told apart by its canonical
-    hull.  Appends (P, canonical 5-fold dilate) to ``calls`` for each
-    containment test, in order."""
+def hull_contains_5R(P, calls):
+    """The 5R search, run to the end, with each parallelogram told apart
+    by its canonical hull.  Appends (P, canonical 5-fold dilate) to
+    ``calls`` for each containment test, in order."""
     (xl, yl), (xh, yh) = P.bounding_box()
     bound = max(1, math.ceil(max(xh - xl, yh - yl) / 5))
     coords = range(-bound, bound + 1)
     seen = set()
-    for ux, uy, vx, vy in islice(product(coords, repeat=4), max(budget, 0)):
+    for ux, uy, vx, vy in product(coords, repeat=4):
         if abs(ux * vy - uy * vx) != 1:
             continue
         R = LatticePolygon.hull([(0, 0), (ux, uy), (vx, vy), (ux + vx, uy + vy)]).canonical()
@@ -219,8 +219,8 @@ def hull_contains_5R(P, budget, calls):
         R5 = dilate(R, 5)
         calls.append((P, R5.canonical().vertices))
         if contains_translate(P, R5) is not None:
-            return True, False
-    return False, len(coords) ** 4 > budget
+            return True
+    return False
 
 
 def span(Q):
@@ -457,15 +457,29 @@ class TestSubdiagramSearch:
 
 @pytest.fixture
 def five_r_tests(monkeypatch):
-    """The containment tests the 5R search makes, in order."""
-    real, tested = contains_translate, []
+    """The units of work the 5R search is charged for, in order: ("u", u)
+    for each u visited, and ("column", Q) for each column of translations
+    of Q scanned."""
+    partners, columns, units = assumptions._partners, assumptions._columns, []
 
-    def counted(P, Q):
-        tested.append(tuple(Q))
-        return real(P, Q)
+    def counted_partners(u, wx, hy):
+        units.append(("u", u))
+        return partners(u, wx, hy)
 
-    monkeypatch.setattr(assumptions, "contains_translate", counted)
-    return tested
+    def counted_columns(P, Q):
+        for column in columns(P, Q):
+            units.append(("column", Q))
+            yield column
+
+    monkeypatch.setattr(assumptions, "_partners", counted_partners)
+    monkeypatch.setattr(assumptions, "_columns", counted_columns)
+    return units
+
+
+def scanned(units):
+    """The parallelograms whose 5-fold dilates the search scanned, in order."""
+    Qs = [Q for kind, Q in units if kind == "column"]
+    return [Q for i, Q in enumerate(Qs) if i == 0 or Qs[i - 1] != Q]
 
 
 def fits_box(P, corners):
@@ -477,41 +491,68 @@ def fits_box(P, corners):
 
 
 class TestFiveR:
-    @pytest.mark.parametrize("budget, exhausted", ((81, False), (80, True)))
+    @pytest.mark.parametrize("budget, exhausted", ((4, False), (3, True)))
     def test_budget_bounds_a_small_search(self, five_r_tests, budget, exhausted):
-        # 5 * Delta spans 5 on both axes, so the search runs, with b = 1 and
-        # 3**4 ranked tuples; of area 25 / 2, it fits no 5R
+        # 5 * Delta spans 5 on both axes, so W = H = 1: the search visits
+        # u = (-1, -1), (-1, 0) and (-1, 1), and scans the one column of
+        # the 5 by 5 square, the 5R of (-1, 0) and its only partner (0, -1).
+        # Of area 25 / 2, 5 * Delta holds no 5R
         P = dilate(standard_triangle(), 5)
+        square = ((0, 0), (-5, 0), (0, -5), (-5, -5))
+        units = [("u", (-1, -1)), ("u", (-1, 0)), ("column", square), ("u", (-1, 1))]
         assert assumptions._contains_5R(P, budget) == (False, exhausted)
-        assert len(five_r_tests) <= budget
+        assert five_r_tests == units[:budget]
+
+    def test_budget_edge_on_a_wide_quadrilateral(self, five_r_tests):
+        # the first 5R found costs exactly 986 units of work
+        P = LatticePolygon.hull([(0, 0), (1, 0), (296, 30), (219, 110)])
+        assert assumptions._contains_5R(P, 985) == (False, True)
+        assert len(five_r_tests) == 985
+        five_r_tests.clear()
+        assert assumptions._contains_5R(P, 986) == (True, False)
+        assert len(five_r_tests) == 986
 
     def test_finds_5R_within_budget(self):
         assert assumptions._contains_5R(rectangle(5, 5), 81) == (True, False)
 
     def test_same_result_as_hull_dedup(self, five_r_tests):
-        # the search makes the reference's containment calls, in the same
-        # order, for the parallelograms whose 5R fits P's box, and skips
-        # the others, which cannot fit
+        # the search scans an in-order prefix of the reference's containment
+        # tests that fit P's box, and skips the others, which cannot fit; it
+        # spends at most its budget, and when it is not exhausted it has
+        # made all of those tests up to the reference's last and agrees
         rng = random.Random(5)
         seen = set()
         for _ in range(40):
             P = random_polygon(rng, box=rng.randint(2, 14))
-            for budget in (-1, 0, 1, 80, 81, 5000, 200_000):
+            expected_calls = []
+            expected = hull_contains_5R(P, expected_calls)
+            fitting = [R5 for _, R5 in expected_calls if fits_box(P, R5)]
+            for budget in (-1, 0, 1, 3, 4, 80, 81, 5000, 200_000):
                 five_r_tests.clear()
                 got = assumptions._contains_5R(P, budget)
-                expected_calls = []
-                expected = hull_contains_5R(P, budget, expected_calls)
-                (xl, yl), (xh, yh) = P.bounding_box()
-                if min(xh - xl, yh - yl) < 5:
-                    # no 5R fits a box narrower than 5, so the search
-                    # decides where the walk may run out of budget
-                    assert not expected[0]
-                    expected = (False, False)
-                assert got == expected, (P, budget)
-                fitting = [R5 for Q, R5 in expected_calls if fits_box(P, R5)]
-                assert [LatticePolygon.hull(Q).canonical().vertices for Q in five_r_tests] == fitting, (P, budget)
+                assert len(five_r_tests) <= max(budget, 0), (P, budget)
+                tested = [LatticePolygon.hull(Q).canonical().vertices for Q in scanned(five_r_tests)]
+                assert tested == fitting[: len(tested)], (P, budget)
+                if got[1]:
+                    assert not got[0], (P, budget)
+                else:
+                    assert got[0] == expected and tested == fitting, (P, budget)
                 seen.add(got)
         assert seen == {(True, False), (False, True), (False, False)}
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), min_size=3, max_size=6),
+        st.integers(-1, 400),
+        st.integers(1, 400),
+    )
+    def test_a_decided_result_stays_at_every_larger_budget(self, pts, budget, more):
+        P = LatticePolygon.hull(pts)
+        assume(P.dim == 2)
+        got = assumptions._contains_5R(P, budget)
+        assume(not got[1])
+        for larger in (budget + more, budget + 10 * more, 200_000):
+            assert assumptions._contains_5R(P, larger) == got, larger
 
     def test_narrow_box_gets_what_the_search_ends_with(self):
         # every polygon in [0,4]^2 is narrower than 5 on both axes, so the
@@ -547,16 +588,17 @@ class TestFiveR:
 
     def test_budget_bounds_a_long_search(self, five_r_tests):
         # seven lattice points, no Q6 and no 5R, 5 high so that the search
-        # runs; b = ceil(1000 / 5) = 200 makes 401**4, about 2.6e10, tuples.
-        # Without the fast path every containment test is the 5R search's.
+        # runs, and 1000 wide: W = 200, so the rows of u near -W soon scan
+        # hundreds of columns each.  Without the fast path every unit
+        # charged is the 5R search's, and an exhausted search spent them all
         P = LatticePolygon.hull([(0, 0), (1, 0), (1000, 5)])
         rep = full_assumption_report(P, budget=5000, fast_path=False)
         assert ("no-tritangents", 0, "budget exhausted") in rep.evidence
-        assert len(five_r_tests) <= 5000
+        assert len(five_r_tests) == 5000
 
     def test_memory_is_bounded_by_the_budget(self):
-        # b = 2 * 10**6 on this triangle: product copies the budget's first
-        # 200,000 coordinates, not all 4 * 10**6 + 1 of them (160 MB)
+        # W = 2 * 10**6 on this triangle: the search holds one u, its
+        # partners one at a time and one column, never a list of the box
         P = LatticePolygon.hull([(0, 0), (3, 0), (10**7, 7)])
         tracemalloc.start()
         try:
@@ -565,6 +607,33 @@ class TestFiveR:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 10**6
+
+    @pytest.mark.parametrize("height", (10**5, 10**8), ids=("1e5", "1e8"))
+    def test_sheared_parallelogram_exhausts_quickly(self, height):
+        # the row ux = -W has no partner for any uy, and the box is 3 * 2 *
+        # height / 5 + 1 values of uy high: each u visited is a unit, so the
+        # search ends after 200,000 of them, at any height
+        P = LatticePolygon.hull([(0, 0), (0, 1), (height, 3 * height), (height, 3 * height + 1)])
+        start = time.monotonic()
+        assert assumptions._contains_5R(P, 200_000) == (False, True)
+        assert time.monotonic() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "vertices, expected",
+        (
+            ([(0, 0), (61, 360), (36, 217)], (True, False)),
+            ([(0, 0), (74, 148), (126, 254)], (False, False)),
+            ([(0, 0), (1, 0), (1000, 5)], (False, False)),
+            ([(0, 0), (3, 0), (10**5, 7)], (False, True)),
+            ([(0, 0), (3, 0), (10**9, 7)], (False, True)),
+        ),
+        ids=("61-360", "74-148", "1000-5", "1e5-triangle", "1e9-triangle"),
+    )
+    def test_wide_boxes_decide_or_exhaust_within_a_second(self, vertices, expected):
+        P = LatticePolygon.hull(vertices)
+        start = time.monotonic()
+        assert assumptions._contains_5R(P, 200_000) == expected
+        assert time.monotonic() - start < 1.0
 
 
 class TestAssumption3:
@@ -774,9 +843,10 @@ EVIDENCE_TABLE = [
         id="no-search-fires",
     ),
     # the 5R search, the only one with a budget, runs on a box 5 wide on
-    # both sides and ranks 3**4 = 81 tuples, more than 10
+    # both sides: it visits three u and scans one column, four units, so
+    # it runs out at 3
     pytest.param(
-        [(0, 0), (5, 1), (1, 5)], 10,
+        [(0, 0), (5, 1), (1, 5)], 3,
         ("Unknown", "Verified", "Verified"), None,
         [
             "budget exhausted", "Q5 subdiagram found", "Q4 subdiagram found",

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,8 +9,11 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plucker import cli, formulas
 from plucker.assumptions import full_assumption_report
@@ -18,11 +23,12 @@ from plucker.cli import (
     EXIT_OK,
     EXIT_PARSE,
     _COMMANDS,
+    CliError,
     parse_polygon,
     run,
 )
 from plucker.formulas import plucker_report
-from plucker.lattice import LatticePolygon
+from plucker.lattice import LatticePolygon, lattice_points
 from plucker.oracle import OracleConfig, implicitize_dual
 from plucker.render import _CELL, _PAD, svg_report
 
@@ -73,6 +79,16 @@ class TestParsing:
         path = polygon_file([[True, 0], [2, 0], [0, 2]])
         assert run(["report", "--polygon", path]) == EXIT_PARSE
         assert "bad vertex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_deep_nesting_is_not_valid_json(self, fmt, tmp_path, capsys):
+        # the decoder recurses once per bracket
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        assert run(["report", "--polygon", str(p), "--format", fmt]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        message = json.loads(out)["error"] if fmt == "json" else out
+        assert message.startswith("error: polygon is not valid JSON" if fmt == "text" else "polygon is not valid JSON")
 
 
 class TestReport:
@@ -595,3 +611,62 @@ class TestFlatParser:
         for name, (_, doc) in _COMMANDS.items():
             words = [name, *doc.split()]
             assert any(line[-len(words):] == words for line in lines), name
+
+
+_coordinate = st.integers(-6, 6)
+_odd_value = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.just([]), st.text(max_size=3), _coordinate
+)
+# 1 to 8 vertices in [-6, 6]^2
+_POLYGONS = st.lists(st.lists(_coordinate, min_size=2, max_size=2), min_size=1, max_size=8).map(json.dumps)
+_MALFORMED = st.one_of(
+    # floats (with Infinity and NaN), bools, null, strings and empty arrays
+    st.lists(st.one_of(st.lists(_odd_value, max_size=3), _odd_value), max_size=4).map(json.dumps),
+    st.sampled_from((
+        "", "[]", "[[]]", "{}", "null", "inf", "[[inf, 0], [1, 0], [0, 1]]", "[[0, 0], [1, 0], [0, 1]",
+        "[[1e400, 0], [1, 0], [0, 1]]", "[[0, 0], [1, 0], [0, 1.0]]", "[[true, 0], [1, 0], [0, 1]]",
+    )),
+    # deep nesting, closed or not
+    st.builds(lambda n, closed: "[" * n + "]" * n * closed, st.integers(1, 100_000), st.booleans()),
+    st.text(max_size=20),
+)
+
+
+def _exit_codes(text, fmt):
+    """The exit code of each subcommand on ``text``.  The oracle behind
+    verify and implicitize has no size cap yet, so they run, with and
+    without --advisory, only on inputs of at most 10 lattice points or
+    inputs that fail to parse."""
+    try:
+        oracle_ok = len(lattice_points(parse_polygon(text))) <= 10
+    except (CliError, ValueError):
+        oracle_ok = True
+    codes = {}
+    for command in _COMMAND_NAMES:
+        oracle = command in ("verify", "implicitize")
+        if oracle and not oracle_ok:
+            continue
+        for advisory in ([], ["--advisory"]) if oracle else ([],):
+            argv = [command, "--polygon", "-", *advisory] + (["--format", fmt] if fmt else [])
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(io.StringIO()):
+                codes[" ".join(argv)] = run(argv)
+    return codes
+
+
+class TestContract:
+    """Every input gets an answer or a documented exit code (2 parse or
+    usage, 3 mismatch, 4 oracle degeneracy), and no exception escapes."""
+
+    DOCUMENTED = {EXIT_OK, EXIT_PARSE, EXIT_MISMATCH, EXIT_DEGENERATE}
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_POLYGONS, st.sampled_from((None, "text", "json")))
+    def test_polygons(self, text, fmt):
+        codes = _exit_codes(text, fmt)
+        assert set(codes.values()) <= self.DOCUMENTED, (text, codes)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_MALFORMED, st.sampled_from((None, "text", "json", "svg")))
+    def test_malformed_texts(self, text, fmt):
+        codes = _exit_codes(text, fmt)
+        assert set(codes.values()) <= self.DOCUMENTED, (text, codes)
