@@ -70,13 +70,14 @@ def parse_polygon(text: str) -> LatticePolygon:
     if not isinstance(data, list) or not data:
         raise CliError("polygon must be a nonempty JSON array of [x,y] pairs", EXIT_PARSE)
     pts = []
-    for item in data:
+    for i, item in enumerate(data):
         if (
             not isinstance(item, list)
             or len(item) != 2
             or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
         ):
-            raise CliError(f"bad vertex {item!r}: expected [x, y] integers", EXIT_PARSE)
+            # named by index and type: the item itself may be megabytes long
+            raise CliError(f"bad vertex {i} ({type(item).__name__}): expected [x, y] integers", EXIT_PARSE)
         pts.append((item[0], item[1]))
     return LatticePolygon.hull(pts)
 

@@ -14,9 +14,12 @@ non-integer one (``TypeError``).
 The torus count is exact and uses only Python integers.  One subresultant
 PRS in y (Brown and Traub, "On Euclid's algorithm and the theory of
 subresultants", J. ACM 18, 1971) gives the resultant and a linear element
-of the ideal that certifies every root of its squarefree part; a sample
-that cannot be certified is rejected as degenerate, after the same pair
-has failed in the two other monomial charts too.  The PRS runs on
+of the ideal.  A simple root of the resultant carries exactly one common
+zero in P^1, as the order of the resultant at a root is the sum of the
+intersection multiplicities over it, so only the repeated roots need the
+linear element's certificate (``count_torus_solutions``); a sample that
+cannot be certified is rejected as degenerate, after the same pair has
+failed in the two other monomial charts too.  The PRS runs on
 Kronecker-packed integers: each y-coefficient, a polynomial in x, is
 replaced by its value at x = 2**k.  Every coefficient of a PRS element,
 and every principal coefficient, is +- a minor of the Sylvester matrix of
@@ -88,12 +91,12 @@ class OracleError(RuntimeError):
 class DegenerateSampleError(OracleError):
     """The sampled curve hit a degeneracy; the caller should resample.  The
     count raises it on a zero resultant (a common factor), on a polynomial
-    of y-degree 0 that is not a monomial, and on a resultant it cannot
-    certify (no linear subresultant, or two common zeroes over one root),
-    once every chart has failed; the dual equation on a zero discriminant,
-    on a Newton polygon that is not the predicted dual polygon, and on a
-    repeated factor; the numeric root finder on a repeated root or an
-    ambiguous root cluster."""
+    of y-degree 0 that is not a monomial, and on a repeated root of the
+    resultant it cannot certify (no linear subresultant, or two common
+    zeroes over one root), once every chart has failed; the dual equation
+    on a zero discriminant, on a Newton polygon that is not the predicted
+    dual polygon, and on a repeated factor; the numeric root finder on a
+    repeated root or an ambiguous root cluster."""
 
 
 class RetriesExhaustedError(OracleError):
@@ -351,11 +354,12 @@ def _quotient(p: list[int], q: list[int]) -> Optional[list[int]]:
 def _heu_gcd(p: list[int], q: list[int]) -> Optional[list[int]]:
     """Heuristic gcd (Char-Geddes-Gonnet) of primitive p and q.  With
     2**s >= 2 * min(|p|_oo, |q|_oo) + 2, the interpolated gcd of p(2**s) and
-    q(2**s) is gcd(p, q) if it divides both; None when no try verifies."""
+    q(2**s) is gcd(p, q) if it divides both, as a constant does; None when
+    no try verifies."""
     s = (2 * min(max(map(abs, p)), max(map(abs, q))) + 2).bit_length()
     for _ in range(4):
         h = _primitive(_unpack(math.gcd(_pack(p, s), _pack(q, s)), s))
-        if _quotient(p, h) is not None and _quotient(q, h) is not None:
+        if len(h) == 1 or _quotient(p, h) is not None and _quotient(q, h) is not None:
             return h
         s *= 2
     return None
@@ -365,21 +369,13 @@ def _gcd(p: list[int], q: list[int]) -> list[int]:
     """gcd of nonzero p and q in Z[x], primitive with a positive leading
     coefficient.  Falls back to the primitive part of the last element of
     their subresultant PRS."""
-    p, q = _primitive(p), _primitive(q)
     if len(p) == 1 or len(q) == 1:
         return [1]
+    p, q = _primitive(p), _primitive(q)
     h = _heu_gcd(p, q)
     if h is None:
         h = _primitive(_subresultants(p[::-1], q[::-1])[0][-1][::-1])
     return h
-
-
-def _sqf_part(p: list[int]) -> list[int]:
-    """The squarefree part of nonzero p, with powers of x divided out."""
-    p = _primitive(p[next(i for i, c in enumerate(p) if c) :])
-    if len(p) == 1:
-        return p
-    return _quotient(p, _gcd(p, [i * c for i, c in enumerate(p)][1:]))
 
 
 def _linear_coeff(prs: list[list[int]], k: int) -> list[int]:
@@ -406,21 +402,42 @@ def count_torus_solutions(f: Poly, g: Poly) -> int:
     With their monomial factors divided out: a zero polynomial shares every
     factor, and one of y-degree 0 that is not a monomial cannot be
     projected to x in this chart, so both are degenerate; a monomial has
-    no zero in the torus, so the count is 0.  So is it when the squarefree
-    resultant is a constant: every common zero at finite y, and every one
-    at y = oo, lies over a root of the resultant, and x = 0 is its only
-    possible root.  (For a conic the bordered Hessian is a constant modulo
-    f, so its PRS ends before a linear element.)
+    no zero in the torus, so the count is 0.  Otherwise let R be the
+    resultant in y, nonzero or the pair is degenerate, R0 its primitive
+    part with the powers of x divided out, D = gcd(R0, R0'), Rs = R0 / D its
+    squarefree part and M = gcd(Rs, D), whose roots are the repeated roots
+    of R0.  Z collects the roots of Rs with a common zero at y = 0, and I
+    those where both y-leading coefficients vanish, that is with a common
+    zero at y = oo.  The count is deg Rs - deg Z - deg I, so 0 when R0 is a
+    constant, as for a conic, whose bordered Hessian is a constant modulo
+    f.
 
-    Otherwise each root x0 != 0 of the squarefree resultant carries a
-    common zero at finite y, or both y-leading coefficients vanish there
-    (the roots of the factor I, with a common zero at y = oo).  Z collects
-    the roots with a common zero at y = 0.  The first subresultant a y + b
-    lies in the ideal of f and g, so where a(x0) != 0 at most one common y
-    exists: then each root outside Z and I carries exactly one torus
-    solution, and each root of Z none.  The same test on the y-reversed
-    pair shows the roots of I carry none.  A sample that fails a test is
-    degenerate.
+    Lemma: with m = deg_y f, n = deg_y g and F, G the forms of degrees m
+    and n in (y0 : y1) over C[x] that f and g become, each root x0 of R
+    has ord_x0 R = sum of I_q(f, g) over the common zeroes q of F and G in
+    {x0} x P^1.  Proof: F(x0, .) and G(x0, .) are not both 0, or x - x0
+    would divide f and g and R = 0; say G(x0, .) is not.  A constant
+    Moebius change of y moves a point of P^1 where G(x0, .) does not vanish
+    to y = oo.  It multiplies R by a nonzero constant and maps the zeroes
+    to zeroes with the same multiplicities, so afterwards lc_y g(x0) != 0
+    may be assumed.  Over the local ring O of C[x] at x0, A = O[y]/(g) is
+    then free with basis 1, y, ..., y**(n-1), and the determinant of
+    multiplication by f on A is R over a unit (Poisson's formula).  The
+    order of a determinant over a discrete valuation ring is the length of
+    its cokernel (Fulton, Intersection Theory, lemma A.2.6), here
+    O[y]/(f, g), and as g does not vanish at y = oo over x0, that length is
+    the sum of the I_q.
+
+    So a simple root x0 of R0 carries exactly one common zero in P^1, a
+    transverse one.  As x0 != 0 it lies in the torus unless x0 is a root
+    of Z (the zero is at y = 0) or of I (at y = oo), never of both, and
+    needs no certificate.  The repeated roots, those of M, are certified.
+    The first subresultant a y + b of the PRS lies in the ideal of f and
+    g, so where a(x0) != 0 at most one common y exists: then each root of
+    M outside Z and I carries exactly one torus solution, and each root of
+    M in Z none.  The same test on the y-reversed pair shows the roots of
+    M in I carry none.  A sample that fails a test is degenerate.  When
+    M = 1, the usual case, no certificate runs.
     """
     _require_coeffs(f)
     _require_coeffs(g)
@@ -436,22 +453,28 @@ def count_torus_solutions(f: Poly, g: Poly) -> int:
     prs, res = _subresultants(Fp, Gp)
     if not res:
         raise DegenerateSampleError("identically-zero resultant (common factor)")
-    Rs = _sqf_part(_unpack(res, k))
-    if len(Rs) == 1:
+    R0 = _unpack(res, k)
+    R0 = _primitive(R0[next(i for i, c in enumerate(R0) if c) :])
+    if len(R0) == 1:
         return 0
-    a = _linear_coeff(prs, k)
+    D = _gcd(R0, [i * c for i, c in enumerate(R0)][1:])
+    Rs = _quotient(R0, D)
     Z = _gcd(Rs, _gcd(_unpack(Fp[-1], k), _unpack(Gp[-1], k)))
     I = _gcd(Rs, _gcd(_unpack(Fp[0], k), _unpack(Gp[0], k)))
-    if len(_gcd(Z, I)) > 1:
-        raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
-    if len(_gcd(_quotient(Rs, I), a)) > 1:
-        raise DegenerateSampleError("two common zeroes over one root of the resultant")
-    if len(I) > 1:
-        # the reversed pair's Sylvester matrix permutes this one's, so its
-        # PRS ends in a constant too
-        a_rev = _linear_coeff(_subresultants(Fp[::-1], Gp[::-1])[0], k)
-        if len(_gcd(I, a_rev)) > 1:
-            raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
+    M = _gcd(Rs, D)
+    if len(M) > 1:
+        a = _linear_coeff(prs, k)
+        ZM, IM = _gcd(M, Z), _gcd(M, I)
+        if len(_gcd(ZM, IM)) > 1:
+            raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
+        if len(_gcd(_quotient(M, IM), a)) > 1:
+            raise DegenerateSampleError("two common zeroes over one root of the resultant")
+        if len(IM) > 1:
+            # the reversed pair's Sylvester matrix permutes this one's, so its
+            # PRS ends in a constant too
+            a_rev = _linear_coeff(_subresultants(Fp[::-1], Gp[::-1])[0], k)
+            if len(_gcd(IM, a_rev)) > 1:
+                raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
     return len(Rs) - len(Z) - len(I) + 1
 
 
@@ -611,8 +634,8 @@ def _retry_samples(
     n points, the generic count, which the formula gives when P's
     assumptions hold.  A count is certified when the resultant is nonzero,
     so that f_c0 and g_c0 share finitely many zeros, and each root of its
-    squarefree part is shown to carry one torus zero or none
-    (``count_torus_solutions``).  It is then the number of points of the
+    squarefree part is shown to carry one torus zero or none, by its
+    order in the resultant or by a certificate (``count_torus_solutions``).  It is then the number of points of the
     finite fibre pi^-1(c0), and #pi^-1(c0) <= n:
 
     1. X is cut by two equations in the smooth (|S| + 2)-fold A x (C*)^2,
@@ -671,7 +694,7 @@ def _count_in_charts(f: Poly, g: Poly) -> int:
     it; degenerate, naming each chart's reason, when none does."""
     failed = []
     for name, chart in _CHARTS:
-        pair = [{chart(*e): c for e, c in p.items()} for p in (f, g)]
+        pair = (f, g) if name == "(i, j)" else [{chart(*e): c for e, c in p.items()} for p in (f, g)]
         try:
             return count_torus_solutions(*pair)
         except DegenerateSampleError as exc:

@@ -81,6 +81,16 @@ class TestParsing:
         assert "bad vertex" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_a_long_bad_vertex_gets_a_short_message(self, fmt, tmp_path, capsys):
+        p = tmp_path / "long.json"
+        p.write_text("[[0,0],[" + ",".join(["0"] * 10**6) + "]]")
+        assert run(["report", "--polygon", str(p), "--format", fmt]) == EXIT_PARSE
+        out = capsys.readouterr().out
+        message = json.loads(out)["error"] if fmt == "json" else out
+        assert len(out) < 200
+        assert "bad vertex 1 (list): expected [x, y] integers" in message
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
     def test_deep_nesting_is_not_valid_json(self, fmt, tmp_path, capsys):
         # the decoder recurses once per bracket
         p = tmp_path / "deep.json"

@@ -1,8 +1,8 @@
 """The stdlib Z[x] elimination kernel of ``plucker.oracle`` against sympy.
 
-``sympy_count_torus_solutions`` is the sympy count the kernel replaced,
-kept here as the reference: the same certificates, in the same order, on
-sympy's dense polynomials.
+``sympy_count_torus_solutions`` is the reference count on sympy's dense
+polynomials: the same rule, with the certificates run, in the same order,
+only on the repeated roots of the resultant.
 """
 import math
 import random
@@ -15,6 +15,7 @@ from conftest import random_polygon
 from plucker import oracle
 from plucker.lattice import LatticePolygon
 from plucker.oracle import (
+    _CHARTS,
     DegenerateSampleError,
     OracleConfig,
     _diff,
@@ -74,22 +75,27 @@ def sympy_count_torus_solutions(f: dict, g: dict) -> int:
     R, prs = F.resultant(G, includePRS=True)
     if R.is_zero:
         raise DegenerateSampleError("identically-zero resultant (common factor)")
-    _, Rs = R.sqf_part().terms_gcd()
-    if Rs.degree() == 0:
+    _, R0 = R.terms_gcd()
+    if R0.degree() == 0:
         return 0
-    a = _linear_coeff(prs)
+    D = R0.gcd(R0.diff(_X))
+    Rs = R0.exquo(D)
     Z = Rs.gcd(_y_coeff(F, 0)).gcd(_y_coeff(G, 0))
     I = Rs.gcd(_y_coeff(F, F.degree(0))).gcd(_y_coeff(G, G.degree(0)))
-    if Z.gcd(I).degree() > 0:
-        raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
-    torus = Rs.exquo(Z * I)
-    if (torus * Z).gcd(a).degree() > 0:
-        raise DegenerateSampleError("two common zeroes over one root of the resultant")
-    if I.degree() > 0:
-        a_rev = _linear_coeff(_y_reversed(F).subresultants(_y_reversed(G)))
-        if I.gcd(a_rev).degree() > 0:
-            raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
-    return torus.degree()
+    # the repeated roots of the resultant; a simple one needs no certificate
+    M = Rs.gcd(D)
+    if M.degree() > 0:
+        a = _linear_coeff(prs)
+        ZM, IM = M.gcd(Z), M.gcd(I)
+        if ZM.gcd(IM).degree() > 0:
+            raise DegenerateSampleError("common zeroes at y = 0 and y = oo over one x")
+        if M.exquo(IM).gcd(a).degree() > 0:
+            raise DegenerateSampleError("two common zeroes over one root of the resultant")
+        if IM.degree() > 0:
+            a_rev = _linear_coeff(_y_reversed(F).subresultants(_y_reversed(G)))
+            if IM.gcd(a_rev).degree() > 0:
+                raise DegenerateSampleError("common zeroes at finite y and y = oo over one x")
+    return Rs.degree() - Z.degree() - I.degree()
 
 
 def _outcome(count, *args):
@@ -129,6 +135,40 @@ def test_count_with_gcd_fallback_matches_sympy_reference(monkeypatch):
     for f, g in _seeded_pairs(random.Random(7), 60):
         expected = _outcome(sympy_count_torus_solutions, f, g)
         assert _outcome(count_torus_solutions, f, g) == expected, (f, g)
+
+
+def _chart_outcomes(f, g):
+    return [_outcome(count_torus_solutions, *({chart(*e): c for e, c in p.items()} for p in (f, g))) for _, chart in _CHARTS]
+
+
+def test_a_simple_root_at_a_vanishing_leading_coefficient_needs_no_certificate():
+    # f = y p(x) - 302 x with p = 504 x^3 + 526 x^2 - 308 x + 261: over each
+    # root of p, f and its Hessian curve meet at y = oo, and the linear
+    # subresultant of the y-reversed pair vanishes there, so its certificate
+    # fails; but each root of p is simple in the resultant (of degree
+    # 8 = 5 + 3), so it carries that one common zero and no other
+    f = {(0, 1): 261, (1, 0): -302, (1, 1): -308, (2, 1): 526, (3, 1): 504}
+    g = hessian_curve(f)
+    assert count_torus_solutions(f, g) == 5
+    assert _chart_outcomes(f, g) == [5, 5, 5]
+    # on f = 0, y = 302 x / p(x) is finite and nonzero exactly where
+    # x p(x) != 0, so the torus zeroes are the distinct roots of
+    # p(x)**3 g(x, 302 x / p(x)) off x p(x) = 0
+    p = sympy.Poly([504, 526, -308, 261], _X)
+    N = sympy.Poly(sum(c * _X**i * (302 * _X) ** j * p.as_expr() ** (3 - j) for (i, j), c in g.items()), _X)
+    squarefree = N.quo(N.gcd(N.diff(_X)))
+    assert squarefree.quo(squarefree.gcd(p * _X)).degree() == 5
+
+
+def test_charts_that_certify_agree():
+    # each chart is a monomial change, an automorphism of the torus; a count
+    # certified in one chart is the count in every other that certifies
+    compared = 0
+    for f, g in _seeded_pairs(random.Random(99), 800):
+        counts = [o for o in _chart_outcomes(f, g) if isinstance(o, int)]
+        assert len(set(counts)) <= 1, (f, g)
+        compared += len(counts) > 1
+    assert compared >= 750
 
 
 def _random_x_poly(rng, degree, bound):
