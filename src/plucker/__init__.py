@@ -19,7 +19,6 @@ from .formulas import (
     dual_area_closed,
     dual_fan,
     dual_polygon,
-    euler_characteristic,
     inflection_count,
     plucker_report,
     vertical_tangent_count,
@@ -34,9 +33,6 @@ from .lattice import (
     edge_fan,
     interior_lattice_points,
     lattice_points,
-    minkowski_sum,
-    mixed_volume,
-    negate,
     rectangle,
     rotate_r,
     standard_triangle,
@@ -51,7 +47,6 @@ from .oracle import (
     hessian_curve,
     implicitize_dual,
     inflection_oracle,
-    sample_dual_points,
     sample_poly,
     vertical_tangent_oracle,
 )

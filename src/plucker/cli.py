@@ -351,9 +351,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _parser_from(builder: Callable[[], argparse.ArgumentParser]) -> argparse.ArgumentParser:
-    """The parser, built once per process (again only if build_parser is replaced)."""
-    return builder()
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first run and kept for the process."""
+    return build_parser()
 
 
 def _result(args) -> tuple[str, int]:
@@ -376,7 +376,7 @@ def _result(args) -> tuple[str, int]:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    args = _parser_from(build_parser).parse_args(argv)
+    args = _parser().parse_args(argv)
     text, code = _result(args)
     try:
         _emit(text, args.out)

@@ -5,11 +5,11 @@ doubled area A and its edge table ``edge_fan(P)`` (outer primitive normal
 -> lattice length).  ``plucker_report`` reads that pair once and derives
 every field from it: the headline counts (inflection points, bitangents),
 the tropical fan and Newton polygon of the dual curve with its area, the
-genus, the Euler characteristic and the vertical tangents.
-``inflection_count``, ``bitangent_count`` and ``dual_area_closed`` return
-the report's field; ``dual_polygon`` walks ``dual_fan`` alone, without the
-closed area's cross-check.  ``dual_fan``, ``vertical_tangent_count`` and
-``euler_characteristic`` stay defined on a line and read the pair
+genus, the Euler characteristic of the compactified curve and the
+vertical tangents.  ``inflection_count``, ``bitangent_count`` and
+``dual_area_closed`` return the report's field; ``dual_polygon`` walks
+``dual_fan`` alone, without the closed area's cross-check.  ``dual_fan``
+and ``vertical_tangent_count`` stay defined on a line and read the pair
 themselves.
 """
 from __future__ import annotations
@@ -133,16 +133,6 @@ def vertical_tangent_count(P: LatticePolygon) -> int:
     return _vertical_tangents(doubled_area(P), edge_fan(P))
 
 
-def _euler_char(A: int, lengths: dict[Point, int]) -> int:
-    return sum(lengths.values()) - A
-
-
-def euler_characteristic(P: LatticePolygon) -> int:
-    """-2 vol(P) plus the lattice perimeter (the compactified curve's
-    Euler characteristic)."""
-    return _euler_char(doubled_area(P), edge_fan(P))
-
-
 @dataclass(frozen=True)
 class PluckerReport:
     polygon: LatticePolygon
@@ -169,7 +159,7 @@ def plucker_report(P: LatticePolygon) -> PluckerReport:
     dual_vol = _dual_area(P, A, lengths, dual)
     lower = sum(lengths.get(g, 0) for g in LOWER_ARROWS)
     upper = sum(lengths.get(g, 0) for g in UPPER_ARROWS)
-    euler_char = _euler_char(A, lengths)
+    euler_char = sum(lengths.values()) - A  # the lattice perimeter less 2 vol(P)
     return PluckerReport(
         polygon=P,
         vol=Fraction(A, 2),

@@ -161,24 +161,17 @@ def volume(P: LatticePolygon) -> Fraction:
     return Fraction(doubled_area(P), 2)
 
 
-def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
-    return LatticePolygon.hull(add(p, q) for p in P.vertices for q in Q.vertices)
-
-
 def mixed_volume(P: LatticePolygon, Q: LatticePolygon) -> Fraction:
-    """vol(P+Q) - vol(P) - vol(Q), an exact half-integer."""
-    s = doubled_area(minkowski_sum(P, Q)) - doubled_area(P) - doubled_area(Q)
-    return Fraction(s, 2)
+    """vol(P+Q) - vol(P) - vol(Q), an exact half-integer; P+Q is the hull
+    of the pairwise vertex sums."""
+    PQ = LatticePolygon.hull(add(p, q) for p in P.vertices for q in Q.vertices)
+    return Fraction(doubled_area(PQ) - doubled_area(P) - doubled_area(Q), 2)
 
 
 def dilate(P: LatticePolygon, k: int) -> LatticePolygon:
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     return LatticePolygon(tuple((k * x, k * y) for x, y in P.vertices))
-
-
-def negate(P: LatticePolygon) -> LatticePolygon:
-    return LatticePolygon.hull((-x, -y) for x, y in P.vertices)
 
 
 def rotate_r(P: LatticePolygon) -> LatticePolygon:

@@ -65,9 +65,10 @@ is a product of packed integers.
 
 Floating point enters only the numeric dual sampler
 ``sample_dual_points`` and the standalone root finder
-``roots_of_int_poly``; neither is on a path of the CLI.  ``numpy`` is
-imported inside the root finder they share, so importing this module
-does not load it.
+``roots_of_int_poly``, which the tests use as independent witnesses;
+neither is on a path of the CLI.  They import ``numpy`` when called, so
+the package needs only the standard library, and ``numpy`` comes with
+the test extra.
 """
 from __future__ import annotations
 
@@ -206,9 +207,9 @@ def hessian_curve(f: Poly) -> Poly:
 
 def _integral_terms(f: Poly) -> Poly:
     if not f:
-        raise ValueError("resultant of a zero polynomial")
+        raise ValueError("cannot eliminate y from a zero polynomial")
     if max(ey for _, ey in f) == 0:
-        raise ValueError("resultant_y needs positive y-degree on both sides")
+        raise ValueError("cannot eliminate y from a polynomial of y-degree 0")
     _require_coeffs(f)
     return f
 

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from plucker import lattice
-from plucker.lattice import LatticePolygon, Point, _ray_angle_cmp, lattice_points, segment_length
+from plucker.lattice import LatticePolygon, Point, _ray_angle_cmp, add, lattice_points, neg, segment_length
 
 # filled by the acceptance suite, echoed after the test run
 acceptance_lines: list[str] = []
@@ -53,6 +53,14 @@ def lattice_classes(side: int) -> set[LatticePolygon]:
     for start in box[: side + 1]:  # each class has a translate with its lowest vertex on y = 0
         walk([start], None)
     return classes
+
+
+def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
+    return LatticePolygon.hull(add(p, q) for p in P.vertices for q in Q.vertices)
+
+
+def negate(P: LatticePolygon) -> LatticePolygon:
+    return LatticePolygon.hull(neg(v) for v in P.vertices)
 
 
 def window_scan_translate(P: LatticePolygon, Q) -> "Point | None":

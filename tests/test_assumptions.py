@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_classes, random_polygon, support_face
+from conftest import lattice_classes, minkowski_sum, random_polygon, support_face
 from plucker import assumptions
 from plucker.assumptions import (
     DOWN,
@@ -21,6 +21,7 @@ from plucker.assumptions import (
     _find_Qd,
     _staircase_shapes,
     assumption2_holds,
+    check_assumption1,
     check_assumption3,
     delta_is_summand,
     full_assumption_report,
@@ -38,7 +39,6 @@ from plucker.lattice import (
     dilate,
     edge_fan,
     lattice_points,
-    minkowski_sum,
     neg,
     rectangle,
     rotate_point,
@@ -675,6 +675,29 @@ class TestAssumption3:
             ],
         )
         assert time.monotonic() - start < 1.0
+
+
+class TestRowsThatNeverDecide:
+    """On every class of [0, 3]^2, two rows fail only next to another
+    failing row, so neither decides a verdict there.  A failing
+    no-tangent-asymptotes row has fewer than 3 ordinates, as the row is
+    "three or ...", so no-vertical-inflections fails in its direction.  The
+    only polygon that fails no-corner-bitangents, the unit triangle, is the
+    thin triangle with k = 0, so no-inflections-at-infinity fails in
+    direction 0."""
+
+    def test_every_class_of_the_3x3_box(self):
+        asymptotes = corners = 0
+        for P in lattice_classes(3):
+            (_, ev1), (_, ev3) = check_assumption1(P), check_assumption3(P)
+            for k in range(3):
+                if ("no-tangent-asymptotes", k, "no condition fired") in ev3:
+                    asymptotes += 1
+                    assert ("no-vertical-inflections", k, "fewer than 3 ordinates") in ev3
+            if ("no-corner-bitangents", 0, "polygon is the unit triangle") in ev1:
+                corners += 1
+                assert ("no-inflections-at-infinity", 0, "thin triangle") in ev1
+        assert (asymptotes, corners) == (114, 1)
 
 
 class TestBoundaryBitangents:

@@ -547,6 +547,7 @@ def test_module_entry_point():
 
 _HEAVY_MODULES_SCRIPT = """
 import contextlib, io, json, sys
+at_start = set(sys.modules)
 import plucker, plucker.cli as cli
 
 loaded = {}
@@ -555,6 +556,8 @@ for command in ("report", "dual", "assumptions", "render", "verify", "implicitiz
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run([command, "--polygon", "-", "--format", "json", "--advisory"])
     loaded[command] = [code, sorted(m for m in ("sympy", "numpy", "mpmath") if m in sys.modules)]
+tops = {name.partition(".")[0] for name in set(sys.modules) - at_start}
+loaded["outside the standard library"] = sorted(tops - set(sys.stdlib_module_names) - {"plucker"})
 print(json.dumps(loaded))
 """
 
@@ -562,7 +565,9 @@ print(json.dumps(loaded))
 def test_oracle_libraries_load_only_where_used():
     # no subcommand needs one of them: the combinatorial ones, the exact
     # count behind verify and the exact dual equation behind implicitize
-    # load none
+    # load none.  Nor does any load a module outside the standard library;
+    # what the interpreter loaded before plucker (say, from .pth files) is
+    # not counted
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-c", _HEAVY_MODULES_SCRIPT],
@@ -577,6 +582,7 @@ def test_oracle_libraries_load_only_where_used():
         assert loaded[command] == [EXIT_OK, []], command
     assert loaded["implicitize"] == [EXIT_OK, []]
     assert loaded["verify"] == [EXIT_OK, []]
+    assert loaded["outside the standard library"] == []
 
 
 _COMMAND_NAMES = ("report", "dual", "assumptions", "verify", "implicitize", "render")

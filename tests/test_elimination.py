@@ -39,9 +39,9 @@ _Y, _X = sympy.symbols("y x")
 def sympy_y_poly(f: dict) -> sympy.Poly:
     """f as a polynomial in y over Z[x]: generator 0 is y, generator 1 is x."""
     if not f:
-        raise ValueError("resultant of a zero polynomial")
+        raise ValueError("cannot eliminate y from a zero polynomial")
     if max(ey for _, ey in f) == 0:
-        raise ValueError("resultant_y needs positive y-degree on both sides")
+        raise ValueError("cannot eliminate y from a polynomial of y-degree 0")
     return sympy.Poly.from_dict({(ey, ex): int(c) for (ex, ey), c in f.items()}, _Y, _X)
 
 

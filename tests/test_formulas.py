@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import face_length, fan_sum, random_polygon, support_face
+from conftest import face_length, fan_sum, minkowski_sum, negate, random_polygon, support_face
 from plucker import formulas
 from plucker.formulas import (
     FormulaInternalError,
@@ -15,7 +15,6 @@ from plucker.formulas import (
     dual_area_closed,
     dual_fan,
     dual_polygon,
-    euler_characteristic,
     inflection_count,
     plucker_report,
     vertical_tangent_count,
@@ -29,12 +28,11 @@ from plucker.lattice import (
     dilate,
     doubled_area,
     interior_lattice_points,
-    minkowski_sum,
     mixed_volume,
     neg,
-    negate,
     rectangle,
     rotate_r,
+    segment_length,
     standard_triangle,
     volume,
 )
@@ -229,9 +227,8 @@ class TestOtherInvariants:
             dual_polygon(LatticePolygon.hull(points))
 
     def test_euler(self):
-        assert euler_characteristic(standard_triangle()) == 2
-        assert euler_characteristic(dilate(standard_triangle(), 3)) == 0
-        assert euler_characteristic(rectangle(3, 4)) == -10
+        assert plucker_report(dilate(standard_triangle(), 3)).euler_char == 0
+        assert plucker_report(rectangle(3, 4)).euler_char == -10
 
 
 class TestRotationInvariance:
@@ -310,7 +307,7 @@ class TestPluckerReport:
             assert r.dual_fan == dual_fan(P)
             assert r.dual_vol == volume(r.dual_polygon) == mixed_volume_dual_area(P)
             assert r.vertical_tangents == vertical_tangent_count(P)
-            assert r.euler_char == euler_characteristic(P)
+            assert r.euler_char == sum(segment_length(a, b) for a, b in P.edges()) - doubled_area(P)
             assert r.genus == interior_lattice_points(P)
             assert (r.inflections, r.bitangents, r.dual_polygon, r.dual_vol) == (
                 inflection_count(P),

@@ -595,6 +595,16 @@ class TestImplicitize:
         with pytest.raises(DegenerateSampleError, match="repeated factor"):
             implicitize_dual(P, CFG, poly=pair)
 
+    def test_a_polynomial_in_x_alone_gets_one_message_for_every_caller(self):
+        # the dual equation and resultant_y share the check, and its message
+        # names neither
+        x_only = {(1, 0): 1, (2, 0): 1}
+        message = "^cannot eliminate y from a polynomial of y-degree 0$"
+        with pytest.raises(ValueError, match=message):
+            implicitize_dual(GOLDEN, OracleConfig(seed=1), poly=x_only)
+        with pytest.raises(ValueError, match=message):
+            resultant_y({(0, 1): 1}, x_only)
+
     def test_line_pairs_resampled(self):
         # with coefficients +-1 on the unit square every sample drawn at
         # seed 1 is a line pair, and one drawn at seed 2 a smooth conic
