@@ -74,7 +74,7 @@ def parse_polygon(text: str) -> LatticePolygon:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
+            or not all(type(c) is int for c in item)  # bool is JSON's only int subclass
         ):
             # named by index and type: the item itself may be megabytes long
             raise CliError(f"bad vertex {i} ({type(item).__name__}): expected [x, y] integers", EXIT_PARSE)
@@ -82,15 +82,13 @@ def parse_polygon(text: str) -> LatticePolygon:
     return LatticePolygon.hull(pts)
 
 
-def frac_str(v) -> str:
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+def frac_str(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}"
 
 
-def count_json(v):
+def count_json(v: Fraction):
     """Integers as JSON numbers, non-integers as exact "p/q" strings."""
-    f = Fraction(v)
-    return int(f) if f.denominator == 1 else frac_str(f)
+    return v.numerator if v.denominator == 1 else frac_str(v)
 
 
 def fan_json(fan: dict[Point, int]) -> dict:

@@ -6,11 +6,14 @@ doubled area A and its edge table ``edge_fan(P)`` (outer primitive normal
 every field from it: the headline counts (inflection points, bitangents),
 the tropical fan and Newton polygon of the dual curve with its area, the
 genus, the Euler characteristic of the compactified curve and the
-vertical tangents.  ``inflection_count``, ``bitangent_count`` and
-``dual_area_closed`` return the report's field; ``dual_polygon`` walks
-``dual_fan`` alone, without the closed area's cross-check.  ``dual_fan``
-and ``vertical_tangent_count`` stay defined on a line and read the pair
-themselves.
+vertical tangents.  The dual polygon is the walk of its own fan, and the
+walk's shoelace sum is the second entry of a double-entry test against
+the dual area's closed form, compared in integers; each rational field is
+built once from an integer numerator.  ``inflection_count``,
+``bitangent_count`` and ``dual_area_closed`` return the report's field;
+``dual_polygon`` walks ``dual_fan`` alone, without the closed area's
+cross-check.  ``dual_fan`` and ``vertical_tangent_count`` stay defined on
+a line and read the pair themselves.
 """
 from __future__ import annotations
 
@@ -26,12 +29,10 @@ from .lattice import (
     DegeneratePolygonError,
     LatticePolygon,
     Point,
-    add,
     doubled_area,
     edge_fan,
     neg,
     sort_rays_ccw,
-    volume,
 )
 
 
@@ -64,27 +65,37 @@ def dual_fan(P: LatticePolygon) -> dict[Point, int]:
     return _dual_fan(P, doubled_area(P), edge_fan(P))
 
 
-def _dual_polygon(P: LatticePolygon, fan: dict[Point, int]) -> LatticePolygon:
-    """The Newton polygon of the dual curve, walked from its fan: each ray
-    (g, w) contributes an edge with outer normal g and lattice length w, and
-    balancing closes the walk."""
+def _dual_polygon(P: LatticePolygon, fan: dict[Point, int]) -> tuple[LatticePolygon, int]:
+    """The Newton polygon of the dual curve walked from its fan, with twice
+    its area.  Each ray (g, w) contributes an edge with outer normal g and
+    lattice length w, and balancing closes the walk.  The rays are distinct
+    primitive directions with positive weights, taken counter-clockwise, so
+    the walk is already the polygon's strictly convex CCW vertex cycle: it
+    is only rotated to start at its lexicographically least vertex, which
+    is moved to the origin (what ``LatticePolygon.hull(walk).canonical()``
+    returns).  Twice the area is the walk's shoelace sum, taken in the same
+    loop: the step from p along edge (g, w) adds w <g, p>."""
     if not fan:
         raise DegeneratePolygonError(
             f"the dual fan of {P.vertices} is empty: the curve is a line and its dual is a point"
         )
-    verts: list[Point] = [(0, 0)]
+    x = y = twice = 0
+    verts: list[Point] = []
     for u, v in sort_rays_ccw(fan):
         w = fan[(u, v)]
-        verts.append(add(verts[-1], (-v * w, u * w)))
-    if verts[-1] != verts[0]:
+        verts.append((x, y))
+        twice += w * (u * x + v * y)
+        x, y = x - v * w, y + u * w
+    if x or y:
         raise FormulaInternalError(f"dual polygon edge walk does not close for {P.vertices}")
-    return LatticePolygon.hull(verts[:-1]).canonical()
+    i = verts.index(min(verts))
+    mx, my = verts[i]
+    return LatticePolygon(tuple((a - mx, b - my) for a, b in verts[i:] + verts[:i])), twice
 
 
-def _dual_area(
-    P: LatticePolygon, A: int, lengths: dict[Point, int], dual: LatticePolygon
-) -> Fraction:
-    """The closed dual area of P, checked against the walked ``dual``.
+def _dual_area(P: LatticePolygon, A: int, lengths: dict[Point, int], walked: int) -> int:
+    """Twice the dual area of P in closed form, checked against ``walked``,
+    the shoelace sum of the dual polygon's fan walk, in integers.
 
     The dual polygon is the virtual polygon 2S*Delta + (-P) - sum l_g*E_g
     over the lower arrows g, where E_g is the unit edge of Delta with outer
@@ -115,13 +126,12 @@ def _dual_area(
         - 2 * (l_down * H + l_ne * D + l_left * W)
         + 2 * (l_down * l_ne + l_down * l_left + l_ne * l_left)
     )
-    area = Fraction(twice, 2)
-    recon = volume(dual)
-    if area != recon:
+    if twice != walked:
         raise FormulaInternalError(
-            f"closed dual area {area} != reconstructed {recon} for {P.vertices}"
+            f"closed dual area {Fraction(twice, 2)} != reconstructed {Fraction(walked, 2)}"
+            f" for {P.vertices}"
         )
-    return area
+    return twice
 
 
 def _vertical_tangents(A: int, lengths: dict[Point, int]) -> int:
@@ -155,8 +165,8 @@ def plucker_report(P: LatticePolygon) -> PluckerReport:
     """
     A, lengths = doubled_area(P), edge_fan(P)
     fan = _dual_fan(P, A, lengths)
-    dual = _dual_polygon(P, fan)
-    dual_vol = _dual_area(P, A, lengths, dual)
+    dual, walked = _dual_polygon(P, fan)
+    twice = _dual_area(P, A, lengths, walked)
     lower = sum(lengths.get(g, 0) for g in LOWER_ARROWS)
     upper = sum(lengths.get(g, 0) for g in UPPER_ARROWS)
     euler_char = sum(lengths.values()) - A  # the lattice perimeter less 2 vol(P)
@@ -164,10 +174,10 @@ def plucker_report(P: LatticePolygon) -> PluckerReport:
         polygon=P,
         vol=Fraction(A, 2),
         inflections=3 * A - 2 * lower - upper,
-        bitangents=-5 * A + dual_vol + 3 * lower + upper,
+        bitangents=Fraction(-10 * A + twice + 6 * lower + 2 * upper, 2),
         dual_fan=fan,
         dual_polygon=dual,
-        dual_vol=dual_vol,
+        dual_vol=Fraction(twice, 2),
         euler_char=euler_char,
         genus=1 - euler_char // 2,  # by Pick, the interior lattice points
         vertical_tangents=_vertical_tangents(A, lengths),
@@ -198,7 +208,7 @@ def dual_polygon(P: LatticePolygon) -> LatticePolygon:
 
     Raises DegeneratePolygonError on a segment or a point, and on a line,
     whose dual is a point."""
-    return _dual_polygon(P, dual_fan(P))
+    return _dual_polygon(P, dual_fan(P))[0]
 
 
 def dual_area_closed(P: LatticePolygon) -> Fraction:

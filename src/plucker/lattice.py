@@ -225,16 +225,37 @@ def contains_translate(
     return next(((x, lo) for x, lo, hi in _columns(P, qpts) if lo <= hi), None)
 
 
+# The most points ``lattice_points`` lists.  conv{(0,0),(10^6,0),(0,3)} has
+# 2,000,003, and the whole assumption battery on it peaks near 0.6 GB.
+LATTICE_POINT_CAP = 2**21
+
+
+def _point_count(P: LatticePolygon) -> int:
+    """Count of lattice points of P, boundary included, by Pick's theorem:
+    (2 vol + lattice perimeter) / 2 + 1.  A segment's two edges run both
+    ways and a point's one edge has length 0, so the count holds for them
+    too."""
+    perimeter = sum(segment_length(p, q) for p, q in P.edges())
+    return (doubled_area(P) + perimeter) // 2 + 1
+
+
 @lru_cache(maxsize=1)
 def lattice_points(P: LatticePolygon) -> tuple[Point, ...]:
     """All lattice points of P (boundary included), in lexicographic order:
     the translations of the origin into P, listed by ``_columns``.
+
+    Raises ValueError, naming the cap, when P has more than
+    ``LATTICE_POINT_CAP`` points; P is counted by Pick's theorem only when
+    its bounding box could hold that many.
 
     The last polygon listed is remembered by value, as each search or
     sample asks again for the points it needs, and every command lists P
     alone.  Its listing stays alive after the call, so a caller that lists
     a huge polygon frees it with ``lattice_points.cache_clear()``.
     """
+    (xl, yl), (xh, yh) = P.bounding_box()
+    if (xh - xl + 1) * (yh - yl + 1) > LATTICE_POINT_CAP and _point_count(P) > LATTICE_POINT_CAP:
+        raise ValueError(f"polygon has more than {LATTICE_POINT_CAP:,} lattice points to list")
     return tuple((x, y) for x, lo, hi in _columns(P, ((0, 0),)) for y in range(lo, hi + 1))
 
 

@@ -1,9 +1,11 @@
+import math
 import random
 import sys
 
 import pytest
 
 from plucker import lattice
+from plucker.formulas import dual_fan
 from plucker.lattice import LatticePolygon, Point, _ray_angle_cmp, add, lattice_points, neg, segment_length
 
 # filled by the acceptance suite, echoed after the test run
@@ -103,6 +105,19 @@ def fan_sum(fan: dict[Point, int]) -> Point:
         sum(u * w for (u, _), w in fan.items()),
         sum(v * w for (_, v), w in fan.items()),
     )
+
+
+def walked_dual_polygon(P: LatticePolygon) -> LatticePolygon:
+    """The dual polygon as the hull of its fan walk: each ray (g, w) of
+    ``dual_fan(P)``, in order of angle, steps w times g turned a quarter
+    turn left.  A reference for ``dual_polygon``, which reads the walk as
+    the vertex cycle without taking its hull."""
+    fan = dual_fan(P)
+    walk = [(0, 0)]
+    for u, v in sorted(fan, key=lambda g: math.atan2(g[1], g[0])):
+        x, y = walk[-1]
+        walk.append((x - v * fan[(u, v)], y + u * fan[(u, v)]))
+    return LatticePolygon.hull(walk).canonical()
 
 
 @pytest.fixture

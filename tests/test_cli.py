@@ -519,6 +519,15 @@ class TestOneEdgeTable:
         assert len(edge_fan_calls) == 1
 
 
+class TestListingCap:
+    @pytest.mark.parametrize("command", ["assumptions", "verify", "implicitize", "verify --advisory"])
+    def test_huge_triangle_exits_2(self, command, polygon_file, capsys):
+        path = polygon_file([[0, 0], [10**30, 0], [0, 3]])
+        code, payload = run_json(capsys, command.split() + ["--polygon", path, "--format", "json"])
+        assert code == EXIT_PARSE
+        assert payload == {"error": "polygon has more than 2,097,152 lattice points to list"}
+
+
 class TestUnitTriangle:
     @pytest.mark.parametrize(
         "command",

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import face_length, fan_sum, minkowski_sum, negate, random_polygon, support_face
+from conftest import (
+    face_length,
+    fan_sum,
+    lattice_classes,
+    minkowski_sum,
+    negate,
+    random_polygon,
+    support_face,
+    walked_dual_polygon,
+)
 from plucker import formulas
 from plucker.formulas import (
     FormulaInternalError,
@@ -142,6 +151,31 @@ def mixed_volume_dual_area(P: LatticePolygon) -> Fraction:
     terms = [(doubled_area(P), standard_triangle()), (1, negate(P))]
     terms += [(-face_length(P, g), _DELTA_EDGES[g]) for g in LOWER_ARROWS]
     return sum(ci * cj * mixed_volume(Ai, Aj) for ci, Ai in terms for cj, Aj in terms) / 2
+
+
+class TestWalkedDualPolygon:
+    """``dual_polygon`` is the fan walk read as its vertex cycle, and the
+    report's ``dual_vol`` is the walk's shoelace sum; both against the hull
+    of the walk."""
+
+    @staticmethod
+    def check(P: LatticePolygon) -> None:
+        reference = walked_dual_polygon(P)
+        assert dual_polygon(P) == reference
+        assert 2 * plucker_report(P).dual_vol == doubled_area(reference)
+
+    def test_every_class_of_the_3x3_box(self):
+        classes = lattice_classes(3)
+        assert len(classes) == 1633
+        for P in classes - {standard_triangle()}:
+            self.check(P)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=3, max_size=8),
+    )
+    def test_hypothesis_polygons(self, pts):
+        self.check(curve_polygon(pts))
 
 
 class TestDualArea:
@@ -325,8 +359,14 @@ class TestPluckerReport:
         assert areas == [P]
 
     def test_closed_area_mismatch_still_raises(self, monkeypatch):
-        monkeypatch.setattr(formulas, "volume", lambda Q: volume(Q) + 1)
-        with pytest.raises(FormulaInternalError, match="closed dual area"):
+        walk = formulas._dual_polygon
+
+        def one_more(P, fan):  # the walk's shoelace sum, off by one unit of area
+            dual, walked = walk(P, fan)
+            return dual, walked + 2
+
+        monkeypatch.setattr(formulas, "_dual_polygon", one_more)
+        with pytest.raises(FormulaInternalError, match="closed dual area 288 != reconstructed 289"):
             plucker_report(rectangle(3, 4))
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fan_sum, minkowski_sum, random_polygon, window_scan_translate
+from plucker import lattice
 from plucker.lattice import (
     DegeneratePolygonError,
     LatticePolygon,
@@ -23,6 +24,7 @@ from plucker.lattice import (
     segment_length,
     standard_triangle,
     volume,
+    _point_count,
 )
 
 D = standard_triangle()
@@ -319,6 +321,62 @@ class TestLatticePointsByColumns:
         assert lattice_points.cache_info().misses == 2
         lattice_points(P)
         assert lattice_points.cache_info().misses == 3
+
+
+class TestListingCap:
+    def test_huge_triangle_raises_at_once(self):
+        # about 1.5 * 10^30 points; the error names the cap, not the count
+        P = LatticePolygon.hull([(0, 0), (10**30, 0), (0, 3)])
+        lattice_points.cache_clear()
+        with pytest.raises(ValueError, match="more than 2,097,152 lattice points"):
+            lattice_points(P)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0, 0), (18, 0), (0, 1)],  # 20 points in a 19 x 2 box
+            [(0, 0), (19, 19)],  # 20 points in a 20 x 20 box
+            [(0, 0), (3, 0), (3, 1), (0, 3)],
+        ],
+    )
+    def test_both_sides_of_the_cap(self, vertices, monkeypatch):
+        P = LatticePolygon.hull(vertices)
+        n = _point_count(P)
+        lattice_points.cache_clear()
+        monkeypatch.setattr(lattice, "LATTICE_POINT_CAP", n)
+        assert len(lattice_points(P)) == n
+        lattice_points.cache_clear()
+        monkeypatch.setattr(lattice, "LATTICE_POINT_CAP", n - 1)
+        with pytest.raises(ValueError, match=f"more than {n - 1} lattice points"):
+            lattice_points(P)
+
+    def test_small_boxes_skip_the_count(self, monkeypatch):
+        def no_count(P):
+            raise AssertionError("counted a polygon whose box is under the cap")
+
+        monkeypatch.setattr(lattice, "_point_count", no_count)
+        monkeypatch.setattr(lattice, "LATTICE_POINT_CAP", 16)
+        lattice_points.cache_clear()
+        assert len(lattice_points(rectangle(3, 3))) == 16
+
+    def test_thin_triangle_is_listed(self, monkeypatch):
+        # 14 points in a box of about 8 * 10^8: under the cap, so the listing runs
+        # (stubbed here: it walks every column, ROADMAP item 3)
+        P = LatticePolygon.hull([(0, 0), (3, 0), (10**8, 7)])
+        assert _point_count(P) == 14
+        monkeypatch.setattr(lattice, "_columns", lambda P, Q: iter([(0, 0, 0)]))
+        lattice_points.cache_clear()
+        assert lattice_points(P) == ((0, 0),)
+        lattice_points.cache_clear()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8)
+    )
+    def test_pick_count_is_the_listing_length(self, pts):
+        # collinear draws cover segments and points
+        P = LatticePolygon.hull(pts)
+        assert _point_count(P) == len(lattice_points(P))
 
 
 class TestEdgeFan:
