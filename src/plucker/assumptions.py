@@ -125,7 +125,8 @@ def assumption2_holds(
 ) -> tuple[Verdict, Optional[ThinTriangleWitness]]:
     """Exact classification: fails iff P, r(P) or r^2(P) is thin."""
     P.require_dim2()
-    for k, Pk in enumerate(_rotations(P)):
+    for k in range(3):
+        Pk = rotate_r(Pk) if k else P
         w = is_thin(Pk)
         if w is not None:
             return Verdict.FAILS_KNOWN, replace(w, rotation_power=k)
@@ -369,17 +370,9 @@ def _partners(u: Point, wx: int, hy: int) -> Iterator[Point]:
                 yield v
 
 
-@lru_cache(maxsize=1)
-def _rotations(P: LatticePolygon) -> tuple[LatticePolygon, LatticePolygon, LatticePolygon]:
-    """P, r(P) and r^2(P), kept for the last P only, as one report asks
-    for them in assumptions 1 and 2; three polygons and no points."""
-    R = rotate_r(P)
-    return P, R, rotate_r(R)
-
-
 def _rotated_points(P: LatticePolygon, k: int, pts: Sequence[Point]) -> tuple[Point, ...]:
     """Points ``pts`` of P under r^k, k = 1 or 2, moved as rotate_r moves
-    r^k(P) onto ``_rotations(P)[k]`` (module docstring), and sorted."""
+    r^k(P) to canonical position (module docstring), and sorted."""
     (a, b), (c, d) = UPPER_ARROWS[k - 1], UPPER_ARROWS[k]
     tx, ty = min((a * x + b * y, c * x + d * y) for x, y in P.vertices)
     return tuple(sorted([(a * x + b * y - tx, c * x + d * y - ty) for x, y in pts]))
@@ -411,7 +404,7 @@ def check_assumption1(
     one for each column scanned (see _contains_5R).
     """
     P.require_dim2()
-    pts = lattice_points(P)
+    pts, fan = lattice_points(P), edge_fan(P)
     found5 = _find_Qd(P, 5, None, pts) is not None
     found6 = found5 and _find_Qd(P, 6, None, pts) is not None
     found4 = found5 or _find_Qd(P, 4, None, pts) is not None
@@ -426,8 +419,9 @@ def check_assumption1(
         rows = [("no-tritangents", 0, has_5R, outcome)]
     for d, name, found in ((5, "no-inflected-bitangents", found5), (4, "no-higher-flexes", found4)):
         rows.append((name, 0, found, f"Q{d} subdiagram found" if found else f"no Q{d} subdiagram"))
-    for k, Pk in enumerate(_rotations(P)):
-        cond = _boundary_bitangent_excluded(P, k, pts, found4)
+    for k in range(3):
+        Pk = rotate_r(Pk) if k else P
+        cond = _boundary_bitangent_excluded(P, Pk, k, pts, fan, found4)
         thin = is_thin(Pk) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
@@ -442,24 +436,25 @@ def check_assumption1(
 
 def _boundary_bitangent_excluded(
     P: LatticePolygon,
+    Pk: LatticePolygon,
     k: int,
-    pts: Optional[tuple[Point, ...]] = None,
-    q4_possible: bool = True,
+    pts: Sequence[Point],
+    fan: dict[Point, int],
+    q4_possible: bool,
 ) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
-    escaping to the bottom boundary orbit of r^k(P), read off P and its
-    listing ``pts`` (listed here when not given).  The bottom-edge Q4
-    search maps to r^k(P) only the points of its 4 lowest rows, the band
-    that ``_find_Qd`` walks under DOWN.  ``q4_possible=False`` says P has
-    no Q4 at all, and skips that search."""
-    if LOWER_ARROWS[k] not in edge_fan(P):
+    escaping to the bottom boundary orbit of Pk = r^k(P), read off P, its
+    listing ``pts`` and its edge table ``fan``.  The bottom-edge Q4 search
+    maps to Pk only the points of its 4 lowest rows, the band that
+    ``_find_Qd`` walks under DOWN.  ``q4_possible=False`` says P has no Q4
+    at all, and skips that search."""
+    if LOWER_ARROWS[k] not in fan:
         return "bottom face is a vertex"
-    pts = lattice_points(P) if pts is None else pts
     u, v = UPPER_ARROWS[k]
     y0 = min(u * x + v * y for x, y in P.vertices)
     if q4_possible:
         band = [(x, y) for x, y in pts if u * x + v * y <= y0 + 3]
-        if _find_Qd(_rotations(P)[k], 4, DOWN, _rotated_points(P, k, band) if k else band) is not None:
+        if _find_Qd(Pk, 4, DOWN, _rotated_points(P, k, band) if k else band) is not None:
             return "Q4 subdiagram aligned with the bottom edge"
     rows = Counter(u * x + v * y for x, y in pts)
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
@@ -471,7 +466,7 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
     """No degenerate tangent is a bitangent, an inflection tangent, or an
     asymptote, checked in each of the three directions, read off P."""
     P.require_dim2()
-    pts = lattice_points(P)
+    pts, fan = lattice_points(P), edge_fan(P)
     rows: list[_Row] = []
     for k, (u, v) in enumerate(UPPER_ARROWS):
         ys = {u * x + v * y for x, y in pts}
@@ -482,7 +477,7 @@ def check_assumption3(P: LatticePolygon) -> tuple[Verdict, Evidence]:
         else:
             rows.append(("no-vertical-bitangents", k, False, "no condition fired"))
         three = len(ys) >= 3
-        asymptotes = three or (u, v) not in edge_fan(P)
+        asymptotes = three or (u, v) not in fan
         rows += [
             ("no-vertical-inflections", k, three,
              "at least 3 ordinates" if three else "fewer than 3 ordinates"),

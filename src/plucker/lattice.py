@@ -176,8 +176,12 @@ def dilate(P: LatticePolygon, k: int) -> LatticePolygon:
 
 def rotate_r(P: LatticePolygon) -> LatticePolygon:
     """Apply the order-3 exponent map (a,b) -> (b,-a-b), then translate
-    the result to canonical position."""
-    return LatticePolygon.hull(rotate_point(v) for v in P.vertices).canonical()
+    the result to canonical position.  The map has determinant 1, so it
+    keeps P's strictly convex CCW vertex cycle, only started at its least
+    vertex: ``LatticePolygon.hull(r(P)).canonical()`` with no hull."""
+    verts = [rotate_point(v) for v in P.vertices]
+    i = verts.index(min(verts))
+    return LatticePolygon(tuple(verts[i:] + verts[:i])).canonical()
 
 
 def _floors(c: int, dx: int, dy: int, xs: range) -> Iterator[int]:

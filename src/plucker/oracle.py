@@ -79,7 +79,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, TypeVar
 
 from .formulas import dual_polygon
-from .lattice import LatticePolygon, Point, edge_fan, interior_lattice_points, lattice_points
+from .lattice import LatticePolygon, Point, _point_count, lattice_points
 
 _T = TypeVar("_T")
 Poly = dict[Point, int]
@@ -778,7 +778,7 @@ def implicitize_dual(
     zero coefficient; a zero in ``poly`` raises ``ValueError``."""
     predicted = dual_polygon(P)
     # counted by Pick's theorem: the dual of d Delta holds O(d**4) points
-    if interior_lattice_points(predicted) + sum(edge_fan(predicted).values()) > 40:
+    if _point_count(predicted) > 40:
         raise ValueError("dual support too large for implicitization")
     if poly is not None:
         # a given curve cannot be resampled: its first degeneracy is final

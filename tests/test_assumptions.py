@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_classes, minkowski_sum, random_polygon, support_face
-from plucker import assumptions
+from plucker import assumptions, lattice
 from plucker.assumptions import (
     DOWN,
     AssumptionReport,
@@ -684,7 +684,9 @@ class TestRowsThatNeverDecide:
     "three or ...", so no-vertical-inflections fails in its direction.  The
     only polygon that fails no-corner-bitangents, the unit triangle, is the
     thin triangle with k = 0, so no-inflections-at-infinity fails in
-    direction 0."""
+    direction 0.  On the thin triangles with k = 0..24, in each rotation,
+    a failing no-inflections-at-infinity row comes with failing subdiagram
+    rows and a failing no-boundary-bitangents row in its direction."""
 
     def test_every_class_of_the_3x3_box(self):
         asymptotes = corners = 0
@@ -699,18 +701,42 @@ class TestRowsThatNeverDecide:
                 assert ("no-inflections-at-infinity", 0, "thin triangle") in ev1
         assert (asymptotes, corners) == (114, 1)
 
+    def test_thin_triangles_in_each_rotation(self):
+        # the unit triangle is fixed by r, so it is thin in all three
+        # directions of all three rotations: 24 * 3 + 9 = 81 thin rows
+        subdiagrams = {
+            ("no-tritangents", 0, "no Q6 subdiagram, no 5R"),
+            ("no-inflected-bitangents", 0, "no Q5 subdiagram"),
+            ("no-higher-flexes", 0, "no Q4 subdiagram"),
+        }
+        polygons = thin_rows = 0
+        for k in range(25):
+            P = thin_triangle(k)
+            for _ in range(3):
+                _, ev = check_assumption1(P)
+                assert subdiagrams <= set(ev), P
+                polygons += 1
+                for j in range(3):
+                    if ("no-inflections-at-infinity", j, "thin triangle") in ev:
+                        thin_rows += 1
+                        assert ("no-boundary-bitangents", j, "no condition fired") in ev, (P, j)
+                P = rotate_r(P)
+        assert (polygons, thin_rows) == (75, 81)
+
 
 class TestBoundaryBitangents:
     def test_bottom_vertex(self):
         P = LatticePolygon.hull([(1, 0), (0, 2), (3, 3)])
-        assert _boundary_bitangent_excluded(P, 0) == "bottom face is a vertex"
+        assert _boundary_bitangent_excluded(P, P, 0, lattice_points(P), edge_fan(P), True) == (
+            "bottom face is a vertex"
+        )
 
     @pytest.mark.parametrize("t", [(0, 0), (3, -5)])
     def test_row_two_above_the_bottom_edge(self, t):
         # no Q4 on the bottom edge; the only row of two points above it is
         # at height exactly 2, measured from P's lowest row
         P = LatticePolygon.hull([(0, 0), (1, 0), (5, 2), (4, 3)]).translate(t)
-        assert _boundary_bitangent_excluded(P, 0) == (
+        assert _boundary_bitangent_excluded(P, P, 0, lattice_points(P), edge_fan(P), True) == (
             "two lattice points on a row at height >= 2 above the bottom edge"
         )
 
@@ -741,6 +767,20 @@ class TestFullReport:
         P = LatticePolygon.hull([(0, 0), (1000, 0), (0, 3)])
         assert full_assumption_report(P, fast_path=fast_path).all_verified
         listed_once(P)
+
+    def test_no_hull_and_one_edge_table_per_check(self, edge_fan_calls, monkeypatch):
+        # the rotations map the vertex cycle without a hull, and assumptions
+        # 1 and 3 each read P's edge table once
+        P = LatticePolygon(((0, 0), (4, 0), (4, 1), (1, 4), (0, 4)))
+        expected = (rotate_r(P), full_assumption_report(P, fast_path=False))
+        edge_fan_calls.clear()
+
+        def no_hull(points):
+            raise AssertionError("hull taken")
+
+        monkeypatch.setattr(lattice, "_hull_vertices", no_hull)
+        assert (rotate_r(P), full_assumption_report(P, fast_path=False)) == expected
+        assert edge_fan_calls == [P, P]
 
     def test_report_leaves_points_only_in_the_memo(self):
         # no cache of the battery holds points: once the lattice_points memo
@@ -1201,7 +1241,6 @@ class TestSearchesInferredFromEachOther:
             Pk = P
             for k in (1, 2):
                 Pk = rotate_r(Pk)
-                assert assumptions._rotations(P)[k] == Pk
                 assert assumptions._rotated_points(P, k, lattice_points(P)) == lattice_points(Pk)
             for budget in (-1, 0, 1, 10, 500, 200_000):
                 assert full_assumption_report(P, budget, fast_path=False) == assembled_report(P, budget), (P, budget)

@@ -20,6 +20,7 @@ from plucker.lattice import (
     lattice_points,
     mixed_volume,
     rectangle,
+    rotate_point,
     rotate_r,
     segment_length,
     standard_triangle,
@@ -178,6 +179,15 @@ class TestRotation:
             P = random_polygon(rng)
             R3 = rotate_r(rotate_r(rotate_r(P)))
             assert R3.vertices == P.canonical().vertices
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=1, max_size=8))
+    def test_hull_free_rotation(self, pts):
+        # polygons with up to 8 vertices, segments and points; rotate_r maps
+        # the vertex cycle, the reference takes the hull of the mapped vertices
+        P = LatticePolygon.hull(pts)
+        assert rotate_r(P) == LatticePolygon.hull(rotate_point(v) for v in P.vertices).canonical()
+        assert rotate_r(rotate_r(rotate_r(P))) == P.canonical()
 
     def test_area_preserved(self):
         assert doubled_area(rotate_r(rectangle(3, 4))) == 24
