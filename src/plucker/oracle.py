@@ -54,14 +54,15 @@ The dual equation is the discriminant of the pencil of lines
 a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
 the same width, with each coefficient in Z[a, b] keyed by its Kronecker
 exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w).  The
-slot w of a power of b is 2 plus the sum of the largest a-degree in each
-column of the Sylvester matrix, which bounds the a-degree of every minor.
-When deg_x f < deg_y f, x and y are swapped first, which lowers the
-degree in b, and a and b are swapped back in the result
-(``_dual_equation``).  The bordered Hessian is built the same way: its
-derivatives are packed at x = 2**k, y = 2**(k*w) and multiplied as
-integers (``hessian_curve``), so every polynomial product in this module
-is a product of packed integers.
+slot w of a power of b is 2 plus the bound on the discriminant's a-degree
+that its weight gives, which intermediate minors may exceed: the dual
+equation relies on the packing being a ring map, which keeps the
+resultant, not on "a minor packs to 0 only if it is 0".  When
+deg_x f < deg_y f, x and y are swapped first, which lowers the degree in
+b, and a and b are swapped back in the result (``_dual_equation``).  The
+bordered Hessian is built the same way: its derivatives are packed at
+x = 2**k, y = 2**(k*w) and multiplied as integers (``hessian_curve``), so
+every polynomial product in this module is a product of packed integers.
 
 Floating point enters only the numeric dual sampler
 ``sample_dual_points`` and the standalone root finder
@@ -216,9 +217,10 @@ def _integral_terms(f: Poly) -> Poly:
 
 def _packing_width(F: Poly, G: Poly) -> int:
     """Bits per packed x-coefficient that hold every Sylvester minor of F
-    and G (module docstring), and, for F = h and G = h_x keyed by Kronecker
-    exponents, the quotient Res_x(h, h_x) / lc_x(h) of ``_dual_equation``,
-    whose 1-norm is also at most ||h||_1**(m-1) ||h_x||_1**m, m = deg_x h."""
+    and G (module docstring).  For F = h and G = h_x keyed by Kronecker
+    exponents, ``_dual_equation`` unpacks no minor: it needs these bits only
+    for lc_x(h) and the quotient Res_x(h, h_x) / lc_x(h), whose 1-norm is
+    also at most ||h||_1**(m-1) ||h_x||_1**m, m = deg_x h."""
     norm = sum(map(abs, F.values())) ** max(ey for _, ey in G)
     norm *= sum(map(abs, G.values())) ** max(ey for _, ey in F)
     return norm.bit_length() + 2
@@ -510,17 +512,28 @@ def _dual_equation(f: Poly) -> Poly:
     <= ||h||_1**(m-1) ||h_x||_1**m, as ||h_x||_1 >= m: the
     ``_packing_width`` norm of h and h_x.
 
-    The slot of a power of b is w = 2 + the sum over the 2m - 1 columns of
-    the Sylvester matrix S of h and h_x of the largest a-degree in the
-    column.  The x**e coefficient of h has a-degree
-    max{t : (i, j) in supp f, t <= j, i + t = e}, and that of h_x the
-    a-degree of h's x**(e + 1) coefficient, so column p (of x**p) holds
-    the degrees of h's x**e coefficients for max(0, p - m + 2) <= e
-    <= min(m, p + 1).  Each term of a minor of S takes one entry from each
-    of its columns, and every entry's a-degree is >= 0, so every minor,
-    and D = Res_x(h, h_x) = det S, has a-degree at most that sum.  So
-    deg_a Q <= deg_a D <= w - 2, and Q unpacks exactly.  Every entry has
-    a-degree <= n, so w <= n (2m - 1) + 2, the width of the row-sum bound.
+    The slot of a power of b is w = 2 + B.  The x**e coefficient of h has
+    a-degree deg[e] = max{t : (i, j) in supp f, t <= j, i + t = e}, and
+    Q = +-Disc_x(h) is homogeneous of degree 2m - 2 and isobaric of weight
+    m (m - 1) in h's x-coefficients (Gelfand, Kapranov and Zelevinsky,
+    Discriminants, Resultants and Multidimensional Determinants, 1994,
+    ch. 12): each monomial of Q is a product of 2m - 2 of them whose
+    x-exponents e_1, ..., e_(2m-2) sum to m (m - 1), with mean m / 2.  With
+    c the least concave majorant of deg on [0, m], by Jensen
+    deg_a Q <= sum deg[e_i] <= sum c(e_i) <= (2m - 2) c(m / 2), so
+    deg_a Q <= B = floor((2m - 2) c(m / 2)), and c(m / 2) is the highest
+    chord of deg over e1 <= m / 2 <= e2.  As c >= 0 is concave,
+    c(m / 2) >= c(e) / 2, so every a-degree in h is at most B + 1 < w, at
+    most B when m >= 2, and h's Kronecker keys are distinct.
+
+    Only Q must fit in w; the intermediate subresultants need not (on
+    conv{(0,0),(3,0),(3,2)} one has a-degree w).  The packing is the ring
+    map phi: a -> 2**k, b -> 2**(k*w), and the PRS over Z returns
+    Res_x(phi h, phi h_x), a polynomial in their x-coefficients, which is
+    phi(Res_x(h, h_x)) as phi keeps the x-degrees: lc_x(h), of a-degree
+    deg[m] < w and 1-norm below 2**(k-2), packs to distinct balanced digits,
+    so phi(lc_x h) != 0.  So res // H[0] = +-phi(Q), and Q, of a-degree
+    <= w - 2 and 1-norm below 2**(k-2), unpacks exactly.
     """
     f = _integral_terms(_strip_monomial(f))
     swap = max(i for i, _ in f) < max(j for _, j in f)
@@ -535,7 +548,14 @@ def _dual_equation(f: Poly) -> Poly:
     for i, j in f:
         for e in range(i, i + j + 1):
             deg[e] = max(deg[e], e - i)
-    w = 2 + sum(max(deg[max(0, p - m + 2) : p + 2]) for p in range(2 * m - 1))
+    # w - 2 = B, (2m - 2) times the least concave majorant of deg at m / 2:
+    # the highest chord over e1 <= m / 2 <= e2, or deg[m / 2] itself
+    w = 2 + max(
+        (2 * m - 2) * deg[e1] if e1 == e2
+        else (m - 1) * (deg[e1] * (2 * e2 - m) + deg[e2] * (m - 2 * e1)) // (e2 - e1)
+        for e1 in range(m // 2 + 1)
+        for e2 in range((m + 1) // 2, m + 1)
+    )
     h = {
         (t + w * (n - j), i + t): (-1) ** j * math.comb(j, t) * c
         for (i, j), c in f.items()

@@ -5,8 +5,18 @@ import sys
 import pytest
 
 from plucker import lattice
-from plucker.formulas import dual_fan
-from plucker.lattice import LatticePolygon, Point, _ray_angle_cmp, add, lattice_points, neg, segment_length
+from plucker.formulas import dual_fan, dual_polygon
+from plucker.lattice import (
+    LatticePolygon,
+    Point,
+    _point_count,
+    _ray_angle_cmp,
+    add,
+    lattice_points,
+    neg,
+    segment_length,
+    standard_triangle,
+)
 
 # filled by the acceptance suite, echoed after the test run
 acceptance_lines: list[str] = []
@@ -55,6 +65,16 @@ def lattice_classes(side: int) -> set[LatticePolygon]:
     for start in box[: side + 1]:  # each class has a translate with its lowest vertex on y = 0
         walk([start], None)
     return classes
+
+
+def implicitizable_classes(side: int) -> list[LatticePolygon]:
+    """The classes of ``lattice_classes(side)`` that ``implicitize`` takes:
+    their dual is a polygon of at most 40 lattice points.  Sorted by
+    vertices; the unit triangle, a line, is left out."""
+    return sorted(
+        (P for P in lattice_classes(side) if P != standard_triangle() and _point_count(dual_polygon(P)) <= 40),
+        key=lambda P: P.vertices,
+    )
 
 
 def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:

@@ -32,7 +32,7 @@ from plucker.lattice import LatticePolygon, lattice_points
 from plucker.oracle import OracleConfig, implicitize_dual
 from plucker.render import _CELL, _PAD, svg_report
 
-from conftest import random_polygon
+from conftest import implicitizable_classes, random_polygon
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -399,6 +399,20 @@ class TestImplicitize:
         monkeypatch.setattr(cli, "full_assumption_report", counted)
         assert run(command.split() + ["--polygon", polygon_file([[0, 0], [3, 0], [3, 2]])]) == EXIT_OK
         assert len(calls) == battery_runs
+
+    def test_every_class_of_the_3_box(self, polygon_file, capsys):
+        # each class of [0, 3]^2 that implicitize takes gets a certified
+        # sample whose dual equation has dual's polygon as Newton polygon
+        classes = implicitizable_classes(3)
+        assert len(classes) == 324
+        for P in classes:
+            path = polygon_file(P.vertices)
+            code, payload = run_json(capsys, ["implicitize", "--polygon", path, "--advisory", "--format", "json"])
+            assert code == EXIT_OK, P.vertices
+            _, dual = run_json(capsys, ["dual", "--polygon", path, "--format", "json"])
+            observed = LatticePolygon.hull(map(tuple, payload["observed_polygon"]))
+            predicted = LatticePolygon.hull(map(tuple, dual["dual_polygon"]))
+            assert observed.canonical() == predicted.canonical(), P.vertices
 
     def test_advisory_still_rejects_a_bad_budget(self, polygon_file, capsys, monkeypatch):
         monkeypatch.setenv("PLUCKER_BUDGET", "x")

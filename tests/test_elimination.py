@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from conftest import random_polygon
+from conftest import implicitizable_classes, random_polygon
 from plucker import oracle
 from plucker.lattice import LatticePolygon
 from plucker.oracle import (
@@ -34,6 +34,7 @@ from plucker.oracle import (
 )
 
 _Y, _X = sympy.symbols("y x")
+_A, _B = sympy.symbols("a b")
 
 
 def sympy_y_poly(f: dict) -> sympy.Poly:
@@ -321,19 +322,15 @@ _WIDTH_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "vertices, cfg",
-    [(vertices, OracleConfig(seed=3)) for vertices in _WIDTH_CASES.values()]
-    + [(vertices, OracleConfig(seed=seed, coeff_bound=1)) for vertices in _TIGHT.values() for seed in (1, 2, 3)],
-    ids=list(_WIDTH_CASES) + [f"{name}-pm1-seed{seed}" for name in _TIGHT for seed in (1, 2, 3)],
-)
-def test_dual_slot_width_is_the_sylvester_column_bound(vertices, cfg, monkeypatch):
-    # the slot w of a power of b is 2 + the sum over the columns of the
-    # Sylvester matrix of h and h_x, over Z[a, b] in x, of the largest
-    # a-degree in the column; every subresultant coefficient and the
-    # discriminant Q stay within w - 2, and w is never wider than the
-    # row-sum width n (2m - 1) + 2; h is built in the chart that
-    # _dual_equation packs, with x and y swapped when deg_x f < deg_y f
+def _a_degree(expr) -> int:
+    """The degree in a of a polynomial in a and b; 0 for the zero polynomial."""
+    return max(e for e, in sympy.Poly(expr, _A).monoms())
+
+
+def _packed_chart(vertices, cfg, monkeypatch):
+    """h = b**n f(x, -(1 + a x)/b), n = deg_y f, as a sympy polynomial in x,
+    for the sample f in the chart that _dual_equation packs (x and y swapped
+    when deg_x f < deg_y f), and the slot width w that it unpacks with."""
     widths = []
     unpack_ab = oracle._unpack_ab
     monkeypatch.setattr(oracle, "_unpack_ab", lambda v, k, w: widths.append(w) or unpack_ab(v, k, w))
@@ -342,19 +339,64 @@ def test_dual_slot_width_is_the_sylvester_column_bound(vertices, cfg, monkeypatc
     (w,) = widths
     if max(i for i, _ in f) < max(j for _, j in f):
         f = {(j, i): c for (i, j), c in f.items()}
-    a, b = sympy.symbols("a b")
     n = max(j for _, j in f)
-    h = sympy.Poly(sum(c * _X**i * (-(1 + a * _X)) ** j * b ** (n - j) for (i, j), c in f.items()), _X)
-    hx = h.diff(_X)
+    h = sympy.Poly(sum(c * _X**i * (-(1 + _A * _X)) ** j * _B ** (n - j) for (i, j), c in f.items()), _X)
+    return h, w
+
+
+def _weight_bound(deg: list[int]) -> int:
+    """The largest deg[e_1] + ... + deg[e_(2m-2)] over exponents e_i in
+    0..m that sum to m (m - 1), m = len(deg) - 1, by dynamic programming
+    over the number of exponents taken."""
+    m = len(deg) - 1
+    best = {0: 0}  # sum of the exponents taken -> largest sum of their degrees
+    for _ in range(2 * m - 2):
+        step: dict[int, int] = {}
+        for s, v in best.items():
+            for e, d in enumerate(deg):
+                step[s + e] = max(step.get(s + e, v + d), v + d)
+        best = step
+    return best[m * (m - 1)]
+
+
+@pytest.mark.parametrize(
+    "vertices, cfg",
+    [(vertices, OracleConfig(seed=3)) for vertices in _WIDTH_CASES.values()]
+    + [(vertices, OracleConfig(seed=seed, coeff_bound=1)) for vertices in _TIGHT.values() for seed in (1, 2, 3)],
+    ids=list(_WIDTH_CASES) + [f"{name}-pm1-seed{seed}" for name in _TIGHT for seed in (1, 2, 3)],
+)
+def test_dual_slot_width_is_the_discriminant_weight_bound(vertices, cfg, monkeypatch):
+    # Q = +-Disc_x(h) is homogeneous of degree 2m - 2 and isobaric of
+    # weight m (m - 1) in h's x-coefficients, so its a-degree is at most the
+    # largest sum of 2m - 2 of their a-degrees with that weight; the slot w
+    # of a power of b is 2 plus that sum, the discriminant attains it on
+    # these samples, and w is never wider than 2 plus the column maxima of
+    # the Sylvester matrix of h and h_x over ZZ[a, b]
+    h, w = _packed_chart(vertices, cfg, monkeypatch)
     m = h.degree()
-    S = sylvester(h.as_expr(), hx.as_expr(), _X)
+    deg = [_a_degree(h.coeff_monomial(_X**e)) for e in range(m + 1)]
+    assert w - 2 == _weight_bound(deg)
+    assert _a_degree(sympy.discriminant(h.as_expr(), _X)) == w - 2
+    S = sylvester(h.as_expr(), h.diff(_X).as_expr(), _X)
     assert S.shape == (2 * m - 1, 2 * m - 1)
-    column_degrees = [
-        max((sympy.Poly(S[r, c], a).degree() for r in range(S.rows) if S[r, c] != 0), default=0)
-        for c in range(S.cols)
-    ]
-    assert w == 2 + sum(column_degrees)
-    assert w <= n * (2 * m - 1) + 2
-    for p in h.subresultants(hx):
-        assert all(sympy.Poly(c, a).degree() <= w - 2 for c in p.coeffs()), p
-    assert sympy.Poly(sympy.discriminant(h.as_expr(), _X), a).degree() <= w - 2
+    assert w <= 2 + sum(max(_a_degree(S[r, c]) for r in range(S.rows)) for c in range(S.cols))
+
+
+def test_a_dual_subresultant_overflows_the_slot(monkeypatch):
+    # the slot holds Q, not every subresultant of h and h_x: the packing is
+    # a ring map, so the PRS over Z still ends in the packed resultant
+    h, w = _packed_chart(_WIDTH_CASES["tri-slab"], OracleConfig(seed=3), monkeypatch)
+    assert max(_a_degree(c) for p in h.subresultants(h.diff(_X)) for c in p.coeffs()) > w - 2
+
+
+@pytest.mark.parametrize("coeff_bound", [1, 1000])
+def test_dual_equation_is_the_sympy_discriminant_on_the_2_box(coeff_bound):
+    # every class of [0, 2]^2 that implicitize takes, at seed 1
+    classes = implicitizable_classes(2)
+    assert len(classes) == 106
+    for P in classes:
+        f = _strip_monomial(sample_poly(P, OracleConfig(seed=1, coeff_bound=coeff_bound)))
+        n = max(j for _, j in f)
+        h = sympy.expand(sum(c * _X**i * (-(1 + _A * _X)) ** j * _B ** (n - j) for (i, j), c in f.items()))
+        disc = sympy.Poly(sympy.discriminant(h, _X), _A, _B).as_dict(native=True)
+        assert _dual_equation(f) == _primitive_terms(disc), P.vertices
