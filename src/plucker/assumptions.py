@@ -31,8 +31,10 @@ Direction k is read off P: r(a, b) = (b, -a - b) and r^2(a, b) = (-a - b, a)
 give r^k(p) = (<UPPER_ARROWS[k - 1], p>, <UPPER_ARROWS[k], p>), so up to
 translation r^k(P)'s ordinate is <UPPER_ARROWS[k], .> on P, and r^k, being
 unimodular, maps P's faces at LOWER_ARROWS[k] = -UPPER_ARROWS[k] and at
-UPPER_ARROWS[k] onto its bottom and top faces.  Only the bottom-edge Q4
-search maps points to r^k(P), those of its 4 lowest rows.
+UPPER_ARROWS[k] onto its bottom and top faces.  r maps Delta onto a
+translate of Delta, so it keeps the no-line class: the bottom-edge Q4
+search runs on P under the face constraint LOWER_ARROWS[k], and the thin
+test maps P's three vertices.  No direction builds r^k(P).
 
 When P contains a translate of 5*Delta, ``full_assumption_report`` skips
 the battery: all three are Verified on the one line contains-5-delta,
@@ -42,14 +44,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .lattice import (
-    DOWN,
     LOWER_ARROWS,
     UPPER_ARROWS,
     Diagram,
@@ -62,7 +63,7 @@ from .lattice import (
     edge_fan,
     lattice_points,
     neg,
-    rotate_r,
+    rotate_point,
     standard_triangle,
     sub,
 )
@@ -105,9 +106,21 @@ class AssumptionReport:
 
 def is_thin(P: LatticePolygon) -> Optional[ThinTriangleWitness]:
     """Witness that P is a lattice translate of conv{(1,0),(2,0),(1-k,1+2k)}."""
-    verts = P.vertices
+    return _thin(P.vertices, 0)
+
+
+def _thin(verts: Sequence[Point], power: int) -> Optional[ThinTriangleWitness]:
+    """is_thin of r^power(P), P with vertex cycle ``verts``, read off P: the
+    three vertices go through ``rotate_point`` ``power`` times and, for
+    power 1 or 2, move so their least sits at the origin, where rotate_r
+    places r^power(P).  Non-triangles return at once."""
     if len(verts) != 3:
         return None
+    for _ in range(power):
+        verts = [rotate_point(p) for p in verts]
+    if power:
+        m = min(verts)
+        verts = [sub(p, m) for p in verts]
     for p in verts:
         for q in verts:
             if sub(q, p) != (1, 0):
@@ -116,20 +129,20 @@ def is_thin(P: LatticePolygon) -> Optional[ThinTriangleWitness]:
             (apex,) = [v for v in verts if v not in (p, q)]
             a, b = sub(apex, t)
             if b >= 1 and (b - 1) % 2 == 0 and a == 1 - (b - 1) // 2:
-                return ThinTriangleWitness(k=(b - 1) // 2, translation=t)
+                return ThinTriangleWitness(k=(b - 1) // 2, translation=t, rotation_power=power)
     return None
 
 
 def assumption2_holds(
     P: LatticePolygon,
 ) -> tuple[Verdict, Optional[ThinTriangleWitness]]:
-    """Exact classification: fails iff P, r(P) or r^2(P) is thin."""
+    """Exact classification: fails iff P, r(P) or r^2(P) is thin, each
+    decided on P's vertex cycle."""
     P.require_dim2()
     for k in range(3):
-        Pk = rotate_r(Pk) if k else P
-        w = is_thin(Pk)
+        w = _thin(P.vertices, k)
         if w is not None:
-            return Verdict.FAILS_KNOWN, replace(w, rotation_power=k)
+            return Verdict.FAILS_KNOWN, w
     return Verdict.VERIFIED, None
 
 
@@ -241,22 +254,29 @@ def _find_Qd(
     first: anchor p tries the shapes s with <g, p> + max <g, s> = top (all
     of them without g), and builds them only after ``_path_fits`` finds
     that some path of d points from p stays in the band.  Then the walk
-    goes through index prefixes in ``combinations(pts, d)`` order and
-    returns the first subset of the class that reaches ``top``.  The span
-    only grows as points are added and every set of the class spans d - 1
-    (see is_class_Qd), so a prefix that spans more is dropped with all its
-    completions; the span is at least x_j minus the x of the prefix's first
-    point, and pts is sorted by x, so once that exceeds d - 1 the level
-    returns.  Each pass so returns the first hit of the unpruned pass.
+    goes through index prefixes in ``combinations`` order and returns the
+    first subset of the class that reaches ``top``.  It walks the points by
+    a coordinate c: by y when the band is a set of columns (v = 0), and by
+    x otherwise, x order kept within a row.  The span only grows as points
+    are added and every set of the class spans d - 1 (see is_class_Qd), so
+    a prefix that spans more is dropped with all its completions.  The
+    spread of x, of y and of x + y over a set is at most its span, so once
+    c at index j exceeds c at the prefix's first point by more than d - 1
+    the level returns.  Each pass so returns the first hit of the unpruned
+    pass in its own order.
 
     The work is O(n) for n points in the band, with a constant that
-    depends on d alone: from a first point at x the walk extends prefixes
-    only by points of the d columns x to x + d - 1, so it costs at most the
-    subsets of those columns' points.  P is convex, so a column's points
-    are consecutive.  Without g a failed staircase pass leaves no column of
-    d points, as a vertical run is the all-up staircase, so the d columns
-    hold at most d(d - 1) points.  With g = DOWN, the only constraint the
-    report uses, the band is P's d lowest rows, so they hold at most d^2.
+    depends on d alone: from a first point the walk extends prefixes only
+    by points of the d lines of c from that point's line on, so it costs
+    at most the subsets of those lines' points.  P is convex, so the band
+    points on a line are consecutive.  Without g, walked by x, a failed
+    staircase pass leaves no column of d points, as a vertical run is the
+    all-up staircase, so d columns hold at most d(d - 1) points.  The
+    report uses the lower arrows.  Under DOWN the band is P's d lowest rows
+    and under NE its d highest diagonals, so a column holds at most d band
+    points, and d columns at most d^2.  Under LEFT the band is P's d
+    leftmost columns, which may be tall; walked by y, a row holds at most d
+    band points, and d rows at most d^2.
     """
     if d not in (4, 5, 6):
         raise ValueError("subdiagram search supports d in {4, 5, 6}")
@@ -283,15 +303,19 @@ def _find_Qd(
             cand = [add(p, s) for s in shape]
             if all(q in ptset for q in cand):
                 return frozenset(cand)
+    c = 1 if face_constraint and v == 0 else 0
+    if c:
+        pts = sorted(pts, key=lambda p: p[1])
     n = len(pts)
 
     def walk(start: int, prefix: tuple[Point, ...], lo_x, lo_y, hi_s) -> Optional[Diagram]:
         # the completions of prefix by indices >= start, in combinations order
         r = len(prefix)
+        first = prefix[0][c] if prefix else math.inf
         for j in range(start, n - d + r + 1):
             x, y = pts[j]
-            if x - lo_x > d - 1:
-                return None  # pts is sorted by x, so every later index is dead too
+            if pts[j][c] - first > d - 1:
+                return None  # pts is sorted by c, so every later index is dead too
             mx, my, ms = min(lo_x, x), min(lo_y, y), max(hi_s, x + y)
             if ms - mx - my > d - 1:
                 continue
@@ -370,14 +394,6 @@ def _partners(u: Point, wx: int, hy: int) -> Iterator[Point]:
                 yield v
 
 
-def _rotated_points(P: LatticePolygon, k: int, pts: Sequence[Point]) -> tuple[Point, ...]:
-    """Points ``pts`` of P under r^k, k = 1 or 2, moved as rotate_r moves
-    r^k(P) to canonical position (module docstring), and sorted."""
-    (a, b), (c, d) = UPPER_ARROWS[k - 1], UPPER_ARROWS[k]
-    tx, ty = min((a * x + b * y, c * x + d * y) for x, y in P.vertices)
-    return tuple(sorted([(a * x + b * y - tx, c * x + d * y - ty) for x, y in pts]))
-
-
 def _verdict(rows: list[_Row]) -> tuple[Verdict, Evidence]:
     """The verdict rule of assumptions 1 and 3: Verified exactly when every
     row (criterion, direction, passed, outcome) passed, and Unknown
@@ -399,7 +415,10 @@ def check_assumption1(
     and a Q5 means a Q4.  And r is unimodular and maps Delta to a
     translate of Delta, so it keeps the class and maps P's lattice points
     onto a translate of r(P)'s: no Q4 on P means no Q4 in any direction,
-    and the three bottom-edge Q4 searches are skipped.  ``budget`` bounds
+    and the three bottom-edge Q4 searches are skipped.  Direction k is
+    decided on P itself: its bottom-edge Q4 search is P's at
+    LOWER_ARROWS[k], and its thin test maps P's vertex cycle, so no r^k(P)
+    is built.  ``budget`` bounds
     the 5R search alone, in units of its work: one for each u visited and
     one for each column scanned (see _contains_5R).
     """
@@ -420,9 +439,8 @@ def check_assumption1(
     for d, name, found in ((5, "no-inflected-bitangents", found5), (4, "no-higher-flexes", found4)):
         rows.append((name, 0, found, f"Q{d} subdiagram found" if found else f"no Q{d} subdiagram"))
     for k in range(3):
-        Pk = rotate_r(Pk) if k else P
-        cond = _boundary_bitangent_excluded(P, Pk, k, pts, fan, found4)
-        thin = is_thin(Pk) is not None
+        cond = _boundary_bitangent_excluded(P, k, pts, fan, found4)
+        thin = _thin(P.vertices, k) is not None
         rows += [
             ("no-boundary-bitangents", k, cond is not None, cond or "no condition fired"),
             ("no-inflections-at-infinity", k, not thin,
@@ -436,26 +454,23 @@ def check_assumption1(
 
 def _boundary_bitangent_excluded(
     P: LatticePolygon,
-    Pk: LatticePolygon,
     k: int,
     pts: Sequence[Point],
     fan: dict[Point, int],
     q4_possible: bool,
 ) -> Optional[str]:
     """One of the three sufficient conditions against a tangency point
-    escaping to the bottom boundary orbit of Pk = r^k(P), read off P, its
-    listing ``pts`` and its edge table ``fan``.  The bottom-edge Q4 search
-    maps to Pk only the points of its 4 lowest rows, the band that
-    ``_find_Qd`` walks under DOWN.  ``q4_possible=False`` says P has no Q4
-    at all, and skips that search."""
+    escaping to the bottom boundary orbit of r^k(P), read off P, its
+    listing ``pts`` and its edge table ``fan``: r^k(P)'s bottom edge is
+    P's face at LOWER_ARROWS[k], so the bottom-edge Q4 search runs on P
+    under that constraint.  ``q4_possible=False`` says P has no Q4 at all,
+    and skips that search."""
     if LOWER_ARROWS[k] not in fan:
         return "bottom face is a vertex"
+    if q4_possible and _find_Qd(P, 4, LOWER_ARROWS[k], pts) is not None:
+        return "Q4 subdiagram aligned with the bottom edge"
     u, v = UPPER_ARROWS[k]
     y0 = min(u * x + v * y for x, y in P.vertices)
-    if q4_possible:
-        band = [(x, y) for x, y in pts if u * x + v * y <= y0 + 3]
-        if _find_Qd(Pk, 4, DOWN, _rotated_points(P, k, band) if k else band) is not None:
-            return "Q4 subdiagram aligned with the bottom edge"
     rows = Counter(u * x + v * y for x, y in pts)
     if any(y >= y0 + 2 and n >= 2 for y, n in rows.items()):
         return "two lattice points on a row at height >= 2 above the bottom edge"

@@ -54,8 +54,9 @@ The dual equation is the discriminant of the pencil of lines
 a x + b y + 1 = 0 restricted to the curve, computed by the same PRS at
 the same width, with each coefficient in Z[a, b] keyed by its Kronecker
 exponent in a after b -> a**w, so packed at a = 2**k, b = 2**(k*w).  The
-slot w of a power of b is 2 plus the bound on the discriminant's a-degree
-that its weight gives, which intermediate minors may exceed: the dual
+slot w of a power of b is 1 plus the bound on the discriminant's a-degree
+that its weight gives (2 plus it for a line), which intermediate minors
+may exceed: the dual
 equation relies on the packing being a ring map, which keeps the
 resultant, not on "a minor packs to 0 only if it is 0".  When
 deg_x f < deg_y f, x and y are swapped first, which lowers the degree in
@@ -512,7 +513,8 @@ def _dual_equation(f: Poly) -> Poly:
     <= ||h||_1**(m-1) ||h_x||_1**m, as ||h_x||_1 >= m: the
     ``_packing_width`` norm of h and h_x.
 
-    The slot of a power of b is w = 2 + B.  The x**e coefficient of h has
+    The slot of a power of b is w = 1 + B, and 2 + B for a line (m = 1).
+    The x**e coefficient of h has
     a-degree deg[e] = max{t : (i, j) in supp f, t <= j, i + t = e}, and
     Q = +-Disc_x(h) is homogeneous of degree 2m - 2 and isobaric of weight
     m (m - 1) in h's x-coefficients (Gelfand, Kapranov and Zelevinsky,
@@ -523,17 +525,21 @@ def _dual_equation(f: Poly) -> Poly:
     deg_a Q <= sum deg[e_i] <= sum c(e_i) <= (2m - 2) c(m / 2), so
     deg_a Q <= B = floor((2m - 2) c(m / 2)), and c(m / 2) is the highest
     chord of deg over e1 <= m / 2 <= e2.  As c >= 0 is concave,
-    c(m / 2) >= c(e) / 2, so every a-degree in h is at most B + 1 < w, at
-    most B when m >= 2, and h's Kronecker keys are distinct.
+    c(m / 2) >= c(e) / 2, so every a-degree in h is at most B + 1, at most
+    B when m >= 2, and so below w: h's Kronecker keys are distinct.  A line
+    has B = 0 and a-degrees up to 1, so it keeps w = 2.
 
     Only Q must fit in w; the intermediate subresultants need not (on
-    conv{(0,0),(3,0),(3,2)} one has a-degree w).  The packing is the ring
+    conv{(0,0),(3,0),(3,2)} one has a-degree w + 1).  The packing is the ring
     map phi: a -> 2**k, b -> 2**(k*w), and the PRS over Z returns
     Res_x(phi h, phi h_x), a polynomial in their x-coefficients, which is
     phi(Res_x(h, h_x)) as phi keeps the x-degrees: lc_x(h), of a-degree
     deg[m] < w and 1-norm below 2**(k-2), packs to distinct balanced digits,
-    so phi(lc_x h) != 0.  So res // H[0] = +-phi(Q), and Q, of a-degree
-    <= w - 2 and 1-norm below 2**(k-2), unpacks exactly.
+    so phi(lc_x h) != 0.  So res // H[0] = +-phi(Q), and Q unpacks
+    exactly: its coefficients are below 2**(k-2), so a b-row of a-degree
+    <= B <= w - 1 is below 2**(k w - 2) in absolute value, one balanced
+    base-2**(k*w) digit, whose balanced base-2**k digits are the row's
+    coefficients.
     """
     f = _integral_terms(_strip_monomial(f))
     swap = max(i for i, _ in f) < max(j for _, j in f)
@@ -548,9 +554,10 @@ def _dual_equation(f: Poly) -> Poly:
     for i, j in f:
         for e in range(i, i + j + 1):
             deg[e] = max(deg[e], e - i)
-    # w - 2 = B, (2m - 2) times the least concave majorant of deg at m / 2:
-    # the highest chord over e1 <= m / 2 <= e2, or deg[m / 2] itself
-    w = 2 + max(
+    # w - 1 = B, (2m - 2) times the least concave majorant of deg at m / 2:
+    # the highest chord over e1 <= m / 2 <= e2, or deg[m / 2] itself; a line
+    # keeps one slot more, for h's keys
+    w = (2 if m == 1 else 1) + max(
         (2 * m - 2) * deg[e1] if e1 == e2
         else (m - 1) * (deg[e1] * (2 * e2 - m) + deg[e2] * (m - 2 * e1)) // (e2 - e1)
         for e1 in range(m // 2 + 1)

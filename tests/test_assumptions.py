@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import lattice_classes, minkowski_sum, random_polygon, support_face
 from plucker import assumptions, lattice
 from plucker.assumptions import (
-    DOWN,
     AssumptionReport,
     ThinTriangleWitness,
     Verdict,
@@ -30,6 +29,7 @@ from plucker.assumptions import (
 )
 from plucker.formulas import bitangent_count
 from plucker.lattice import (
+    DOWN,
     LEFT,
     NE,
     UP,
@@ -185,7 +185,8 @@ def face_ok(Q, P, g):
 
 def hull_find_Qd(P, d, face_constraint):
     """The subdiagram search with every candidate put through the hull test,
-    over all of P's points."""
+    over all of P's points; the subsets go in the search's walk order, by y
+    under a constraint (u, 0) and by x otherwise."""
     pts = lattice_points(P)
     ptset = set(pts)
     for p in pts:
@@ -195,6 +196,8 @@ def hull_find_Qd(P, d, face_constraint):
                 continue
             if face_ok(cand, P, face_constraint) and hull_class_Qd(cand, d):
                 return frozenset(cand)
+    if face_constraint and face_constraint[1] == 0:
+        pts = sorted(pts, key=lambda p: p[1])
     for subset in combinations(pts, d):
         if face_ok(subset, P, face_constraint) and hull_class_Qd(subset, d):
             return frozenset(subset)
@@ -424,6 +427,18 @@ class TestSubdiagramSearch:
             ("no-inflected-bitangents", 0, "no Q5 subdiagram"),
             ("no-higher-flexes", 0, "no Q4 subdiagram"),
         ]
+
+    def test_column_band_is_walked_by_rows(self):
+        # r^2's bottom edge is P's face at LEFT, the column x = 0, so its
+        # bottom-edge Q4 search walks P's 4 leftmost columns, here two
+        # columns of 2 and 3,996 points.  Walked by x, every prefix would
+        # extend by every later point of those columns (28 s on a 2-core
+        # machine); walked by y, only by the points of 4 rows
+        P = LatticePolygon.hull([(0, 0), (0, 1), (1, 5), (1, 4000)])
+        start = time.monotonic()
+        _, evidence = check_assumption1(P)
+        assert time.monotonic() - start < 2.0
+        assert ("no-boundary-bitangents", 2, "no condition fired") in evidence
 
     def test_bottom_edge_search_walks_only_the_face_band(self, monkeypatch):
         # 13,015 points in columns up to 110 high, of which 53 lie in the 4
@@ -724,10 +739,95 @@ class TestRowsThatNeverDecide:
         assert (polygons, thin_rows) == (75, 81)
 
 
+class TestCensusOfThe4Box:
+    """The battery's verdicts and evidence on every class of [0, 4]^2, none
+    of which contains 5*Delta.  A change that moves a class between
+    verdicts, or a row between outcomes, must change these figures and
+    say so in CHANGES.md."""
+
+    TALLY = {
+        ("no-boundary-bitangents", 0, "Q4 subdiagram aligned with the bottom edge"): 9_554,
+        ("no-boundary-bitangents", 0, "bottom face is a vertex"): 8_360,
+        ("no-boundary-bitangents", 0, "no condition fired"): 53,
+        ("no-boundary-bitangents", 0, "two lattice points on a row at height >= 2 above the bottom edge"): 11,
+        ("no-boundary-bitangents", 1, "Q4 subdiagram aligned with the bottom edge"): 5_296,
+        ("no-boundary-bitangents", 1, "bottom face is a vertex"): 12_645,
+        ("no-boundary-bitangents", 1, "no condition fired"): 37,
+        ("no-boundary-bitangents", 2, "Q4 subdiagram aligned with the bottom edge"): 9_554,
+        ("no-boundary-bitangents", 2, "bottom face is a vertex"): 8_360,
+        ("no-boundary-bitangents", 2, "no condition fired"): 53,
+        ("no-boundary-bitangents", 2, "two lattice points on a row at height >= 2 above the bottom edge"): 11,
+        ("no-corner-bitangents", 0, "2-dimensional and not the unit triangle"): 17_977,
+        ("no-corner-bitangents", 0, "polygon is the unit triangle"): 1,
+        ("no-higher-flexes", 0, "Q4 subdiagram found"): 17_747,
+        ("no-higher-flexes", 0, "no Q4 subdiagram"): 231,
+        ("no-inflected-bitangents", 0, "Q5 subdiagram found"): 17_466,
+        ("no-inflected-bitangents", 0, "no Q5 subdiagram"): 512,
+        ("no-inflections-at-infinity", 0, "not a thin triangle"): 17_976,
+        ("no-inflections-at-infinity", 0, "thin triangle"): 2,
+        ("no-inflections-at-infinity", 1, "not a thin triangle"): 17_974,
+        ("no-inflections-at-infinity", 1, "thin triangle"): 4,
+        ("no-inflections-at-infinity", 2, "not a thin triangle"): 17_976,
+        ("no-inflections-at-infinity", 2, "thin triangle"): 2,
+        ("no-tangent-asymptotes", 0, "3 ordinates or top face is a vertex"): 17_888,
+        ("no-tangent-asymptotes", 0, "no condition fired"): 90,
+        ("no-tangent-asymptotes", 1, "3 ordinates or top face is a vertex"): 17_908,
+        ("no-tangent-asymptotes", 1, "no condition fired"): 70,
+        ("no-tangent-asymptotes", 2, "3 ordinates or top face is a vertex"): 17_888,
+        ("no-tangent-asymptotes", 2, "no condition fired"): 90,
+        ("no-tritangents", 0, "Q6-generalized subdiagram found"): 16_385,
+        ("no-tritangents", 0, "no Q6 subdiagram, no 5R"): 1_593,
+        ("no-vertical-bitangents", 0, "4 consecutive ordinates"): 16_870,
+        ("no-vertical-bitangents", 0, "no condition fired"): 60,
+        ("no-vertical-bitangents", 0, "vertical degree at most 3"): 1_048,
+        ("no-vertical-bitangents", 1, "4 consecutive ordinates"): 17_172,
+        ("no-vertical-bitangents", 1, "no condition fired"): 157,
+        ("no-vertical-bitangents", 1, "vertical degree at most 3"): 649,
+        ("no-vertical-bitangents", 2, "4 consecutive ordinates"): 16_870,
+        ("no-vertical-bitangents", 2, "no condition fired"): 60,
+        ("no-vertical-bitangents", 2, "vertical degree at most 3"): 1_048,
+        ("no-vertical-inflections", 0, "at least 3 ordinates"): 17_862,
+        ("no-vertical-inflections", 0, "fewer than 3 ordinates"): 116,
+        ("no-vertical-inflections", 1, "at least 3 ordinates"): 17_886,
+        ("no-vertical-inflections", 1, "fewer than 3 ordinates"): 92,
+        ("no-vertical-inflections", 2, "at least 3 ordinates"): 17_862,
+        ("no-vertical-inflections", 2, "fewer than 3 ordinates"): 116,
+        ("thin-classification", 0, "not in the thin orbit"): 17_972,
+        ("thin-classification", 0, "thin triangle"): 2,
+        ("thin-classification", 1, "thin triangle"): 3,
+        ("thin-classification", 2, "thin triangle"): 1,
+    }
+
+    FAILS_KNOWN = {
+        # the unit triangle and the five other thin classes, with their witnesses
+        ((0, 0), (1, 0), (0, 1)): ThinTriangleWitness(0, (-1, 0), 0),
+        ((0, 0), (1, -3), (2, -3)): ThinTriangleWitness(1, (0, -3), 0),
+        ((0, 0), (2, 1), (1, 2)): ThinTriangleWitness(1, (0, -3), 1),
+        ((0, 0), (3, -1), (0, 1)): ThinTriangleWitness(1, (0, -3), 2),
+        ((0, 0), (3, 2), (2, 3)): ThinTriangleWitness(2, (1, -5), 1),
+        ((0, 0), (4, 3), (3, 4)): ThinTriangleWitness(3, (2, -7), 1),
+    }
+
+    def test_every_class_of_the_4x4_box(self):
+        verdicts, tally, fails = Counter(), Counter(), {}
+        for P in lattice_classes(4):
+            rep = full_assumption_report(P, fast_path=False)
+            found = {rep.a1, rep.a2, rep.a3}
+            if Verdict.FAILS_KNOWN in found:
+                verdicts["FailsKnown"] += 1
+                fails[P.vertices] = rep.thin_witness
+            else:
+                verdicts["Unknown" if Verdict.UNKNOWN in found else "all Verified"] += 1
+            tally.update(rep.evidence)
+        assert verdicts == {"all Verified": 16_325, "Unknown": 1_647, "FailsKnown": 6}
+        assert fails == self.FAILS_KNOWN
+        assert tally == self.TALLY
+
+
 class TestBoundaryBitangents:
     def test_bottom_vertex(self):
         P = LatticePolygon.hull([(1, 0), (0, 2), (3, 3)])
-        assert _boundary_bitangent_excluded(P, P, 0, lattice_points(P), edge_fan(P), True) == (
+        assert _boundary_bitangent_excluded(P, 0, lattice_points(P), edge_fan(P), True) == (
             "bottom face is a vertex"
         )
 
@@ -736,21 +836,30 @@ class TestBoundaryBitangents:
         # no Q4 on the bottom edge; the only row of two points above it is
         # at height exactly 2, measured from P's lowest row
         P = LatticePolygon.hull([(0, 0), (1, 0), (5, 2), (4, 3)]).translate(t)
-        assert _boundary_bitangent_excluded(P, P, 0, lattice_points(P), edge_fan(P), True) == (
+        assert _boundary_bitangent_excluded(P, 0, lattice_points(P), edge_fan(P), True) == (
             "two lattice points on a row at height >= 2 above the bottom edge"
         )
 
-    def test_maps_only_the_band_above_the_bottom_edge(self, monkeypatch):
+    def test_walks_only_the_band_above_the_bottom_edge(self, monkeypatch):
         # r^2's bottom edge is P's face at LEFT, the column x = 0; the
-        # bottom-edge Q4 search maps the 13 points of the 4 columns x <= 3,
-        # not all 200,003, and direction 1's bottom face is a vertex
+        # bottom-edge Q4 search sees the 13 points of the 4 columns x <= 3,
+        # not all 200,003, and direction 1's bottom face is a vertex.  The
+        # spy records the point set of each search that fits a path: Q5 and
+        # Q6 on all of P, the bottom-edge search in direction 0, whose band
+        # is all of P as P is 3 high, and the one in direction 2
         P = LatticePolygon.hull([(0, 0), (100000, 0), (0, 3)])
-        real, mapped = assumptions._rotated_points, []
-        monkeypatch.setattr(
-            assumptions, "_rotated_points", lambda P, k, pts: mapped.append((k, len(pts))) or real(P, k, pts)
-        )
+        real, seen, last = assumptions._path_fits, [], [None]
+
+        def spied(ptset, *args):
+            if ptset is not last[0]:
+                last[0] = ptset
+                seen.append(sorted(ptset) if len(ptset) < 100 else len(ptset))
+            return real(ptset, *args)
+
+        monkeypatch.setattr(assumptions, "_path_fits", spied)
         assert assumptions.check_assumption1(P)[0] is Verdict.VERIFIED
-        assert mapped == [(2, 13)]
+        columns = [(x, y) for x in range(4) for y in range(4 if x == 0 else 3)]
+        assert seen == [200_003, 200_003, 200_003, columns]
 
 
 class TestFullReport:
@@ -781,6 +890,23 @@ class TestFullReport:
         monkeypatch.setattr(lattice, "_hull_vertices", no_hull)
         assert (rotate_r(P), full_assumption_report(P, fast_path=False)) == expected
         assert edge_fan_calls == [P, P]
+
+    @pytest.mark.parametrize(
+        "P",
+        [LatticePolygon(((0, 0), (4, 3), (3, 4))), LatticePolygon(((0, 0), (4, 0), (4, 1), (1, 4), (0, 4)))],
+        ids=["thin-in-r", "pentagon"],
+    )
+    def test_no_rotated_polygon(self, monkeypatch, P):
+        # every direction is decided on P: the report is the same when no
+        # r^k(P) can be built, on a triangle thin after one rotation
+        expected = full_assumption_report(P, fast_path=False)
+
+        def no_rotation(P):
+            raise AssertionError("r^k(P) built")
+
+        monkeypatch.setattr(lattice, "rotate_r", no_rotation)
+        monkeypatch.setattr(assumptions, "rotate_r", no_rotation, raising=False)
+        assert full_assumption_report(P, fast_path=False) == expected
 
     def test_report_leaves_points_only_in_the_memo(self):
         # no cache of the battery holds points: once the lattice_points memo
@@ -1202,8 +1328,9 @@ def assembled_report(P, budget):
 class TestSearchesInferredFromEachOther:
     """The report runs the Q5 search first, reads Q6 off "no Q5" and Q4 off
     a Q5 found, and skips the bottom-edge Q4 searches after "no Q4"; it
-    reads the boundary and assumption-3 tests of r(P) and r^2(P) off P, and
-    maps P's points to r^k(P) only for the bottom-edge Q4 search."""
+    reads every test of r(P) and r^2(P) off P, the bottom-edge Q4 search
+    of r^k(P) being P's at LOWER_ARROWS[k], and maps no point to r^k(P).
+    ``assembled_report`` runs each of those tests in r^k(P)'s own frame."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -1238,10 +1365,6 @@ class TestSearchesInferredFromEachOther:
         rng = random.Random(26)
         for _ in range(200):
             P = random_polygon(rng, box=rng.randint(2, 9))
-            Pk = P
-            for k in (1, 2):
-                Pk = rotate_r(Pk)
-                assert assumptions._rotated_points(P, k, lattice_points(P)) == lattice_points(Pk)
             for budget in (-1, 0, 1, 10, 500, 200_000):
                 assert full_assumption_report(P, budget, fast_path=False) == assembled_report(P, budget), (P, budget)
 

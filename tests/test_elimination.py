@@ -368,25 +368,26 @@ def _weight_bound(deg: list[int]) -> int:
 def test_dual_slot_width_is_the_discriminant_weight_bound(vertices, cfg, monkeypatch):
     # Q = +-Disc_x(h) is homogeneous of degree 2m - 2 and isobaric of
     # weight m (m - 1) in h's x-coefficients, so its a-degree is at most the
-    # largest sum of 2m - 2 of their a-degrees with that weight; the slot w
-    # of a power of b is 2 plus that sum, the discriminant attains it on
-    # these samples, and w is never wider than 2 plus the column maxima of
-    # the Sylvester matrix of h and h_x over ZZ[a, b]
+    # largest sum of 2m - 2 of their a-degrees with that weight; for m >= 2
+    # the slot w of a power of b is 1 plus that sum, the discriminant
+    # attains it on these samples, and w is never wider than 1 plus the
+    # column maxima of the Sylvester matrix of h and h_x over ZZ[a, b]
     h, w = _packed_chart(vertices, cfg, monkeypatch)
     m = h.degree()
+    assert m >= 2
     deg = [_a_degree(h.coeff_monomial(_X**e)) for e in range(m + 1)]
-    assert w - 2 == _weight_bound(deg)
-    assert _a_degree(sympy.discriminant(h.as_expr(), _X)) == w - 2
+    assert w - 1 == _weight_bound(deg)
+    assert _a_degree(sympy.discriminant(h.as_expr(), _X)) == w - 1
     S = sylvester(h.as_expr(), h.diff(_X).as_expr(), _X)
     assert S.shape == (2 * m - 1, 2 * m - 1)
-    assert w <= 2 + sum(max(_a_degree(S[r, c]) for r in range(S.rows)) for c in range(S.cols))
+    assert w <= 1 + sum(max(_a_degree(S[r, c]) for r in range(S.rows)) for c in range(S.cols))
 
 
 def test_a_dual_subresultant_overflows_the_slot(monkeypatch):
     # the slot holds Q, not every subresultant of h and h_x: the packing is
     # a ring map, so the PRS over Z still ends in the packed resultant
     h, w = _packed_chart(_WIDTH_CASES["tri-slab"], OracleConfig(seed=3), monkeypatch)
-    assert max(_a_degree(c) for p in h.subresultants(h.diff(_X)) for c in p.coeffs()) > w - 2
+    assert max(_a_degree(c) for p in h.subresultants(h.diff(_X)) for c in p.coeffs()) > w - 1
 
 
 @pytest.mark.parametrize("coeff_bound", [1, 1000])
